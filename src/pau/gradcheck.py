@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .rational import (RationalCoefficients, eval_pau, eval_pau_stacked,
-                       grad_pau, _grad_parts, _poly_A)
+                       grad_pau, _expand_gradients, _grad_parts, _poly_A)
 
 FD_STEP = 1e-5
 
@@ -93,7 +93,8 @@ def compare_batch(trials, rng, m=5, n=4, coeff_range=1.0, x_range=3.0,
     nums = rng.uniform(-coeff_range, coeff_range, (trials, m + 1))
     dens = rng.uniform(-coeff_range, coeff_range, (trials, n))
 
-    d_input, d_num, d_den, _ = _grad_parts(xs, nums, dens, safe)
+    d_input, w, v = _grad_parts(xs, nums, dens, safe)
+    d_num, d_den = _expand_gradients(xs, w, v, m, n)
     f0 = eval_pau_stacked(xs, nums, dens, safe)
     scale = np.maximum(1.0, np.abs(f0))
 

@@ -5,7 +5,8 @@ Layers are declared as a flat spec list (Dense / Conv2d / MaxPool /
 Activation / Baseline / Flatten / Softmax) and compiled into a Network
 holding plain float64 arrays.  Forward and backward are hand-written;
 each Activation layer references a PauUnit whose coefficient gradients
-accumulate over every element the layer touches, in index order.
+are summed over every element the layer touches in a fixed pairwise
+order, independent of thread count.
 """
 
 from __future__ import annotations

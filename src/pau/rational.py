@@ -103,14 +103,10 @@ def eval_polynomial(coeffs, x):
 
 def _poly_A(den, x):
     """A(x) = b_1 x + ... + b_n x^n; exact zero when n = 0."""
-    d = np.asarray(den, dtype=np.float64)
     xa = np.asarray(x, dtype=np.float64)
-    if d.shape[-1] == 0:
+    if np.shape(den)[-1] == 0:
         return np.zeros_like(xa)
-    acc = d[..., -1] + np.zeros_like(xa)
-    for i in range(d.shape[-1] - 2, -1, -1):
-        acc = acc * xa + d[..., i]
-    return acc * xa
+    return eval_polynomial(den, xa) * xa
 
 
 def _pau_parts(x, numerator, denominator, safe):
@@ -171,12 +167,14 @@ class PauGradientBundle:
     d_denominator: np.ndarray
 
 
-def _grad_parts(x, numerator, denominator, safe, pole_floor=None):
-    """Vectorized gradient components sharing one (P, A, Q) evaluation.
+def _grad_parts(x, numerator, denominator, safe, pole_floor=None, upstream=1.0):
+    """Vectorized gradient pieces sharing one (P, A, Q) evaluation.
 
-    Returns (d_input, d_num, d_den) with d_num of shape x.shape + (m+1,)
-    and d_den of shape x.shape + (n,).  Coefficient arrays may carry a
-    leading per-element stack exactly as in :func:`eval_polynomial`.
+    Returns (d_input, w, v): d_input is dF/dx, and the factors
+    w = upstream / Q and v = -upstream * s * P / Q^2 give the coefficient
+    gradients upstream * dF/da_j = w x^j and upstream * dF/db_k = v x^k
+    (see :func:`_power_terms`).  Coefficient arrays may carry a leading
+    per-element stack exactly as in :func:`eval_polynomial`.
     ``pole_floor`` triggers the unsafe-mode pole check before anything is
     divided by Q.
     """
@@ -205,21 +203,40 @@ def _grad_parts(x, numerator, denominator, safe, pole_floor=None):
 
     PQ2 = P / Q ** 2
     d_input = dP / Q - s * dA * PQ2
+    return d_input, upstream / Q, -upstream * s * PQ2
 
-    powers = np.empty(xa.shape + (max(m, n) + 1,))
-    powers[..., 0] = 1.0
-    for j in range(1, max(m, n) + 1):
-        powers[..., j] = powers[..., j - 1] * xa
-    d_num = powers[..., :m + 1] / Q[..., None]
-    d_den = -powers[..., 1:n + 1] * (s * PQ2)[..., None]
-    return d_input, d_num, d_den, Q
+
+def _power_terms(factor, x, count):
+    """Yield factor * x**j for j = 0, ..., count - 1.
+
+    Each term is one running-product step from the previous one, so no
+    table of powers is ever built.
+    """
+    for j in range(count):
+        if j:
+            factor = factor * x
+        yield factor
+
+
+def _expand_gradients(x, w, v, m, n):
+    """Per-element coefficient gradients from the factors of
+    :func:`_grad_parts`: d_num of shape x.shape + (m+1,) and d_den of
+    shape x.shape + (n,)."""
+    d_num = np.empty(np.shape(w) + (m + 1,))
+    d_den = np.empty(np.shape(v) + (n,))
+    for j, t in enumerate(_power_terms(w, x, m + 1)):
+        d_num[..., j] = t
+    for k, t in enumerate(_power_terms(v * x, x, n)):
+        d_den[..., k] = t
+    return d_num, d_den
 
 
 def grad_pau(x, coeffs: RationalCoefficients, safe: bool = True,
              pole_floor: float = DEFAULT_POLE_FLOOR) -> PauGradientBundle:
     """Exact analytic gradients of the unit at a scalar x."""
-    d_input, d_num, d_den, _ = _grad_parts(
+    d_input, w, v = _grad_parts(
         x, coeffs.numerator, coeffs.denominator, safe, pole_floor=pole_floor)
+    d_num, d_den = _expand_gradients(x, w, v, coeffs.m, coeffs.n)
     return PauGradientBundle(float(d_input), d_num, d_den)
 
 
@@ -230,8 +247,9 @@ def backward_pau(xs, upstream, coeffs: RationalCoefficients, safe: bool = True,
 
     Returns ``(d_inputs, (d_numerator, d_denominator))`` where d_inputs[i]
     is upstream[i] * dF/dx at xs[i] and the coefficient gradients are the
-    sums of upstream[i] * dF/dc over all elements, accumulated strictly
-    left to right so parallel splits can merge reproducibly.
+    sums of upstream[i] * dF/dc over all elements.  Each sum is one
+    ``np.sum`` over a contiguous vector of power-sum terms: a fixed
+    pairwise order set by the length alone, independent of thread count.
 
     ``coefficient_stacks``, when given as ``(num_stack, den_stack)`` with
     one coefficient vector per element, evaluates the gradients at those
@@ -245,15 +263,12 @@ def backward_pau(xs, upstream, coeffs: RationalCoefficients, safe: bool = True,
         num, den = coeffs.numerator, coeffs.denominator
     else:
         num, den = coefficient_stacks
-    d_input, d_num, d_den, _ = _grad_parts(xa, num, den, safe,
-                                           pole_floor=pole_floor)
-    if xa.size == 0:
-        return (np.zeros(0),
-                (np.zeros(coeffs.m + 1), np.zeros(coeffs.n)))
+    d_input, w, v = _grad_parts(xa, num, den, safe, pole_floor=pole_floor,
+                                upstream=up)
     d_inputs = up * d_input
-    num_acc = np.add.accumulate(up[:, None] * d_num, axis=0)[-1]
-    den_acc = np.add.accumulate(up[:, None] * d_den, axis=0)[-1]
-    return d_inputs, (num_acc, den_acc)
+    d_num = np.array([np.sum(t) for t in _power_terms(w, xa, coeffs.m + 1)])
+    d_den = np.array([np.sum(t) for t in _power_terms(v * xa, xa, coeffs.n)])
+    return d_inputs, (d_num, d_den)
 
 
 def sample_noisy_coeffs(coeffs: RationalCoefficients, alpha: float, rng,

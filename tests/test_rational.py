@@ -1,7 +1,14 @@
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pau
 from pau.rational import (DocumentFormatError, PoleError, RationalCoefficients,
                           backward_pau, eval_pau, eval_pau_batch,
                           eval_pau_stacked, eval_polynomial, grad_pau,
@@ -239,9 +246,89 @@ class TestBackward:
         xs = rng.uniform(-3, 3, 7)
         up = rng.uniform(-1, 1, 7)
         d_in, (d_num, d_den) = backward_pau(xs, up, c)
-        for i, x in enumerate(xs):
-            g = grad_pau(float(x), c)
+        grads = [grad_pau(float(x), c) for x in xs]
+        for i, g in enumerate(grads):
             assert d_in[i] == pytest.approx(up[i] * g.d_input, rel=1e-12)
+        for j in range(c.m + 1):
+            ref = math.fsum(up[i] * g.d_numerator[j] for i, g in enumerate(grads))
+            assert d_num[j] == pytest.approx(ref, rel=1e-12)
+        for k in range(c.n):
+            ref = math.fsum(up[i] * g.d_denominator[k] for i, g in enumerate(grads))
+            assert d_den[k] == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_large_batch_matches_exact_sums(self, stacked):
+        # long enough for numpy's blocked pairwise summation to engage
+        rng = np.random.default_rng(23)
+        c = random_coeffs(rng)
+        size = 131_077
+        xs = rng.uniform(-3, 3, size)
+        up = rng.uniform(-1, 1, size)
+        stacks = sample_noisy_coeffs(c, 0.05, rng=24, size=size) if stacked else None
+        nums, dens = stacks if stacked else (np.broadcast_to(c.numerator, (size, c.m + 1)),
+                                             np.broadcast_to(c.denominator, (size, c.n)))
+        # reference products from the closed forms with explicit powers
+        P = eval_polynomial(nums, xs)
+        A = xs * eval_polynomial(dens, xs)
+        Q = 1.0 + np.abs(A)
+        powers = xs[:, None] ** np.arange(c.m + 1)
+        ref_num = up[:, None] * powers / Q[:, None]
+        ref_den = -up[:, None] * powers[:, 1:c.n + 1] * (np.sign(A) * P / Q ** 2)[:, None]
+        for i in range(20):
+            g = grad_pau(float(xs[i]), RationalCoefficients(nums[i], dens[i]))
+            assert ref_num[i] == pytest.approx(up[i] * g.d_numerator, rel=1e-12)
+            assert ref_den[i] == pytest.approx(up[i] * g.d_denominator, rel=1e-12)
+
+        _, (d_num, d_den) = backward_pau(xs, up, c, coefficient_stacks=stacks)
+        assert d_num == pytest.approx([math.fsum(col) for col in ref_num.T], rel=1e-12)
+        assert d_den == pytest.approx([math.fsum(col) for col in ref_den.T], rel=1e-12)
+
+    def test_unsafe_pole_reports_first_index(self):
+        c = RationalCoefficients([1.0], [-0.5])  # Q(2) = 0
+        with pytest.raises(PoleError) as exc:
+            backward_pau(np.array([0.0, 1.0, 2.0, 3.0, 2.0]), np.ones(5), c,
+                         safe=False)
+        assert exc.value.index == 2
+
+    def test_empty_batch_with_stacks(self):
+        c = random_coeffs(np.random.default_rng(25))
+        stacks = sample_noisy_coeffs(c, 0.05, rng=0, size=0)
+        d_in, (d_num, d_den) = backward_pau(np.zeros(0), np.zeros(0), c,
+                                            coefficient_stacks=stacks)
+        assert d_in.shape == (0,)
+        assert d_num.shape == (c.m + 1,) and not d_num.any()
+        assert d_den.shape == (c.n,) and not d_den.any()
+
+    def test_bit_identical_across_blas_thread_counts(self):
+        # the thread cap has to be in the environment before numpy loads
+        script = (
+            "import hashlib\n"
+            "import numpy as np\n"
+            "from pau.rational import RationalCoefficients, backward_pau, sample_noisy_coeffs\n"
+            "rng = np.random.default_rng(26)\n"
+            "c = RationalCoefficients(rng.uniform(-1, 1, 6), rng.uniform(-1, 1, 4))\n"
+            "xs = rng.uniform(-3, 3, 200_003)\n"
+            "up = rng.uniform(-1, 1, xs.size)\n"
+            "stacks = sample_noisy_coeffs(c, 0.05, rng=27, size=xs.size)\n"
+            "h = hashlib.sha256()\n"
+            "for st in (None, stacks):\n"
+            "    d_in, (d_num, d_den) = backward_pau(xs, up, c, coefficient_stacks=st)\n"
+            "    for a in (d_in, d_num, d_den):\n"
+            "        h.update(a.tobytes())\n"
+            "print(h.hexdigest())\n")
+        src = str(Path(pau.__file__).resolve().parents[1])
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           p for p in (src, os.environ.get("PYTHONPATH")) if p))
+            proc = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout.strip())
+        assert len(digests[0]) == 64
+        assert digests[0] == digests[1]
 
 
 class TestNoise:
