@@ -17,7 +17,7 @@ from .network import (Activation, Baseline, Conv2d, Dense, Flatten, MaxPool,
 from .prune import PruneReport, PruneSchedule, apply_prune, lottery_run, score_units
 from .rational import (PoleError, RationalCoefficients, backward_pau, eval_pau,
                        eval_pau_batch, eval_polynomial, grad_pau,
-                       read_coefficient_document, sample_noisy_coeffs, sign,
+                       read_coefficient_document, sample_noisy_coeffs,
                        write_coefficient_document)
 from .targets import TargetActivation, TaylorUnsupportedError, parse_target
 from .train import (Adam, SGD, Metrics, TrainConfig, evaluate, fit_regression,

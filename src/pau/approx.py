@@ -22,7 +22,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .rational import RationalCoefficients, eval_pau_batch
+from .rational import (RationalCoefficients, _expand_gradients, _pau_parts,
+                       eval_pau_batch)
 from .targets import TargetActivation, parse_target
 
 DEFAULT_ORDERS = (5, 4)
@@ -169,17 +170,6 @@ class FitConfig:
         return np.linspace(self.lo, self.hi, count)
 
 
-def _quotient(theta, xs, m, n, safe):
-    P = np.full_like(xs, theta[m])
-    for j in range(m - 1, -1, -1):
-        P = P * xs + theta[j]
-    A = np.zeros_like(xs)
-    for k in range(n, 0, -1):
-        A = (A + theta[m + k]) * xs
-    Q = 1.0 + np.abs(A) if safe else 1.0 + A
-    return P, A, Q
-
-
 def _gauss_newton_polish(theta, xs, y, m, n, safe, max_iter=80):
     """Damped Gauss-Newton on the true residual P/Q - y.
 
@@ -188,23 +178,15 @@ def _gauss_newton_polish(theta, xs, y, m, n, safe, max_iter=80):
     the actual grid sum of squares.
     """
     lam = 1e-10
-    P, A, Q = _quotient(theta, xs, m, n, safe)
+    P, A, Q = _pau_parts(xs, theta[:m + 1], theta[m + 1:], safe)
     r = P / Q - y
     sse = float(r @ r)
     for _ in range(max_iter):
-        J = np.empty((xs.size, m + 1 + n))
-        col = np.ones_like(xs)
-        for j in range(m + 1):
-            J[:, j] = col / Q
-            col = col * xs
         s = np.sign(A) if safe else 1.0
-        base = -s * P / Q ** 2
-        col = xs.copy()
-        for k in range(1, n + 1):
-            J[:, m + k] = col * base
-            col = col * xs
+        J = _expand_gradients(xs, 1.0 / Q, -s * P / Q ** 2, m, n)
         g = J.T @ r
         H = J.T @ J
+        del J   # else the next Jacobian is built while this one is still held
         stepped = False
         for _ in range(15):
             try:
@@ -213,7 +195,7 @@ def _gauss_newton_polish(theta, xs, y, m, n, safe, max_iter=80):
                 lam *= 10
                 continue
             cand = theta + step
-            P2, A2, Q2 = _quotient(cand, xs, m, n, safe)
+            P2, A2, Q2 = _pau_parts(xs, cand[:m + 1], cand[m + 1:], safe)
             r2 = P2 / Q2 - y
             sse2 = float(r2 @ r2)
             if np.isfinite(sse2) and sse2 < sse:
@@ -248,15 +230,8 @@ def least_squares_fit(target, m: int = DEFAULT_ORDERS[0],
         raise ValueError(f"grid has {xs.size} points, need >= {m + n + 1}")
     y = np.asarray(target(xs), dtype=np.float64)
 
-    D = np.empty((xs.size, m + 1 + n))
-    col = np.ones_like(xs)
-    for j in range(m + 1):
-        D[:, j] = col
-        col = col * xs
-    col = xs.copy()
-    for k in range(1, n + 1):
-        D[:, m + k] = -y * col
-        col = col * xs
+    # Sanathanan-Koerner rows: x^j for the numerator, -y x^k for the denominator
+    D = _expand_gradients(xs, 1.0, -y, m, n)
 
     Q = np.ones_like(xs)
     theta_prev = None
@@ -276,7 +251,7 @@ def least_squares_fit(target, m: int = DEFAULT_ORDERS[0],
             G = Dn.T @ Dn + 1e-12 * np.eye(n_params)
             theta_n = np.linalg.solve(G, Dn.T @ (y * w))
         theta = theta_n / scale
-        _, _, Q = _quotient(theta, xs, m, n, safe=False)
+        _, _, Q = _pau_parts(xs, theta[:m + 1], theta[m + 1:], safe=False)
         if theta_prev is not None:
             delta = np.max(np.abs(theta - theta_prev))
             if delta <= cfg.convergence_tol * max(1.0, np.max(np.abs(theta))):
@@ -284,7 +259,7 @@ def least_squares_fit(target, m: int = DEFAULT_ORDERS[0],
                 break
         theta_prev = theta
     if not converged:
-        P, _, Qf = _quotient(theta, xs, m, n, safe)
+        P, _, Qf = _pau_parts(xs, theta[:m + 1], theta[m + 1:], safe)
         raise FitNonConvergenceError(
             f"no convergence within {cfg.max_sk_iterations} iterations",
             last_residual=float(np.max(np.abs(P / Qf - y))))

@@ -161,7 +161,7 @@ def cmd_fit(args) -> int:
 def cmd_export_curve(args) -> int:
     import numpy as np
 
-    from .rational import (DocumentFormatError, eval_pau_batch,
+    from .rational import (DocumentFormatError, PoleError, eval_pau_batch,
                            read_coefficient_document, sample_noisy_coeffs,
                            eval_pau_stacked)
 
@@ -177,26 +177,30 @@ def cmd_export_curve(args) -> int:
         print(f"error: cannot read coefficient document: {exc}", file=sys.stderr)
         return EXIT_INPUT
     xs = np.linspace(lo, hi, args.points)
-    fx = eval_pau_batch(xs, doc.coefficients, safe=doc.safe)
-    rows = []
-    if args.noise is None:
-        header = "x,f"
-        for x, f in zip(xs, fx):
-            rows.append(f"{float(x)!r},{float(f)!r}")
-    else:
-        header = "x,f,noise_min,noise_max"
-        rng = np.random.default_rng(args.seed)
-        samples = 1000
-        for x, f in zip(xs, fx):
-            if args.noise == 0.0:
-                lo_v = hi_v = float(f)
-            else:
-                stacks = sample_noisy_coeffs(doc.coefficients, args.noise, rng,
-                                             size=samples)
-                vals = eval_pau_stacked(np.full(samples, x), *stacks,
-                                        safe=doc.safe)
-                lo_v, hi_v = float(vals.min()), float(vals.max())
-            rows.append(f"{float(x)!r},{float(f)!r},{lo_v!r},{hi_v!r}")
+    try:
+        fx = eval_pau_batch(xs, doc.coefficients, safe=doc.safe)
+        rows = []
+        if args.noise is None:
+            header = "x,f"
+            for x, f in zip(xs, fx):
+                rows.append(f"{float(x)!r},{float(f)!r}")
+        else:
+            header = "x,f,noise_min,noise_max"
+            rng = np.random.default_rng(args.seed)
+            samples = 1000
+            for x, f in zip(xs, fx):
+                if args.noise == 0.0:
+                    lo_v = hi_v = float(f)
+                else:
+                    stacks = sample_noisy_coeffs(doc.coefficients, args.noise, rng,
+                                                 size=samples)
+                    vals = eval_pau_stacked(np.full(samples, x), *stacks,
+                                            safe=doc.safe)
+                    lo_v, hi_v = float(vals.min()), float(vals.max())
+                rows.append(f"{float(x)!r},{float(f)!r},{lo_v!r},{hi_v!r}")
+    except PoleError as exc:
+        print(f"error: unsafe unit has a pole in the range: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
         fh.write("\n".join(rows) + "\n")
@@ -211,32 +215,28 @@ def cmd_export_curve(args) -> int:
 def cmd_gradcheck(args) -> int:
     import numpy as np
 
-    from .rational import RationalCoefficients
     from . import gradcheck as gc
 
     if args.trials == 0:
         print("warning: 0 trials requested, nothing checked")
         return EXIT_OK
+    # each trial draws 6 numerator and 4 denominator coefficients on
+    # [-1, 1], then x on [-3, 3], from one stream
     rng = np.random.default_rng(args.seed)
-    worst = 0.0
-    worst_case = None
-    for _ in range(args.trials):
-        coeffs = RationalCoefficients(rng.uniform(-1, 1, 6), rng.uniform(-1, 1, 4))
-        x = float(rng.uniform(-3, 3))
-        rel, comp = gc.compare_single(x, coeffs, safe=True,
-                                      flip_denominator=args.inject_fault)
-        if rel > worst:
-            worst, worst_case = rel, (x, coeffs, comp)
-    net_rel = gc.toy_network_check(seed=args.seed)
-    worst = max(worst, net_rel)
+    lo = np.array([-1.0] * 10 + [-3.0])
+    draws = rng.uniform(lo, -lo, (args.trials, lo.size))
+    nums, dens, xs = draws[:, :6], draws[:, 6:10], draws[:, 10]
+    trial_worst, labels, _ = gc.compare_trials(xs, nums, dens, safe=True,
+                                               flip_denominator=args.inject_fault)
+    i = int(np.argmax(trial_worst))
+    worst = max(float(trial_worst[i]), gc.toy_network_check(seed=args.seed))
     print(f"worst_relative_error = {worst!r} over {args.trials} unit trials "
           f"plus a toy network")
     if worst < 1e-4:
         return EXIT_OK
-    if worst_case is not None:
-        x, coeffs, comp = worst_case
-        print(f"offending case: x={x!r} component={comp} "
-              f"num={coeffs.numerator.tolist()} den={coeffs.denominator.tolist()}",
+    if trial_worst[i] > 0:
+        print(f"offending case: x={float(xs[i])!r} component={labels[i]} "
+              f"num={nums[i].tolist()} den={dens[i].tolist()}",
               file=sys.stderr)
     print("gradient verification FAILED", file=sys.stderr)
     return EXIT_VERIFY

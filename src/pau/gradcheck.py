@@ -1,5 +1,10 @@
 """Finite-difference verification of the analytic gradients.
 
+One vectorized checker, :func:`compare_trials`, compares every gradient
+component of many (coefficients, x) trials at once against central
+differences; :func:`compare_single` and :func:`compare_batch` are a
+one-trial call and a random sweep over it.
+
 Central differences with step h are meaningless where the perturbation
 crosses the kink of |A(x)|: for the input gradient that is a sign change
 of A between x-h and x+h, and for a denominator coefficient b_k a sign
@@ -18,8 +23,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .rational import (RationalCoefficients, eval_pau, eval_pau_stacked,
-                       grad_pau, _expand_gradients, _grad_parts, _poly_A)
+from .rational import (RationalCoefficients, eval_pau_stacked, _expand_gradients,
+                       _grad_parts, _poly_A)
+# unused here, kept as module attributes: perfbench/child.py wraps them by name
+from .rational import eval_pau, grad_pau  # noqa: F401
 
 FD_STEP = 1e-5
 
@@ -30,56 +37,65 @@ def _rel(analytic, fd, scale):
     return np.abs(analytic - fd) / denom
 
 
-def compare_single(x, coeffs: RationalCoefficients, safe=True, h=FD_STEP,
-                   flip_denominator=False):
-    """(worst relative error, component label) at one point.
+def compare_trials(xs, nums, dens, safe=True, h=FD_STEP, flip_denominator=False):
+    """Worst relative error of each trial, its component label, and the
+    number of comparisons made.
 
+    Trial i is the unit with coefficients ``nums[i]`` (m+1) and
+    ``dens[i]`` (n) at ``xs[i]``.  Components are taken in the order
+    d_input, d_numerator[0..m], d_denominator[1..n]; the label is the
+    first one reaching the trial's worst, or "none" when that is 0.
     ``flip_denominator`` negates the analytic denominator gradients, a
     deliberate fault used to prove the harness can fail.
     """
-    g = grad_pau(x, coeffs, safe=safe)
-    f0 = eval_pau(x, coeffs, safe=safe)
-    scale = max(1.0, abs(f0))
-    num = coeffs.numerator
-    den = coeffs.denominator
-    worst, label = 0.0, "none"
+    xs = np.asarray(xs, dtype=np.float64)
+    nums = np.asarray(nums, dtype=np.float64)
+    dens = np.asarray(dens, dtype=np.float64)
+    m, n = nums.shape[1] - 1, dens.shape[1]
+    theta = np.concatenate([nums, dens], axis=1)
 
-    def consider(analytic, fd, name):
-        nonlocal worst, label
-        r = float(_rel(analytic, fd, scale))
-        if r > worst:
-            worst, label = r, name
+    def f(t=theta, x=xs):
+        return eval_pau_stacked(x, t[:, :m + 1], t[:, m + 1:], safe)
 
-    if np.sign(_poly_A(den, x + h)) == np.sign(_poly_A(den, x - h)):
-        fd = (eval_pau(x + h, coeffs, safe) - eval_pau(x - h, coeffs, safe)) / (2 * h)
-        consider(g.d_input, fd, "d_input")
+    d_input, w, v = _grad_parts(xs, nums, dens, safe)
+    analytic = np.column_stack([d_input, _expand_gradients(xs, w, v, m, n)])
+    if flip_denominator:
+        analytic[:, m + 2:] *= -1.0
 
-    for j in range(num.size):
-        old = num[j]
-        num[j] = old + h
-        up = eval_pau(x, coeffs, safe)
-        num[j] = old - h
-        down = eval_pau(x, coeffs, safe)
-        num[j] = old
-        consider(g.d_numerator[j], (up - down) / (2 * h), f"d_numerator[{j}]")
+    fd = np.empty_like(analytic)
+    fd[:, 0] = (f(x=xs + h) - f(x=xs - h)) / (2 * h)
+    for c in range(m + 1 + n):
+        up, down = theta.copy(), theta.copy()
+        up[:, c] += h
+        down[:, c] -= h
+        fd[:, 1 + c] = (f(up) - f(down)) / (2 * h)
 
-    a_val = float(_poly_A(den, x))
-    for k in range(1, den.size + 1):
-        delta = h * x ** k
-        if np.sign(a_val + delta) != np.sign(a_val - delta):
-            continue
-        old = den[k - 1]
-        den[k - 1] = old + h
-        up = eval_pau(x, coeffs, safe)
-        den[k - 1] = old - h
-        down = eval_pau(x, coeffs, safe)
-        den[k - 1] = old
-        analytic = g.d_denominator[k - 1]
-        if flip_denominator:
-            analytic = -analytic
-        consider(analytic, (up - down) / (2 * h), f"d_denominator[{k}]")
+    # kink straddles: A changes sign between x -+ h, or under b_k -+ h,
+    # which moves A by -+ h x^k
+    ok = np.ones(analytic.shape, dtype=bool)
+    ok[:, 0] = np.sign(_poly_A(dens, xs + h)) == np.sign(_poly_A(dens, xs - h))
+    a0 = _poly_A(dens, xs)
+    for k in range(1, n + 1):
+        delta = h * xs ** k
+        ok[:, m + 1 + k] = np.sign(a0 + delta) == np.sign(a0 - delta)
 
-    return worst, label
+    scale = np.maximum(1.0, np.abs(f()))
+    rels = np.where(ok, _rel(analytic, fd, scale[:, None]), 0.0)
+    worst = rels.max(axis=1)
+    names = (["d_input"] + [f"d_numerator[{j}]" for j in range(m + 1)]
+             + [f"d_denominator[{k}]" for k in range(1, n + 1)])
+    labels = ["none" if r == 0 else names[c]
+              for r, c in zip(worst, rels.argmax(axis=1))]
+    return worst, labels, int(np.count_nonzero(ok))
+
+
+def compare_single(x, coeffs: RationalCoefficients, safe=True, h=FD_STEP,
+                   flip_denominator=False):
+    """(worst relative error, component label) at one point."""
+    worst, labels, _ = compare_trials([x], coeffs.numerator[None],
+                                      coeffs.denominator[None], safe, h,
+                                      flip_denominator)
+    return float(worst[0]), labels[0]
 
 
 def compare_batch(trials, rng, m=5, n=4, coeff_range=1.0, x_range=3.0,
@@ -92,51 +108,8 @@ def compare_batch(trials, rng, m=5, n=4, coeff_range=1.0, x_range=3.0,
     xs = rng.uniform(-x_range, x_range, trials)
     nums = rng.uniform(-coeff_range, coeff_range, (trials, m + 1))
     dens = rng.uniform(-coeff_range, coeff_range, (trials, n))
-
-    d_input, w, v = _grad_parts(xs, nums, dens, safe)
-    d_num, d_den = _expand_gradients(xs, w, v, m, n)
-    f0 = eval_pau_stacked(xs, nums, dens, safe)
-    scale = np.maximum(1.0, np.abs(f0))
-
-    worst = 0.0
-    checked = 0
-
-    a_plus = _poly_A(dens, xs + h)
-    a_minus = _poly_A(dens, xs - h)
-    ok = np.sign(a_plus) == np.sign(a_minus)
-    fd = (eval_pau_stacked(xs + h, nums, dens, safe)
-          - eval_pau_stacked(xs - h, nums, dens, safe)) / (2 * h)
-    rels = _rel(d_input, fd, scale)[ok]
-    if rels.size:
-        worst = max(worst, float(rels.max()))
-    checked += int(np.sum(ok))
-
-    for j in range(m + 1):
-        up = nums.copy()
-        up[:, j] += h
-        down = nums.copy()
-        down[:, j] -= h
-        fd = (eval_pau_stacked(xs, up, dens, safe)
-              - eval_pau_stacked(xs, down, dens, safe)) / (2 * h)
-        worst = max(worst, float(_rel(d_num[:, j], fd, scale).max()))
-        checked += trials
-
-    a0 = _poly_A(dens, xs)
-    for k in range(1, n + 1):
-        delta = h * xs ** k
-        ok = np.sign(a0 + delta) == np.sign(a0 - delta)
-        up = dens.copy()
-        up[:, k - 1] += h
-        down = dens.copy()
-        down[:, k - 1] -= h
-        fd = (eval_pau_stacked(xs, nums, up, safe)
-              - eval_pau_stacked(xs, nums, down, safe)) / (2 * h)
-        rels = _rel(d_den[:, k - 1], fd, scale)[ok]
-        if rels.size:
-            worst = max(worst, float(rels.max()))
-        checked += int(np.sum(ok))
-
-    return worst, checked
+    worst, _, checked = compare_trials(xs, nums, dens, safe, h)
+    return float(worst.max(initial=0.0)), checked
 
 
 def network_fd_gradients(net, batch, labels, h=FD_STEP):

@@ -153,23 +153,7 @@ class Network:
         """Zero masked rows/biases and the consumer columns they feed.
         Called after pruning and after every optimizer step so masked
         units can never drift away from zero."""
-        for i, keep in self.masks.items():
-            spec = self.specs[i]
-            if isinstance(spec, Dense):
-                self.weights[i]["W"][:, ~keep] = 0.0
-            else:
-                self.weights[i]["W"][~keep] = 0.0
-            self.weights[i]["b"][~keep] = 0.0
-        if not self.masks:
-            return
-        for i in self.parametric_indices():
-            in_keep = self.consumer_in_mask(i)
-            if in_keep is None:
-                continue
-            if isinstance(self.specs[i], Dense):
-                self.weights[i]["W"][~in_keep, :] = 0.0
-            else:
-                self.weights[i]["W"][:, ~in_keep] = 0.0
+        _apply_masks(self, self.weights)
 
     # -- mask plumbing ------------------------------------------------------
 
@@ -199,15 +183,11 @@ class Network:
         return np.repeat(keep, mult)
 
 
-def _unit_count(specs):
-    explicit = [s.unit for s in specs if isinstance(s, Activation) and s.unit is not None]
-    auto = sum(1 for s in specs if isinstance(s, Activation) and s.unit is None)
-    hi = (max(explicit) + 1) if explicit else 0
-    return hi + auto
-
-
 def resolve_units(specs):
-    """Assign unit indices to Activation layers; None gets a fresh index."""
+    """Assign unit indices to Activation layers; None gets a fresh index.
+
+    Returns the resolved specs and the unit count, the highest index + 1.
+    """
     explicit = [s.unit for s in specs if isinstance(s, Activation) and s.unit is not None]
     next_idx = (max(explicit) + 1) if explicit else 0
     out = []
@@ -217,7 +197,7 @@ def resolve_units(specs):
             next_idx += 1
         else:
             out.append(s)
-    return out
+    return out, next_idx
 
 
 def build_network(specs, init="lrelu(0.01)", seed=0, input_shape=None,
@@ -229,7 +209,7 @@ def build_network(specs, init="lrelu(0.01)", seed=0, input_shape=None,
     for every unit.  Weights are uniform on [-s, s] with s = sqrt(1/fan_in),
     biases start at zero; everything is deterministic given ``seed``.
     """
-    specs = resolve_units(list(specs))
+    specs, n_units = resolve_units(list(specs))
     if input_shape is None:
         first = next((s for s in specs if isinstance(s, (Dense, Conv2d))), None)
         if isinstance(first, Dense):
@@ -262,7 +242,7 @@ def build_network(specs, init="lrelu(0.01)", seed=0, input_shape=None,
         base = builtin_coefficients(init)
     units = [PauUnit(base.copy(), safe=safe, noise_alpha=noise_alpha,
                      noise_granularity=noise_granularity, trainable=trainable_units)
-             for _ in range(_unit_count(specs))]
+             for _ in range(n_units)]
     for s in specs:
         if isinstance(s, Activation) and not 0 <= s.unit < len(units):
             raise ValueError(f"activation references unit {s.unit} of {len(units)}")
@@ -432,31 +412,33 @@ def backward(net: Network, trace: ForwardTrace, loss_grad) -> GradientSet:
             unit = net.pau_units[u]
             pau[u] = (np.zeros(unit.coefficients.m + 1), np.zeros(unit.coefficients.n))
     gs = GradientSet(layers, pau)
-    _mask_gradients(net, gs)
+    _apply_masks(net, gs.layers)
     return gs
 
 
-def _mask_gradients(net: Network, gs: GradientSet):
-    """Force exact zeros on gradients of masked rows/columns."""
+def _apply_masks(net: Network, params):
+    """Zero, in ``params[i]["W"]`` and ``params[i]["b"]`` of every
+    parametric layer i, the masked output units and the input columns fed
+    by the producer's masked units.  ``params`` holds weights or their
+    gradients."""
     if not net.masks:
         return
     for i in net.parametric_indices():
-        if i not in gs.layers:
-            continue
-        spec = net.specs[i]
+        dense = isinstance(net.specs[i], Dense)
+        W, b = params[i]["W"], params[i]["b"]
         keep = net.masks.get(i)
         if keep is not None:
-            if isinstance(spec, Dense):
-                gs.layers[i]["W"][:, ~keep] = 0.0
+            if dense:
+                W[:, ~keep] = 0.0
             else:
-                gs.layers[i]["W"][~keep] = 0.0
-            gs.layers[i]["b"][~keep] = 0.0
+                W[~keep] = 0.0
+            b[~keep] = 0.0
         in_keep = net.consumer_in_mask(i)
         if in_keep is not None:
-            if isinstance(spec, Dense):
-                gs.layers[i]["W"][~in_keep, :] = 0.0
+            if dense:
+                W[~in_keep, :] = 0.0
             else:
-                gs.layers[i]["W"][:, ~in_keep] = 0.0
+                W[:, ~in_keep] = 0.0
 
 
 def param_count(net: Network):

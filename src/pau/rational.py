@@ -74,15 +74,6 @@ class RationalCoefficients:
                 and np.array_equal(self.denominator, other.denominator))
 
 
-def zeros_like_coefficients(coeffs: RationalCoefficients) -> RationalCoefficients:
-    return RationalCoefficients(np.zeros(coeffs.m + 1), np.zeros(coeffs.n))
-
-
-def sign(z):
-    """-1 for z<0, +1 for z>0 and 0 for z=0, elementwise on arrays."""
-    return np.sign(z)
-
-
 def eval_polynomial(coeffs, x):
     """Horner evaluation of sum_i coeffs[i] * x**i.
 
@@ -97,7 +88,8 @@ def eval_polynomial(coeffs, x):
     xa = np.asarray(x, dtype=np.float64)
     acc = c[..., -1] + np.zeros_like(xa)
     for i in range(c.shape[-1] - 2, -1, -1):
-        acc = acc * xa + c[..., i]
+        acc *= xa
+        acc += c[..., i]
     return float(acc) if scalar else acc
 
 
@@ -126,14 +118,21 @@ def _check_poles(x, Q, pole_floor):
     raise PoleError(float(np.asarray(x).reshape(-1)[idx]), float(Q.reshape(-1)[idx]), index=idx)
 
 
+def _eval(x, numerator, denominator, safe, pole_floor):
+    """P/Q at every element of ``x``, the one body of the three entry
+    points below.  Unsafe mode raises PoleError, with the index of the
+    first offending element, when |Q| drops below ``pole_floor``."""
+    P, _, Q = _pau_parts(x, numerator, denominator, safe)
+    if not safe:
+        _check_poles(x, Q, pole_floor)
+    return P / Q
+
+
 def eval_pau(x, coeffs: RationalCoefficients, safe: bool = True,
              pole_floor: float = DEFAULT_POLE_FLOOR):
     """Evaluate the unit at a scalar x.  Unsafe mode raises PoleError when
     the denominator magnitude drops below ``pole_floor``."""
-    P, _, Q = _pau_parts(x, coeffs.numerator, coeffs.denominator, safe)
-    if not safe:
-        _check_poles(x, Q, pole_floor)
-    out = P / Q
+    out = _eval(x, coeffs.numerator, coeffs.denominator, safe, pole_floor)
     return float(out) if np.ndim(x) == 0 else out
 
 
@@ -143,19 +142,16 @@ def eval_pau_batch(xs, coeffs: RationalCoefficients, safe: bool = True,
 
     A pole raises with the index of the first offending element.
     """
-    xa = np.asarray(xs, dtype=np.float64)
-    P, _, Q = _pau_parts(xa, coeffs.numerator, coeffs.denominator, safe)
-    if not safe:
-        _check_poles(xa, Q, pole_floor)
-    return P / Q
+    return _eval(np.asarray(xs, dtype=np.float64), coeffs.numerator,
+                 coeffs.denominator, safe, pole_floor)
 
 
 def eval_pau_stacked(xs, num_stack, den_stack, safe: bool = True) -> np.ndarray:
     """Evaluate with one coefficient vector per element (noise-perturbed
-    units); stacks have shape (len(xs), m+1) and (len(xs), n)."""
-    xa = np.asarray(xs, dtype=np.float64)
-    P, _, Q = _pau_parts(xa, num_stack, den_stack, safe)
-    return P / Q
+    units); stacks have shape (len(xs), m+1) and (len(xs), n).  Poles
+    raise as in :func:`eval_pau_batch`."""
+    return _eval(np.asarray(xs, dtype=np.float64), num_stack, den_stack, safe,
+                 DEFAULT_POLE_FLOOR)
 
 
 @dataclass
@@ -220,15 +216,20 @@ def _power_terms(factor, x, count):
 
 def _expand_gradients(x, w, v, m, n):
     """Per-element coefficient gradients from the factors of
-    :func:`_grad_parts`: d_num of shape x.shape + (m+1,) and d_den of
-    shape x.shape + (n,)."""
-    d_num = np.empty(np.shape(w) + (m + 1,))
-    d_den = np.empty(np.shape(v) + (n,))
-    for j, t in enumerate(_power_terms(w, x, m + 1)):
-        d_num[..., j] = t
-    for k, t in enumerate(_power_terms(v * x, x, n)):
-        d_den[..., k] = t
-    return d_num, d_den
+    :func:`_grad_parts`, as one array of shape x.shape + (m+1+n,): the
+    columns w x^j for j = 0..m, then v x^k for k = 1..n.
+
+    The same expansion with w = 1 and v = -y gives the rows of the
+    linearized least-squares design matrix.
+    """
+    out = np.empty(np.broadcast_shapes(np.shape(x), np.shape(w), np.shape(v))
+                   + (m + 1 + n,))
+    out[..., 0] = w
+    # each column is the one before times x, written in place to keep
+    # temporaries off the fitting grid; the first denominator column is v x
+    for j in range(1, m + 1 + n):
+        np.multiply(v if j == m + 1 else out[..., j - 1], x, out=out[..., j])
+    return out
 
 
 def grad_pau(x, coeffs: RationalCoefficients, safe: bool = True,
@@ -236,8 +237,8 @@ def grad_pau(x, coeffs: RationalCoefficients, safe: bool = True,
     """Exact analytic gradients of the unit at a scalar x."""
     d_input, w, v = _grad_parts(
         x, coeffs.numerator, coeffs.denominator, safe, pole_floor=pole_floor)
-    d_num, d_den = _expand_gradients(x, w, v, coeffs.m, coeffs.n)
-    return PauGradientBundle(float(d_input), d_num, d_den)
+    d = _expand_gradients(x, w, v, coeffs.m, coeffs.n)
+    return PauGradientBundle(float(d_input), d[:coeffs.m + 1], d[coeffs.m + 1:])
 
 
 def backward_pau(xs, upstream, coeffs: RationalCoefficients, safe: bool = True,
@@ -361,6 +362,8 @@ def read_coefficient_document(path) -> CoefficientDocument:
         denominator = [float(t) for t in fields.get("denominator", "").split()]
     except ValueError as exc:
         raise DocumentFormatError("bad coefficient literal") from exc
+    if not np.all(np.isfinite(numerator + denominator)):
+        raise DocumentFormatError("non-finite coefficient")
     if len(numerator) != m + 1 or len(denominator) != n:
         raise DocumentFormatError(
             f"coefficient counts ({len(numerator)}, {len(denominator)}) "

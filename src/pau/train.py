@@ -54,7 +54,23 @@ def _check_shape(buf, grad, key):
                          f"{buf.shape} for {key}")
 
 
-class SGD:
+class _Optimizer:
+    """The step loop shared by SGD and Adam; subclasses define ``_update``."""
+
+    def step(self, net: Network, grads: GradientSet):
+        for i, d in grads.layers.items():
+            for name, g in d.items():
+                self._update(("layer", i, name), net.weights[i][name], g,
+                             self.lr, self.weight_decay)
+        for u, (d_num, d_den) in grads.pau.items():
+            c = net.pau_units[u].coefficients
+            self._update(("unit", u, "num"), c.numerator, d_num, self.pau_lr, 0.0)
+            self._update(("unit", u, "den"), c.denominator, d_den, self.pau_lr, 0.0)
+        net.enforce_masks()
+        net.bump_version()
+
+
+class SGD(_Optimizer):
     """Momentum SGD; weight decay only on layer weights and biases."""
 
     def __init__(self, lr=0.01, momentum=0.5, weight_decay=0.0, pau_lr=None):
@@ -74,20 +90,8 @@ class SGD:
             g = buf
         param -= lr * g
 
-    def step(self, net: Network, grads: GradientSet):
-        for i, d in grads.layers.items():
-            for name, g in d.items():
-                self._update(("layer", i, name), net.weights[i][name], g,
-                             self.lr, self.weight_decay)
-        for u, (d_num, d_den) in grads.pau.items():
-            c = net.pau_units[u].coefficients
-            self._update(("unit", u, "num"), c.numerator, d_num, self.pau_lr, 0.0)
-            self._update(("unit", u, "den"), c.denominator, d_den, self.pau_lr, 0.0)
-        net.enforce_masks()
-        net.bump_version()
 
-
-class Adam:
+class Adam(_Optimizer):
     """Adam with bias-corrected moments."""
 
     def __init__(self, lr=0.002, beta1=0.9, beta2=0.999, eps=1e-8,
@@ -117,16 +121,7 @@ class Adam:
 
     def step(self, net: Network, grads: GradientSet):
         self.t += 1
-        for i, d in grads.layers.items():
-            for name, g in d.items():
-                self._update(("layer", i, name), net.weights[i][name], g,
-                             self.lr, self.weight_decay)
-        for u, (d_num, d_den) in grads.pau.items():
-            c = net.pau_units[u].coefficients
-            self._update(("unit", u, "num"), c.numerator, d_num, self.pau_lr, 0.0)
-            self._update(("unit", u, "den"), c.denominator, d_den, self.pau_lr, 0.0)
-        net.enforce_masks()
-        net.bump_version()
+        super().step(net, grads)
 
 
 def make_optimizer(cfg: TrainConfig):

@@ -87,6 +87,7 @@ class TestGradcheck:
                                   "--inject-fault")
         assert code == 4
         assert "FAILED" in stderr
+        assert "component=d_denominator[" in stderr
 
     def test_zero_trials_warns(self):
         code, stdout, _ = run_cli("gradcheck", "--trials", "0")
@@ -286,6 +287,25 @@ class TestExportCurve:
                                   str(tmp_path / "missing"), "--out",
                                   str(tmp_path / "c.csv"))
         assert code == 2
+
+    def test_non_finite_coefficient_document(self, tmp_path):
+        doc = tmp_path / "nan.coeffs"
+        doc.write_text("version 1\norders 1 0\nsafe true\nnumerator 0.5 nan\n")
+        code, _, stderr = run_cli("export-curve", "--coeffs", str(doc),
+                                  "--out", str(tmp_path / "c.csv"))
+        assert code == 2
+        assert "non-finite" in stderr
+
+    def test_unsafe_pole_in_range(self, tmp_path):
+        # Q(x) = 1 - 0.5x vanishes at x = 2, a grid point of [0, 3] at 7 points
+        doc = tmp_path / "pole.coeffs"
+        pau.write_coefficient_document(doc, pau.RationalCoefficients([1.0], [-0.5]),
+                                       safe=False)
+        code, _, stderr = run_cli("export-curve", "--coeffs", str(doc),
+                                  "--range", "0,3", "--points", "7",
+                                  "--out", str(tmp_path / "c.csv"))
+        assert code == 2
+        assert "x=2.0" in stderr
 
     def test_deterministic_given_seed(self, tmp_path):
         doc = tmp_path / "t.coeffs"

@@ -12,7 +12,7 @@ import pau
 from pau.rational import (DocumentFormatError, PoleError, RationalCoefficients,
                           backward_pau, eval_pau, eval_pau_batch,
                           eval_pau_stacked, eval_polynomial, grad_pau,
-                          read_coefficient_document, sample_noisy_coeffs, sign,
+                          read_coefficient_document, sample_noisy_coeffs,
                           write_coefficient_document)
 from pau.approx import builtin_coefficients
 from pau.gradcheck import compare_single
@@ -49,17 +49,6 @@ class TestPolynomial:
         naive = sum(c * x ** i for i, c in enumerate(coeffs))
         magnitude = sum(abs(c) * abs(x) ** i for i, c in enumerate(coeffs))
         assert abs(h - naive) <= 1e-12 * (1.0 + magnitude)
-
-
-class TestSign:
-    def test_negative(self):
-        assert sign(-3.2) == -1.0
-
-    def test_zero(self):
-        assert sign(0.0) == 0.0
-
-    def test_tiny_positive(self):
-        assert sign(1e-300) == 1.0
 
 
 class TestEval:
@@ -135,6 +124,10 @@ class TestBatch:
         with pytest.raises(PoleError) as exc:
             eval_pau_batch(np.array([0.0, 2.0, 2.0]), c, safe=False)
         assert exc.value.index == 1
+        with pytest.raises(PoleError) as exc:
+            eval_pau_stacked(np.array([0.0, 2.0, 2.0]), np.ones((3, 1)),
+                             np.full((3, 1), -0.5), safe=False)
+        assert exc.value.index == 1
 
 
 class TestGradients:
@@ -162,6 +155,12 @@ class TestGradients:
         assert np.array_equal(g.d_denominator, np.zeros(2))
         # with Q(2)=1 and P'(2)=1, dF/dx collapses to P'(2)/Q(2)
         assert g.d_input == 1.0
+
+    def test_tiny_positive_A_keeps_its_sign(self):
+        # A(1) = 1e-300 rounds Q to 1 but still has sign +1, so
+        # dF/db_1 = -x * P / Q^2 = -1 rather than the kink's 0
+        c = RationalCoefficients([1.0], [1e-300])
+        assert grad_pau(1.0, c, safe=True).d_denominator[0] == -1.0
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(6)
@@ -444,6 +443,12 @@ class TestCoefficientDocument:
         p = tmp_path / "bad.txt"
         p.write_text("version 2\norders 0 0\nsafe true\nnumerator 1.0\n")
         with pytest.raises(DocumentFormatError, match="version"):
+            read_coefficient_document(p)
+
+    def test_non_finite_coefficient(self, tmp_path):
+        p = tmp_path / "bad.txt"
+        p.write_text("version 1\norders 1 1\nsafe true\nnumerator 1.0 nan\ndenominator inf\n")
+        with pytest.raises(DocumentFormatError, match="non-finite"):
             read_coefficient_document(p)
 
     def test_zero_order_denominator(self, tmp_path):
