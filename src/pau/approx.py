@@ -240,12 +240,12 @@ def least_squares_fit(target, m: int = DEFAULT_ORDERS[0],
     n_params = m + 1 + n
     for _ in range(cfg.max_sk_iterations):
         w = 1.0 / np.maximum(np.abs(Q), 1e-6)
-        Dw = D * w[:, None]
         # column equilibration keeps the solve conditioned; ridge on the
         # normal equations only as the rank-deficient fallback
-        scale = np.linalg.norm(Dw, axis=0)
+        Dn = D * w[:, None]
+        scale = np.linalg.norm(Dn, axis=0)
         scale[scale == 0.0] = 1.0
-        Dn = Dw / scale
+        Dn /= scale
         theta_n, _, rank, _ = np.linalg.lstsq(Dn, y * w, rcond=None)
         if rank < n_params:
             G = Dn.T @ Dn + 1e-12 * np.eye(n_params)

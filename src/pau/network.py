@@ -6,7 +6,12 @@ Activation / Baseline / Flatten / Softmax) and compiled into a Network
 holding plain float64 arrays.  Forward and backward are hand-written;
 each Activation layer references a PauUnit whose coefficient gradients
 are summed over every element the layer touches in a fixed pairwise
-order, independent of thread count.
+order, independent of thread count.  Backward returns parameter
+gradients only, so it stops at the first layer with parameters (a Dense,
+a Conv2d or an Activation with a trainable unit), and that layer skips
+its own input gradient.  Whole-network results repeat bit for bit at a
+fixed BLAS thread count: the Dense and Conv2d matrix products may round
+differently when the thread count changes.
 """
 
 from __future__ import annotations
@@ -344,48 +349,48 @@ def forward(net: Network, batch, training=False, seed=0):
 
 
 def backward(net: Network, trace: ForwardTrace, loss_grad) -> GradientSet:
-    """Gradients of every weight, bias and trainable unit's coefficients."""
+    """Gradients of every weight, bias and trainable unit's coefficients.
+
+    Layers below the first one with parameters (a Dense, a Conv2d or an
+    Activation with a trainable unit) have nothing to report, so the pass
+    stops there, and that layer skips its own input gradient.
+    """
     if trace.version != net.version:
         raise StaleTraceError("trace predates the current parameters")
     g = np.asarray(loss_grad, dtype=np.float64)
     layers = {}
     pau = {u: None for u, unit in enumerate(net.pau_units) if unit.trainable}
-    for i in range(len(net.specs) - 1, -1, -1):
+    first = next((i for i, s in enumerate(net.specs)
+                  if isinstance(s, (Dense, Conv2d))
+                  or (isinstance(s, Activation) and net.pau_units[s.unit].trainable)),
+                 len(net.specs))
+    for i in range(len(net.specs) - 1, first - 1, -1):
         spec = net.specs[i]
         cache = trace.caches[i]
         if isinstance(spec, Dense):
             x = cache["x"]
             layers[i] = {"W": x.T @ g, "b": np.sum(g, axis=0)}
-            g = g @ net.weights[i]["W"].T
+            if i > first:
+                g = g @ net.weights[i]["W"].T
         elif isinstance(spec, Conv2d):
             xp = cache["xp"]
             win = _conv_windows(xp, spec.kernel, spec.stride)
             dW = np.tensordot(g, win, axes=([0, 2, 3], [0, 2, 3]))
             db = np.sum(g, axis=(0, 2, 3))
             layers[i] = {"W": dW, "b": db}
-            dxp = np.zeros_like(xp)
-            W = net.weights[i]["W"]
-            oh, ow = g.shape[2], g.shape[3]
-            s = spec.stride
-            for kh in range(spec.kernel):
-                for kw in range(spec.kernel):
-                    t = np.tensordot(g, W[:, :, kh, kw], axes=([1], [0]))
-                    dxp[:, :, kh:kh + s * oh:s, kw:kw + s * ow:s] += np.moveaxis(t, 3, 1)
-            if spec.padding:
-                p = spec.padding
-                g = dxp[:, :, p:-p, p:-p]
-            else:
-                g = dxp
+            if i > first:
+                g = _conv_input_gradient(g, net.weights[i]["W"], xp.shape, spec)
         elif isinstance(spec, MaxPool):
-            in_shape = cache["in_shape"]
             idx = cache["idx"]
             w, s = cache["window"], cache["stride"]
-            b_, c_, oh, ow = idx.shape
-            dx = np.zeros(in_shape)
-            bi, ci, ii, ji = np.indices(idx.shape)
-            rows = ii * s + idx // w
-            cols = ji * s + idx % w
-            np.add.at(dx, (bi, ci, rows, cols), g)
+            oh, ow = idx.shape[2:]
+            # one strided add per window offset; where windows overlap an
+            # element sums the values of every window whose max it holds
+            dx = np.zeros(cache["in_shape"])
+            for a in range(w):
+                for c in range(w):
+                    dx[:, :, a:a + s * oh:s, c:c + s * ow:s] += \
+                        np.where(idx == a * w + c, g, 0.0)
             g = dx
         elif isinstance(spec, Activation):
             unit = net.pau_units[spec.unit]
@@ -414,6 +419,25 @@ def backward(net: Network, trace: ForwardTrace, loss_grad) -> GradientSet:
     gs = GradientSet(layers, pau)
     _apply_masks(net, gs.layers)
     return gs
+
+
+def _conv_input_gradient(g, W, xp_shape, spec: Conv2d):
+    """dL/dx of a Conv2d from its output gradient ``g`` (B, O, oh, ow).
+
+    ``g`` is moved to channels-last rows once; each kernel offset is then
+    one (B·oh·ow, O) @ (O, C) product added, strided, into a channels-last
+    gradient of the padded input.
+    """
+    b_, o_, oh, ow = g.shape
+    s, p = spec.stride, spec.padding
+    g2 = np.moveaxis(g, 1, 3).reshape(-1, o_)
+    dxp = np.zeros((b_, xp_shape[2], xp_shape[3], xp_shape[1]))
+    for kh in range(spec.kernel):
+        for kw in range(spec.kernel):
+            t = (g2 @ W[:, :, kh, kw]).reshape(b_, oh, ow, -1)
+            dxp[:, kh:kh + s * oh:s, kw:kw + s * ow:s] += t
+    dx = np.moveaxis(dxp, 3, 1)
+    return dx[:, :, p:-p, p:-p] if p else dx
 
 
 def _apply_masks(net: Network, params):
@@ -479,8 +503,15 @@ _SPEC_TYPES = {"dense": Dense, "conv2d": Conv2d, "maxpool": MaxPool,
                "flatten": Flatten, "softmax": Softmax}
 
 
+class CheckpointFormatError(ValueError):
+    """A truncated checkpoint or one whose manifest does not describe a
+    network."""
+
+
 def _spec_from_dict(d):
-    cls = _SPEC_TYPES[d["type"]]
+    cls = _SPEC_TYPES.get(d["type"])
+    if cls is None:
+        raise ValueError(f"unknown layer type {d['type']!r}")
     kwargs = {k: v for k, v in d.items() if k != "type"}
     return cls(**kwargs)
 
@@ -518,13 +549,29 @@ def save_checkpoint(path, net: Network) -> None:
 
 
 def load_checkpoint(path) -> Network:
+    """Read a checkpoint written by save_checkpoint.  Every malformed file
+    raises CheckpointFormatError naming ``path``."""
     with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != _MAGIC:
-            raise ValueError(f"not a network checkpoint: magic {magic!r}")
-        (length,) = struct.unpack("<Q", fh.read(8))
-        manifest = json.loads(fh.read(length).decode("utf-8"))
-        blob = fh.read()
+        raw = fh.read()
+    header = len(_MAGIC) + 8
+    try:
+        if raw[:len(_MAGIC)] != _MAGIC:
+            raise ValueError(f"not a network checkpoint: magic {raw[:len(_MAGIC)]!r}")
+        if len(raw) < header:
+            raise ValueError(f"header ends at byte {len(raw)}, needs {header} bytes")
+        (length,) = struct.unpack_from("<Q", raw, len(_MAGIC))
+        if len(raw) < header + length:
+            raise ValueError(f"manifest of {length} bytes at byte {header} "
+                             f"ends past the file's {len(raw)} bytes")
+        manifest = json.loads(raw[header:header + length].decode("utf-8"))
+        return _network_from_manifest(manifest, raw[header + length:])
+    except KeyError as exc:
+        raise CheckpointFormatError(f"{path}: manifest lacks key {exc.args[0]!r}") from exc
+    except (ValueError, TypeError, IndexError, AttributeError) as exc:
+        raise CheckpointFormatError(f"{path}: {exc}") from exc
+
+
+def _network_from_manifest(manifest, blob) -> Network:
     specs = [_spec_from_dict(d) for d in manifest["specs"]]
     units = [PauUnit(RationalCoefficients([float(v) for v in u["numerator"]],
                                           [float(v) for v in u["denominator"]]),
@@ -537,8 +584,12 @@ def load_checkpoint(path) -> Network:
         i, name = entry["layer"], entry["name"]
         shape = tuple(entry["shape"])
         count = int(np.prod(shape)) if shape else 1
+        start, stop = entry["offset"], entry["offset"] + 8 * count
+        if start < 0 or stop > len(blob):
+            raise ValueError(f"{name} of layer {i} needs blob bytes {start}-{stop}, "
+                             f"the blob holds {len(blob)}")
         arr = np.frombuffer(blob, dtype="<f8", count=count,
-                            offset=entry["offset"]).reshape(shape).copy()
+                            offset=start).reshape(shape).copy()
         if weights[i] is None:
             weights[i] = {}
         weights[i][name] = arr

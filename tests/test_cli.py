@@ -1,5 +1,9 @@
+import json
+import struct
 import subprocess
 import sys
+
+import pytest
 
 import pau
 from pau.cli import main
@@ -196,6 +200,31 @@ class TestTrain:
         code, _, stderr = run_cli("eval", "--preset", "synth-desk",
                                   "--checkpoint", str(p))
         assert code == 2
+
+    @staticmethod
+    def _rewrite_manifest(raw, edit):
+        (length,) = struct.unpack_from("<Q", raw, 8)
+        manifest = json.loads(raw[16:16 + length])
+        edit(manifest)
+        payload = json.dumps(manifest).encode()
+        return raw[:8] + struct.pack("<Q", len(payload)) + payload + raw[16 + length:]
+
+    @pytest.mark.parametrize("damage,message", [
+        (lambda raw: raw[:12], "header"),
+        (lambda raw: TestTrain._rewrite_manifest(
+            raw, lambda m: m["specs"][0].update(type="bogus")), "unknown layer type"),
+        (lambda raw: TestTrain._rewrite_manifest(
+            raw, lambda m: m.pop("offsets")), "offsets"),
+        (lambda raw: raw[:-8], "blob"),
+    ], ids=["short-header", "unknown-layer", "missing-key", "short-blob"])
+    def test_eval_corrupt_checkpoint(self, tmp_path, capsys, damage, message):
+        good = tmp_path / "good.ckpt"
+        pau.save_checkpoint(good, pau.build_network(pau.mlp_spec((784, 16, 10))))
+        p = tmp_path / "bad.ckpt"
+        p.write_bytes(damage(good.read_bytes()))
+        assert main(["eval", "--preset", "synth-desk", "--checkpoint", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert str(p) in err and message in err
 
     def test_mnist_paper_preset_on_idx_files(self, tmp_path):
         # drive the IDX -> pad -> LeNet path with standard-named files

@@ -209,6 +209,33 @@ class TestConv:
         labels = rng.integers(0, 2, 4)
         assert network_fd_gradients(net, batch, labels) < 1e-4
 
+    @pytest.mark.parametrize("specs,input_shape", [
+        ([Conv2d(1, 2, 3), Activation(),
+          Conv2d(2, 3, 3, stride=2, padding=1), Activation(), Flatten(),
+          Dense(3 * 3 * 3, 2), Softmax()], (1, 8, 8)),
+        ([Conv2d(1, 2, 3), Activation(), MaxPool(3, stride=2), Flatten(),
+          Dense(2 * 3 * 3, 2), Softmax()], (1, 10, 10)),
+        ([Conv2d(1, 2, 3), Activation(), MaxPool(3, stride=2),
+          Conv2d(2, 2, 2), Activation(), Flatten(), Dense(2 * 2 * 2, 2),
+          Softmax()], (1, 10, 10)),
+    ], ids=["strided-padded-conv-second", "overlapping-pool",
+            "overlapping-pool-feeds-conv"])
+    def test_input_gradient_paths_match_fd(self, specs, input_shape):
+        net = build_network(specs, input_shape=input_shape, seed=18)
+        rng = np.random.default_rng(18)
+        batch = rng.normal(size=(4,) + input_shape)
+        labels = rng.integers(0, 2, 4)
+        assert_gradients_complete_and_match_fd(net, batch, labels)
+
+
+def assert_gradients_complete_and_match_fd(net, batch, labels):
+    out, trace = pau.forward(net, batch)
+    _, dout = nll_loss(out, labels)
+    gs = pau.backward(net, trace, dout)
+    assert set(gs.layers) == set(net.parametric_indices())
+    assert set(gs.pau) == {u for u, unit in enumerate(net.pau_units) if unit.trainable}
+    assert network_fd_gradients(net, batch, labels) < 1e-4
+
 
 class TestBackward:
     def test_zero_loss_grad_gives_zero_gradients(self):
@@ -250,6 +277,29 @@ class TestBackward:
             worst = max(worst, abs(fd - gs.layers[0]["W"][idx])
                         / max(abs(fd), 1e-8))
         assert worst < 1e-4
+
+    @pytest.mark.parametrize("specs,input_shape,trainable", [
+        ([MaxPool(2), Conv2d(1, 2, 3), Activation(), Flatten(),
+          Dense(2 * 2 * 2, 2), Softmax()], (1, 8, 8), True),
+        ([Baseline("lrelu(0.01)"), Conv2d(1, 2, 3), Activation(), MaxPool(2),
+          Flatten(), Dense(2 * 3 * 3, 2), Softmax()], (1, 8, 8), True),
+        ([Activation(), Conv2d(1, 2, 3), Activation(), MaxPool(2), Flatten(),
+          Dense(2 * 3 * 3, 2), Softmax()], (1, 8, 8), False),
+        ([Activation(), Dense(4, 3), Activation(), Dense(3, 2), Softmax()],
+         (4,), False),
+        ([Activation(), Dense(4, 3), Activation(), Dense(3, 2), Softmax()],
+         (4,), True),
+    ], ids=["maxpool-first", "baseline-first", "frozen-unit-before-conv",
+            "frozen-unit-before-dense", "trainable-unit-first"])
+    def test_leading_layers_without_parameters(self, specs, input_shape, trainable):
+        # backward stops at the first layer with parameters; every gradient
+        # below the stop must still be complete and right
+        net = build_network(specs, input_shape=input_shape, seed=19,
+                            trainable_units=trainable)
+        rng = np.random.default_rng(19)
+        batch = rng.normal(size=(4,) + input_shape)
+        labels = rng.integers(0, 2, 4)
+        assert_gradients_complete_and_match_fd(net, batch, labels)
 
     def test_frozen_unit_absent_from_gradients(self):
         net = build_network([Dense(4, 3), Activation(), Dense(3, 2), Softmax()],
