@@ -5,7 +5,20 @@ series-derived approximants and grid least squares (approx), closed-form
 target activations (targets), a small trainable network (network),
 optimizers and training (train, data), magnitude pruning (prune), and a
 CLI (cli).
+
+PAU_THREADS=<n> in the environment caps the BLAS and OpenMP worker
+threads.  It is applied when this package is imported, before numpy
+loads, and fills only the thread variables that are not already set.
+It has no effect when numpy was imported before this package.
 """
+
+import os as _os
+
+_cap = _os.environ.get("PAU_THREADS")
+if _cap:
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                 "NUMEXPR_NUM_THREADS"):
+        _os.environ.setdefault(_var, _cap)
 
 from .approx import (FitConfig, FitNonConvergenceError, builtin_coefficients,
                      least_squares_fit, pade_from_taylor, taylor_of)

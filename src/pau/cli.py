@@ -9,7 +9,6 @@ worker threads.
 from __future__ import annotations
 
 import argparse
-import os
 import re
 import sys
 
@@ -18,20 +17,6 @@ EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_NONCONVERGENCE = 3
 EXIT_VERIFY = 4
-
-
-def _apply_thread_cap():
-    cap = os.environ.get("PAU_THREADS")
-    if not cap:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
-    try:
-        import threadpoolctl
-        threadpoolctl.threadpool_limits(int(cap))
-    except (ImportError, ValueError):
-        pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -504,7 +489,6 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

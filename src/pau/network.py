@@ -323,8 +323,8 @@ def forward(net: Network, batch, training=False, seed=0):
                 if unit.noise_granularity == "batch":
                     noisy = sample_noisy_coeffs(unit.coefficients,
                                                 unit.noise_alpha, noise_rng)
-                    stacks = (np.broadcast_to(noisy.numerator, (x.size, noisy.m + 1)).copy(),
-                              np.broadcast_to(noisy.denominator, (x.size, noisy.n)).copy())
+                    stacks = (np.broadcast_to(noisy.numerator, (x.size, noisy.m + 1)),
+                              np.broadcast_to(noisy.denominator, (x.size, noisy.n)))
                 else:
                     stacks = sample_noisy_coeffs(unit.coefficients, unit.noise_alpha,
                                                  noise_rng, size=x.size)

@@ -29,6 +29,9 @@ import numpy as np
 
 DEFAULT_POLE_FLOOR = 1e-12
 
+# rows of noise drawn per generator call; bounds the draw's temporary
+NOISE_BLOCK_ROWS = 8192
+
 
 class PoleError(ArithmeticError):
     """Unsafe-mode denominator magnitude fell below the pole floor."""
@@ -79,7 +82,9 @@ def eval_polynomial(coeffs, x):
 
     ``coeffs`` is a 1-D vector shared across all of ``x``, or a stack of
     shape ``x.shape + (d+1,)`` holding one coefficient vector per element.
-    A single fused pass, no explicit powers.
+    A single fused pass, no explicit powers.  Each step reads one column
+    ``coeffs[..., i]``, so a stack is read fastest when its columns are
+    contiguous, as :func:`sample_noisy_coeffs` lays them out.
     """
     c = np.asarray(coeffs, dtype=np.float64)
     if c.shape[-1] == 0:
@@ -91,6 +96,23 @@ def eval_polynomial(coeffs, x):
         acc *= xa
         acc += c[..., i]
     return float(acc) if scalar else acc
+
+
+def _eval_derivative(coeffs, x):
+    """Horner evaluation of sum_i (i+1) * coeffs[i] * x**i, the derivative
+    of sum_i coeffs[i] * x**(i+1); zeros when ``coeffs`` is empty.
+
+    Each coefficient is scaled as it is read, so no stack of derivative
+    coefficients is built.  Stacks are read as in :func:`eval_polynomial`.
+    """
+    k = coeffs.shape[-1]
+    if k == 0:
+        return np.zeros_like(x)
+    acc = coeffs[..., -1] * float(k) + np.zeros_like(x)
+    for i in range(k - 2, -1, -1):
+        acc *= x
+        acc += coeffs[..., i] * float(i + 1)
+    return acc
 
 
 def _poly_A(den, x):
@@ -177,28 +199,15 @@ def _grad_parts(x, numerator, denominator, safe, pole_floor=None, upstream=1.0):
     num = np.asarray(numerator, dtype=np.float64)
     den = np.asarray(denominator, dtype=np.float64)
     xa = np.asarray(x, dtype=np.float64)
-    m = num.shape[-1] - 1
-    n = den.shape[-1]
 
     P, A, Q = _pau_parts(xa, num, den, safe)
     if not safe and pole_floor is not None:
         _check_poles(xa, Q, pole_floor)
     s = np.sign(A) if safe else np.ones_like(A)
 
-    # P'(x) and A'(x) by Horner on the derivative coefficients
-    if m >= 1:
-        dnum = num[..., 1:] * np.arange(1, m + 1, dtype=np.float64)
-        dP = eval_polynomial(dnum, xa)
-    else:
-        dP = np.zeros_like(xa)
-    if n >= 1:
-        dden = den * np.arange(1, n + 1, dtype=np.float64)
-        dA = eval_polynomial(dden, xa)
-    else:
-        dA = np.zeros_like(xa)
-
     PQ2 = P / Q ** 2
-    d_input = dP / Q - s * dA * PQ2
+    d_input = _eval_derivative(num[..., 1:], xa) / Q \
+        - s * _eval_derivative(den, xa) * PQ2
     return d_input, upstream / Q, -upstream * s * PQ2
 
 
@@ -254,7 +263,10 @@ def backward_pau(xs, upstream, coeffs: RationalCoefficients, safe: bool = True,
 
     ``coefficient_stacks``, when given as ``(num_stack, den_stack)`` with
     one coefficient vector per element, evaluates the gradients at those
-    (e.g. noise-perturbed) coefficients instead of the shared ones.
+    (e.g. noise-perturbed) coefficients instead of the shared ones.  Any
+    layout works; the column-major stacks of :func:`sample_noisy_coeffs`
+    (drawn in ``gen.uniform``'s row order) are read fastest, one
+    contiguous column per Horner step, and no derivative stack is built.
     """
     xa = np.asarray(xs, dtype=np.float64).reshape(-1)
     up = np.asarray(upstream, dtype=np.float64).reshape(-1)
@@ -278,9 +290,13 @@ def sample_noisy_coeffs(coeffs: RationalCoefficients, alpha: float, rng,
 
     ``rng`` is a seed or a numpy Generator.  With ``size=None`` one
     perturbed RationalCoefficients is returned; an integer size returns
-    stacked arrays ``(num_stack, den_stack)`` with one sample per element.
-    alpha = 0 returns the coefficients unchanged and draws nothing from
-    the generator.
+    stacked arrays ``(num_stack, den_stack)`` of shapes (size, m+1) and
+    (size, n), one sample per element.  Each stack is column-major: column
+    j, the j-th coefficient of every element, is contiguous.  The values
+    are drawn in the order of ``gen.uniform(lo, hi, (size, k))`` (every
+    numerator row, then every denominator row), so a seed gives the same
+    stacks whatever their layout.  alpha = 0 returns the coefficients
+    unchanged and draws nothing from the generator.
     """
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
@@ -288,18 +304,34 @@ def sample_noisy_coeffs(coeffs: RationalCoefficients, alpha: float, rng,
     if alpha == 0.0:
         if size is None:
             return coeffs.copy()
-        return (np.broadcast_to(num, (size, num.size)).copy(),
-                np.broadcast_to(den, (size, den.size)).copy())
+        return (np.repeat(num[:, None], size, axis=1).T,
+                np.repeat(den[:, None], size, axis=1).T)
     gen = np.random.default_rng(rng)
-    shape_num = (num.size,) if size is None else (size, num.size)
-    shape_den = (den.size,) if size is None else (size, den.size)
     lo_n, hi_n = num - alpha * np.abs(num), num + alpha * np.abs(num)
     lo_d, hi_d = den - alpha * np.abs(den), den + alpha * np.abs(den)
-    num_s = gen.uniform(lo_n, hi_n, shape_num)
-    den_s = gen.uniform(lo_d, hi_d, shape_den)
     if size is None:
-        return RationalCoefficients(num_s, den_s)
-    return num_s, den_s
+        return RationalCoefficients(gen.uniform(lo_n, hi_n, num.size),
+                                    gen.uniform(lo_d, hi_d, den.size))
+    return _uniform_stack(gen, lo_n, hi_n, size), _uniform_stack(gen, lo_d, hi_d, size)
+
+
+def _uniform_stack(gen, lo, hi, size):
+    """``gen.uniform(lo, hi, (size, lo.size))`` value for value, laid out
+    column-major and drawn NOISE_BLOCK_ROWS rows at a time.
+
+    numpy's uniform computes ``lo + (hi - lo) * next_double``, so the same
+    arithmetic on ``gen.random`` blocks gives the same bits.
+    """
+    span = hi - lo
+    if not np.all(np.isfinite(span)):
+        raise OverflowError("noise range exceeds valid bounds")
+    out = np.empty((lo.size, size))
+    for start in range(0, size, NOISE_BLOCK_ROWS):
+        u = gen.random((min(NOISE_BLOCK_ROWS, size - start), lo.size))
+        block = out[:, start:start + u.shape[0]]
+        np.multiply(u.T, span[:, None], out=block)
+        block += lo[:, None]
+    return out.T
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 import pau
 from pau.rational import (DocumentFormatError, PoleError, RationalCoefficients,
-                          backward_pau, eval_pau, eval_pau_batch,
-                          eval_pau_stacked, eval_polynomial, grad_pau,
+                          _grad_parts, _pau_parts, backward_pau, eval_pau,
+                          eval_pau_batch, eval_pau_stacked, eval_polynomial, grad_pau,
                           read_coefficient_document, sample_noisy_coeffs,
                           write_coefficient_document)
 from pau.approx import builtin_coefficients
@@ -178,6 +178,25 @@ class TestGradients:
             worst, label = compare_single(x, c, safe=False)
             assert worst < 1e-5, label
 
+    @pytest.mark.parametrize("m,n", [(5, 4), (0, 3), (4, 0), (0, 0)])
+    @pytest.mark.parametrize("stacked", [False, True], ids=["shared", "stacked"])
+    @pytest.mark.parametrize("safe", [True, False], ids=["safe", "unsafe"])
+    def test_d_input_matches_derivative_coefficients(self, m, n, stacked, safe):
+        # reference: Horner on explicitly built derivative coefficients
+        rng = np.random.default_rng(30)
+        c = random_coeffs(rng, m=m, n=n, scale=0.5)
+        xs = rng.uniform(-2, 2, 1000)
+        num, den = (sample_noisy_coeffs(c, 0.05, rng=31, size=xs.size) if stacked
+                    else (c.numerator, c.denominator))
+        d_input, _, _ = _grad_parts(xs, num, den, safe)
+        dP = (eval_polynomial(num[..., 1:] * np.arange(1.0, m + 1), xs) if m
+              else np.zeros_like(xs))
+        dA = (eval_polynomial(den * np.arange(1.0, n + 1), xs) if n
+              else np.zeros_like(xs))
+        P, A, Q = _pau_parts(xs, num, den, safe)
+        s = np.sign(A) if safe else 1.0
+        assert np.array_equal(d_input, dP / Q - s * dA * (P / Q ** 2), equal_nan=True)
+
     def test_pole_error_in_unsafe_grad(self):
         c = RationalCoefficients([1.0], [-0.5])
         with pytest.raises(PoleError):
@@ -299,35 +318,73 @@ class TestBackward:
         assert d_den.shape == (c.n,) and not d_den.any()
 
     def test_bit_identical_across_blas_thread_counts(self):
-        # the thread cap has to be in the environment before numpy loads
-        script = (
-            "import hashlib\n"
-            "import numpy as np\n"
-            "from pau.rational import RationalCoefficients, backward_pau, sample_noisy_coeffs\n"
-            "rng = np.random.default_rng(26)\n"
-            "c = RationalCoefficients(rng.uniform(-1, 1, 6), rng.uniform(-1, 1, 4))\n"
-            "xs = rng.uniform(-3, 3, 200_003)\n"
-            "up = rng.uniform(-1, 1, xs.size)\n"
-            "stacks = sample_noisy_coeffs(c, 0.05, rng=27, size=xs.size)\n"
-            "h = hashlib.sha256()\n"
-            "for st in (None, stacks):\n"
-            "    d_in, (d_num, d_den) = backward_pau(xs, up, c, coefficient_stacks=st)\n"
-            "    for a in (d_in, d_num, d_den):\n"
-            "        h.update(a.tobytes())\n"
-            "print(h.hexdigest())\n")
-        src = str(Path(pau.__file__).resolve().parents[1])
-        digests = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                       OMP_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join(
-                           p for p in (src, os.environ.get("PYTHONPATH")) if p))
-            proc = subprocess.run([sys.executable, "-c", script], env=env,
-                                  capture_output=True, text=True, timeout=300)
-            assert proc.returncode == 0, proc.stderr
-            digests.append(proc.stdout.strip())
+        digests = [run_script(KERNEL_DIGEST_SCRIPT, OPENBLAS_NUM_THREADS=t,
+                              OMP_NUM_THREADS=t) for t in ("1", "2")]
         assert len(digests[0]) == 64
         assert digests[0] == digests[1]
+
+    def test_bit_identical_across_pau_threads(self):
+        digests = [run_script(KERNEL_DIGEST_SCRIPT, PAU_THREADS=t)
+                   for t in ("1", "2")]
+        assert len(digests[0]) == 64
+        assert digests[0] == digests[1]
+
+
+THREAD_VARIABLES = ("PAU_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+KERNEL_DIGEST_SCRIPT = (
+    "import hashlib\n"
+    "import pau\n"
+    "import numpy as np\n"
+    "from pau.rational import RationalCoefficients, backward_pau, sample_noisy_coeffs\n"
+    "rng = np.random.default_rng(26)\n"
+    "c = RationalCoefficients(rng.uniform(-1, 1, 6), rng.uniform(-1, 1, 4))\n"
+    "xs = rng.uniform(-3, 3, 200_003)\n"
+    "up = rng.uniform(-1, 1, xs.size)\n"
+    "stacks = sample_noisy_coeffs(c, 0.05, rng=27, size=xs.size)\n"
+    "h = hashlib.sha256()\n"
+    "for st in (None, stacks):\n"
+    "    d_in, (d_num, d_den) = backward_pau(xs, up, c, coefficient_stacks=st)\n"
+    "    for a in (d_in, d_num, d_den):\n"
+    "        h.update(a.tobytes())\n"
+    "print(h.hexdigest())\n")
+
+
+def run_script(script, **thread_env):
+    """stdout of ``script`` in a fresh interpreter whose thread variables
+    are exactly ``thread_env``: a thread cap has to be in the environment
+    before numpy loads."""
+    src = str(Path(pau.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARIABLES}
+    env.update(thread_env)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+class TestThreadCap:
+    def test_pau_threads_caps_blas(self):
+        # a Dense-sized product rounds differently at 1 and 2 BLAS threads
+        # on a multi-core host, so its digest shows which cap took effect
+        script = ("import hashlib\n"
+                  "import pau\n"
+                  "import numpy as np\n"
+                  "rng = np.random.default_rng(0)\n"
+                  "a = rng.standard_normal((256, 784))\n"
+                  "b = rng.standard_normal((784, 128))\n"
+                  "print(hashlib.sha256((a @ b).tobytes()).hexdigest())\n")
+        for t in ("1", "2"):
+            assert run_script(script, PAU_THREADS=t) == \
+                run_script(script, OPENBLAS_NUM_THREADS=t, OMP_NUM_THREADS=t)
+
+    def test_explicit_variable_wins(self):
+        script = "import os, pau\nprint(os.environ['OPENBLAS_NUM_THREADS'])\n"
+        assert run_script(script, PAU_THREADS="1", OPENBLAS_NUM_THREADS="2") == "2"
+        assert run_script(script, PAU_THREADS="1") == "1"
 
 
 class TestNoise:
@@ -367,6 +424,41 @@ class TestNoise:
         vals = eval_pau_stacked(np.full(100_000, x), num, den, True)
         se = vals.std(ddof=1) / np.sqrt(vals.size)
         assert abs(vals.mean() - clean) < 3 * se
+
+    @pytest.mark.parametrize("size", [0, 1, 8191, 8192, 8193, 20000])
+    @pytest.mark.parametrize("n", [4, 0])
+    def test_stacks_match_uniform_draw(self, size, n):
+        # same values and the same stream as one gen.uniform call per stack
+        c = random_coeffs(np.random.default_rng(28), n=n)
+        alpha = 0.05
+        ref_gen = np.random.default_rng(29)
+        want = [ref_gen.uniform(v - alpha * np.abs(v), v + alpha * np.abs(v),
+                                (size, v.size))
+                for v in (c.numerator, c.denominator)]
+        gen = np.random.default_rng(29)
+        got = sample_noisy_coeffs(c, alpha, gen, size=size)
+        assert gen.random() == ref_gen.random()
+        rows = [0, size // 2, size - 1] if size else []
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and np.array_equal(g, w)
+            assert all(g[:, j].flags.c_contiguous for j in range(g.shape[1]))
+            assert np.array_equal(g[rows], w[rows])
+
+    def test_alpha_zero_stacks(self):
+        c = random_coeffs(np.random.default_rng(32))
+        gen = np.random.default_rng(33)
+        num, den = sample_noisy_coeffs(c, 0.0, gen, size=5)
+        assert gen.random() == np.random.default_rng(33).random()
+        for stack, vec in ((num, c.numerator), (den, c.denominator)):
+            assert stack.shape == (5, vec.size) and (stack == vec).all()
+            assert all(stack[:, j].flags.c_contiguous for j in range(vec.size))
+
+    @pytest.mark.parametrize("size", [None, 10])
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_range_rejected(self, size):
+        c = RationalCoefficients([1e308], [])
+        with pytest.raises(OverflowError):
+            sample_noisy_coeffs(c, 1.0, rng=0, size=size)
 
     def test_negative_alpha_rejected(self):
         c = random_coeffs(np.random.default_rng(16))
