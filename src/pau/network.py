@@ -1,10 +1,12 @@
 """Minimal feedforward networks with one shared rational unit per
 activation layer.
 
-Layers are declared as a flat spec list (Dense / Conv2d / MaxPool /
-Activation / Baseline / Flatten / Softmax) and compiled into a Network
-holding plain float64 arrays.  Forward and backward are hand-written;
-each Activation layer references a PauUnit whose coefficient gradients
+Layers are declared as a flat spec list and compiled into a Network
+holding plain float64 arrays.  Each layer kind is one frozen dataclass
+that gives its output shape, forward and backward through the
+``_Layer`` protocol.
+
+Each Activation layer references a PauUnit whose coefficient gradients
 are summed over every element the layer touches in a fixed pairwise
 order, independent of thread count.  Backward returns parameter
 gradients only, so it stops at the first layer with parameters (a Dense,
@@ -26,53 +28,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .approx import builtin_coefficients
 from .rational import (RationalCoefficients, backward_pau, eval_pau_batch,
                        eval_pau_stacked, sample_noisy_coeffs)
-from .targets import TargetActivation, parse_target
-
-
-# ---------------------------------------------------------------------------
-# Layer specs
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Dense:
-    in_dim: int
-    out_dim: int
-
-
-@dataclass(frozen=True)
-class Conv2d:
-    in_channels: int
-    out_channels: int
-    kernel: int
-    stride: int = 1
-    padding: int = 0
-
-
-@dataclass(frozen=True)
-class MaxPool:
-    window: int
-    stride: int | None = None  # None means stride = window
-
-
-@dataclass(frozen=True)
-class Activation:
-    unit: int | None = None  # None: assigned a fresh unit index at build
-
-
-@dataclass(frozen=True)
-class Baseline:
-    """A fixed reference activation (e.g. 'lrelu(0.01)'), no parameters."""
-    name: str
-
-
-@dataclass(frozen=True)
-class Flatten:
-    pass
-
-
-@dataclass(frozen=True)
-class Softmax:
-    """Terminal layer; outputs log-probabilities."""
+from .targets import parse_target
 
 
 @dataclass
@@ -91,35 +47,244 @@ class StaleTraceError(RuntimeError):
     """The trace was produced by a different parameter version."""
 
 
-def _out_shape(spec, shape):
-    if isinstance(spec, Dense):
-        if shape != (spec.in_dim,):
-            raise ValueError(f"Dense expects ({spec.in_dim},), got {shape}")
-        return (spec.out_dim,)
-    if isinstance(spec, Conv2d):
-        if len(shape) != 3 or shape[0] != spec.in_channels:
-            raise ValueError(f"Conv2d expects (C={spec.in_channels},H,W), got {shape}")
+@dataclass
+class GradientSet:
+    layers: dict         # layer index -> {"W": dW, "b": db}
+    pau: dict            # unit index -> (d_numerator, d_denominator)
+
+    def is_zero(self) -> bool:
+        return (all(not np.any(g) for d in self.layers.values() for g in d.values())
+                and all(not (np.any(dn) or np.any(dd)) for dn, dd in self.pau.values()))
+
+    def add(self, part: GradientSet):
+        """Sum one layer's gradients in; shared units accumulate."""
+        self.layers.update(part.layers)
+        for u, (d_num, d_den) in part.pau.items():
+            old_n, old_d = self.pau[u]
+            self.pau[u] = (old_n + d_num, old_d + d_den)
+
+
+# ---------------------------------------------------------------------------
+# Layer specs
+# ---------------------------------------------------------------------------
+
+class _Layer:
+    """The layer protocol; see the module docstring."""
+
+    weight_shape = None  # kinds with weights: the shape of W
+
+    @property
+    def fan_in(self) -> int:
+        """Weights feeding one output unit."""
+        return int(np.prod(self.weight_shape)) // self.weight_shape[self.out_axis]
+
+    def out_shape(self, shape):
+        return shape
+
+    def has_params(self, net) -> bool:
+        return self.weight_shape is not None
+
+
+@dataclass(frozen=True)
+class Dense(_Layer):
+    in_dim: int
+    out_dim: int
+
+    in_axis, out_axis = 0, 1
+
+    @property
+    def weight_shape(self):
+        return (self.in_dim, self.out_dim)
+
+    def out_shape(self, shape):
+        if shape != (self.in_dim,):
+            raise ValueError(f"Dense expects ({self.in_dim},), got {shape}")
+        return (self.out_dim,)
+
+    def forward(self, net, i, x, noise_rng):
+        return x @ net.weights[i]["W"] + net.weights[i]["b"], {"x": x}
+
+    def backward(self, net, i, g, cache, need_dx):
+        grads = GradientSet({i: {"W": cache["x"].T @ g, "b": np.sum(g, axis=0)}}, {})
+        return (g @ net.weights[i]["W"].T if need_dx else None), grads
+
+
+@dataclass(frozen=True)
+class Conv2d(_Layer):
+    in_channels: int
+    out_channels: int
+    kernel: int
+    stride: int = 1
+    padding: int = 0
+
+    out_axis, in_axis = 0, 1
+
+    @property
+    def weight_shape(self):
+        return (self.out_channels, self.in_channels, self.kernel, self.kernel)
+
+    def out_shape(self, shape):
+        if len(shape) != 3 or shape[0] != self.in_channels:
+            raise ValueError(f"Conv2d expects (C={self.in_channels},H,W), got {shape}")
         _, h, w = shape
-        oh = (h + 2 * spec.padding - spec.kernel) // spec.stride + 1
-        ow = (w + 2 * spec.padding - spec.kernel) // spec.stride + 1
+        oh = (h + 2 * self.padding - self.kernel) // self.stride + 1
+        ow = (w + 2 * self.padding - self.kernel) // self.stride + 1
         if oh < 1 or ow < 1:
-            raise ValueError(f"Conv2d kernel {spec.kernel} too large for {shape}")
-        return (spec.out_channels, oh, ow)
-    if isinstance(spec, MaxPool):
+            raise ValueError(f"Conv2d kernel {self.kernel} too large for {shape}")
+        return (self.out_channels, oh, ow)
+
+    def forward(self, net, i, x, noise_rng):
+        p = self.padding
+        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
+        win = _conv_windows(xp, self.kernel, self.stride)
+        y = np.tensordot(win, net.weights[i]["W"], axes=([1, 4, 5], [1, 2, 3]))
+        return np.moveaxis(y, 3, 1) + net.weights[i]["b"][None, :, None, None], {"xp": xp}
+
+    def backward(self, net, i, g, cache, need_dx):
+        """For dL/dx, the output gradient ``g`` (B, O, oh, ow) is moved to
+        channels-last rows once; each kernel offset is then one
+        (B·oh·ow, O) @ (O, C) product added, strided, into a channels-last
+        gradient of the padded input."""
+        xp = cache["xp"]
+        win = _conv_windows(xp, self.kernel, self.stride)
+        grads = GradientSet({i: {"W": np.tensordot(g, win, axes=([0, 2, 3], [0, 2, 3])),
+                                 "b": np.sum(g, axis=(0, 2, 3))}}, {})
+        if not need_dx:
+            return None, grads
+        W = net.weights[i]["W"]
+        b_, o_, oh, ow = g.shape
+        s, p = self.stride, self.padding
+        g2 = np.moveaxis(g, 1, 3).reshape(-1, o_)
+        dxp = np.zeros((b_, xp.shape[2], xp.shape[3], xp.shape[1]))
+        for kh in range(self.kernel):
+            for kw in range(self.kernel):
+                t = (g2 @ W[:, :, kh, kw]).reshape(b_, oh, ow, -1)
+                dxp[:, kh:kh + s * oh:s, kw:kw + s * ow:s] += t
+        dx = np.moveaxis(dxp, 3, 1)
+        return (dx[:, :, p:-p, p:-p] if p else dx), grads
+
+
+@dataclass(frozen=True)
+class MaxPool(_Layer):
+    window: int
+    stride: int | None = None  # None means stride = window
+
+    def out_shape(self, shape):
         if len(shape) != 3:
             raise ValueError(f"MaxPool expects (C,H,W), got {shape}")
-        s = spec.stride or spec.window
+        s = self.stride or self.window
         c, h, w = shape
-        oh = (h - spec.window) // s + 1
-        ow = (w - spec.window) // s + 1
+        oh = (h - self.window) // s + 1
+        ow = (w - self.window) // s + 1
         if oh < 1 or ow < 1:
-            raise ValueError(f"MaxPool window {spec.window} too large for {shape}")
+            raise ValueError(f"MaxPool window {self.window} too large for {shape}")
         return (c, oh, ow)
-    if isinstance(spec, Flatten):
+
+    def forward(self, net, i, x, noise_rng):
+        s = self.stride or self.window
+        win = _conv_windows(x, self.window, s)
+        b_, c_, oh, ow = win.shape[:4]
+        flat = win.reshape(b_, c_, oh, ow, -1)
+        idx = np.argmax(flat, axis=-1)
+        y = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
+        return y, {"in_shape": x.shape, "idx": idx, "window": self.window, "stride": s}
+
+    def backward(self, net, i, g, cache, need_dx):
+        idx = cache["idx"]
+        w, s = cache["window"], cache["stride"]
+        oh, ow = idx.shape[2:]
+        # one strided add per window offset; where windows overlap an
+        # element sums the values of every window whose max it holds
+        dx = np.zeros(cache["in_shape"])
+        for a in range(w):
+            for c in range(w):
+                dx[:, :, a:a + s * oh:s, c:c + s * ow:s] += \
+                    np.where(idx == a * w + c, g, 0.0)
+        return dx, None
+
+
+@dataclass(frozen=True)
+class Activation(_Layer):
+    unit: int | None = None  # None: assigned a fresh unit index at build
+
+    def has_params(self, net) -> bool:
+        return net.pau_units[self.unit].trainable
+
+    def forward(self, net, i, x, noise_rng):
+        """Noisy coefficients, one set per element or per batch, are
+        cached so that backward differentiates at the sampled values."""
+        unit = net.pau_units[self.unit]
+        stacks = None
+        if noise_rng is not None and unit.noise_alpha > 0:
+            if unit.noise_granularity == "batch":
+                noisy = sample_noisy_coeffs(unit.coefficients, unit.noise_alpha,
+                                            noise_rng)
+                stacks = (np.broadcast_to(noisy.numerator, (x.size, noisy.m + 1)),
+                          np.broadcast_to(noisy.denominator, (x.size, noisy.n)))
+            else:
+                stacks = sample_noisy_coeffs(unit.coefficients, unit.noise_alpha,
+                                             noise_rng, size=x.size)
+        if stacks is None:
+            y = eval_pau_batch(x, unit.coefficients, safe=unit.safe)
+        else:
+            y = eval_pau_stacked(x.reshape(-1), *stacks,
+                                 safe=unit.safe).reshape(x.shape)
+        return y, {"x": x, "stacks": stacks}
+
+    def backward(self, net, i, g, cache, need_dx):
+        unit = net.pau_units[self.unit]
+        x = cache["x"]
+        d_in, d_coeffs = backward_pau(
+            x.reshape(-1), g.reshape(-1), unit.coefficients,
+            safe=unit.safe, coefficient_stacks=cache["stacks"])
+        grads = GradientSet({}, {self.unit: d_coeffs}) if unit.trainable else None
+        return d_in.reshape(x.shape), grads
+
+
+@dataclass(frozen=True)
+class Baseline(_Layer):
+    """A fixed reference activation (e.g. 'lrelu(0.01)'), no parameters."""
+    name: str
+
+    def __post_init__(self):
+        object.__setattr__(self, "target", parse_target(self.name))
+
+    def forward(self, net, i, x, noise_rng):
+        return self.target(x), {"x": x}
+
+    def backward(self, net, i, g, cache, need_dx):
+        return g * self.target.derivative(cache["x"]), None
+
+
+@dataclass(frozen=True)
+class Flatten(_Layer):
+    def out_shape(self, shape):
         return (int(np.prod(shape)),)
-    if isinstance(spec, (Activation, Baseline, Softmax)):
-        return shape
-    raise TypeError(f"unknown layer spec {spec!r}")
+
+    def forward(self, net, i, x, noise_rng):
+        return x.reshape(x.shape[0], -1), {"shape": x.shape}
+
+    def backward(self, net, i, g, cache, need_dx):
+        return g.reshape(cache["shape"]), None
+
+
+@dataclass(frozen=True)
+class Softmax(_Layer):
+    """Terminal layer; outputs log-probabilities."""
+
+    def forward(self, net, i, x, noise_rng):
+        z = x - np.max(x, axis=1, keepdims=True)
+        logp = z - np.log(np.sum(np.exp(z), axis=1, keepdims=True))
+        return logp, {"p": np.exp(logp)}
+
+    def backward(self, net, i, g, cache, need_dx):
+        p = cache["p"]
+        return g - p * np.sum(g, axis=1, keepdims=True), None
+
+
+def _conv_windows(xp, kernel, stride):
+    w = sliding_window_view(xp, (kernel, kernel), axis=(2, 3))
+    return w[:, :, ::stride, ::stride]
 
 
 class Network:
@@ -133,13 +298,10 @@ class Network:
         self.seed = seed
         self.version = 0
         self.masks = {}                 # layer index -> bool keep-vector
-        self._baselines = {i: parse_target(s.name)
-                           for i, s in enumerate(self.specs)
-                           if isinstance(s, Baseline)}
         self.shapes = []
         shape = self.input_shape
         for spec in self.specs:
-            shape = _out_shape(spec, shape)
+            shape = spec.out_shape(shape)
             self.shapes.append(shape)
 
     def copy(self) -> "Network":
@@ -163,29 +325,22 @@ class Network:
     # -- mask plumbing ------------------------------------------------------
 
     def parametric_indices(self):
-        return [i for i, s in enumerate(self.specs) if isinstance(s, (Dense, Conv2d))]
+        return [i for i, s in enumerate(self.specs) if s.weight_shape is not None]
 
     def consumer_in_mask(self, layer_index):
         """Keep-mask over a parametric layer's inputs, induced by the mask of
         the closest parametric layer upstream (expanded across spatial
         positions when a Flatten sits in between).  None when unmasked."""
-        producer = None
-        for j in range(layer_index - 1, -1, -1):
-            if isinstance(self.specs[j], (Dense, Conv2d)):
-                producer = j
-                break
+        producer = next((j for j in range(layer_index - 1, -1, -1)
+                         if self.specs[j].weight_shape is not None), None)
         if producer is None or producer not in self.masks:
             return None
         keep = self.masks[producer]
         spec = self.specs[layer_index]
-        if isinstance(spec, Conv2d):
+        n_in = spec.weight_shape[spec.in_axis]
+        if keep.size == n_in:
             return keep
-        # Dense consumer: expand over the flattened spatial block per channel
-        in_dim = spec.in_dim
-        if keep.size == in_dim:
-            return keep
-        mult = in_dim // keep.size
-        return np.repeat(keep, mult)
+        return np.repeat(keep, n_in // keep.size)
 
 
 def resolve_units(specs):
@@ -216,7 +371,7 @@ def build_network(specs, init="lrelu(0.01)", seed=0, input_shape=None,
     """
     specs, n_units = resolve_units(list(specs))
     if input_shape is None:
-        first = next((s for s in specs if isinstance(s, (Dense, Conv2d))), None)
+        first = next((s for s in specs if s.weight_shape is not None), None)
         if isinstance(first, Dense):
             input_shape = (first.in_dim,)
         else:
@@ -228,18 +383,12 @@ def build_network(specs, init="lrelu(0.01)", seed=0, input_shape=None,
     rng = np.random.default_rng(seed)
     weights = []
     for spec in specs:
-        if isinstance(spec, Dense):
-            s = np.sqrt(1.0 / spec.in_dim)
-            weights.append({"W": rng.uniform(-s, s, (spec.in_dim, spec.out_dim)),
-                            "b": np.zeros(spec.out_dim)})
-        elif isinstance(spec, Conv2d):
-            fan_in = spec.in_channels * spec.kernel * spec.kernel
-            s = np.sqrt(1.0 / fan_in)
-            shape = (spec.out_channels, spec.in_channels, spec.kernel, spec.kernel)
-            weights.append({"W": rng.uniform(-s, s, shape),
-                            "b": np.zeros(spec.out_channels)})
-        else:
+        if spec.weight_shape is None:
             weights.append(None)
+            continue
+        s = np.sqrt(1.0 / spec.fan_in)
+        weights.append({"W": rng.uniform(-s, s, spec.weight_shape),
+                        "b": np.zeros(spec.weight_shape[spec.out_axis])})
 
     if isinstance(init, RationalCoefficients):
         base = init
@@ -261,90 +410,22 @@ def build_network(specs, init="lrelu(0.01)", seed=0, input_shape=None,
 @dataclass
 class ForwardTrace:
     version: int
-    training: bool
     caches: list = field(default_factory=list)
 
 
-@dataclass
-class GradientSet:
-    layers: dict         # layer index -> {"W": dW, "b": db}
-    pau: dict            # unit index -> (d_numerator, d_denominator)
-
-    def is_zero(self) -> bool:
-        return (all(not np.any(g) for d in self.layers.values() for g in d.values())
-                and all(not (np.any(dn) or np.any(dd)) for dn, dd in self.pau.values()))
-
-
-def _conv_windows(xp, kernel, stride):
-    w = sliding_window_view(xp, (kernel, kernel), axis=(2, 3))
-    return w[:, :, ::stride, ::stride]
-
-
 def forward(net: Network, batch, training=False, seed=0):
-    """Run the network; returns (outputs, trace).
-
-    Inference always uses the clean coefficients.  When training and a
-    unit has noise_alpha > 0, every element (or batch, per granularity)
-    sees coefficients perturbed by the unit's noise, cached in the trace
-    so backward differentiates at the sampled values.
-    """
+    """Run the network; returns (outputs, trace).  When training, units
+    with noise_alpha > 0 draw their noise in layer order from one
+    generator seeded with ``seed``; inference uses clean coefficients."""
     x = np.asarray(batch, dtype=np.float64)
     if x.shape[1:] != net.input_shape:
         raise ValueError(f"batch shape {x.shape[1:]} != input shape {net.input_shape}")
-    trace = ForwardTrace(version=net.version, training=training)
-    noise_rng = None
+    trace = ForwardTrace(version=net.version)
+    noisy = training and any(u.noise_alpha > 0 for u in net.pau_units)
+    noise_rng = np.random.default_rng(seed) if noisy else None
     for i, spec in enumerate(net.specs):
-        if isinstance(spec, Dense):
-            trace.caches.append({"x": x})
-            x = x @ net.weights[i]["W"] + net.weights[i]["b"]
-        elif isinstance(spec, Conv2d):
-            xp = np.pad(x, ((0, 0), (0, 0), (spec.padding,) * 2, (spec.padding,) * 2)) \
-                if spec.padding else x
-            win = _conv_windows(xp, spec.kernel, spec.stride)
-            y = np.tensordot(win, net.weights[i]["W"], axes=([1, 4, 5], [1, 2, 3]))
-            x2 = np.moveaxis(y, 3, 1) + net.weights[i]["b"][None, :, None, None]
-            trace.caches.append({"xp": xp})
-            x = x2
-        elif isinstance(spec, MaxPool):
-            s = spec.stride or spec.window
-            win = _conv_windows(x, spec.window, s)
-            b_, c_, oh, ow = win.shape[:4]
-            flat = win.reshape(b_, c_, oh, ow, -1)
-            idx = np.argmax(flat, axis=-1)
-            trace.caches.append({"in_shape": x.shape, "idx": idx,
-                                 "window": spec.window, "stride": s})
-            x = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
-        elif isinstance(spec, Activation):
-            unit = net.pau_units[spec.unit]
-            stacks = None
-            if training and unit.noise_alpha > 0:
-                if noise_rng is None:
-                    noise_rng = np.random.default_rng(seed)
-                if unit.noise_granularity == "batch":
-                    noisy = sample_noisy_coeffs(unit.coefficients,
-                                                unit.noise_alpha, noise_rng)
-                    stacks = (np.broadcast_to(noisy.numerator, (x.size, noisy.m + 1)),
-                              np.broadcast_to(noisy.denominator, (x.size, noisy.n)))
-                else:
-                    stacks = sample_noisy_coeffs(unit.coefficients, unit.noise_alpha,
-                                                 noise_rng, size=x.size)
-            trace.caches.append({"x": x, "stacks": stacks})
-            if stacks is None:
-                x = eval_pau_batch(x, unit.coefficients, safe=unit.safe)
-            else:
-                x = eval_pau_stacked(x.reshape(-1), *stacks,
-                                     safe=unit.safe).reshape(x.shape)
-        elif isinstance(spec, Baseline):
-            trace.caches.append({"x": x})
-            x = net._baselines[i](x)
-        elif isinstance(spec, Flatten):
-            trace.caches.append({"shape": x.shape})
-            x = x.reshape(x.shape[0], -1)
-        elif isinstance(spec, Softmax):
-            z = x - np.max(x, axis=1, keepdims=True)
-            logp = z - np.log(np.sum(np.exp(z), axis=1, keepdims=True))
-            trace.caches.append({"p": np.exp(logp)})
-            x = logp
+        x, cache = spec.forward(net, i, x, noise_rng)
+        trace.caches.append(cache)
     return x, trace
 
 
@@ -358,86 +439,17 @@ def backward(net: Network, trace: ForwardTrace, loss_grad) -> GradientSet:
     if trace.version != net.version:
         raise StaleTraceError("trace predates the current parameters")
     g = np.asarray(loss_grad, dtype=np.float64)
-    layers = {}
-    pau = {u: None for u, unit in enumerate(net.pau_units) if unit.trainable}
-    first = next((i for i, s in enumerate(net.specs)
-                  if isinstance(s, (Dense, Conv2d))
-                  or (isinstance(s, Activation) and net.pau_units[s.unit].trainable)),
+    gs = GradientSet({}, {u: (np.zeros(unit.coefficients.m + 1),
+                              np.zeros(unit.coefficients.n))
+                          for u, unit in enumerate(net.pau_units) if unit.trainable})
+    first = next((i for i, s in enumerate(net.specs) if s.has_params(net)),
                  len(net.specs))
     for i in range(len(net.specs) - 1, first - 1, -1):
-        spec = net.specs[i]
-        cache = trace.caches[i]
-        if isinstance(spec, Dense):
-            x = cache["x"]
-            layers[i] = {"W": x.T @ g, "b": np.sum(g, axis=0)}
-            if i > first:
-                g = g @ net.weights[i]["W"].T
-        elif isinstance(spec, Conv2d):
-            xp = cache["xp"]
-            win = _conv_windows(xp, spec.kernel, spec.stride)
-            dW = np.tensordot(g, win, axes=([0, 2, 3], [0, 2, 3]))
-            db = np.sum(g, axis=(0, 2, 3))
-            layers[i] = {"W": dW, "b": db}
-            if i > first:
-                g = _conv_input_gradient(g, net.weights[i]["W"], xp.shape, spec)
-        elif isinstance(spec, MaxPool):
-            idx = cache["idx"]
-            w, s = cache["window"], cache["stride"]
-            oh, ow = idx.shape[2:]
-            # one strided add per window offset; where windows overlap an
-            # element sums the values of every window whose max it holds
-            dx = np.zeros(cache["in_shape"])
-            for a in range(w):
-                for c in range(w):
-                    dx[:, :, a:a + s * oh:s, c:c + s * ow:s] += \
-                        np.where(idx == a * w + c, g, 0.0)
-            g = dx
-        elif isinstance(spec, Activation):
-            unit = net.pau_units[spec.unit]
-            x = cache["x"]
-            d_in, (d_num, d_den) = backward_pau(
-                x.reshape(-1), g.reshape(-1), unit.coefficients,
-                safe=unit.safe, coefficient_stacks=cache["stacks"])
-            if unit.trainable:
-                if pau[spec.unit] is None:
-                    pau[spec.unit] = (d_num, d_den)
-                else:
-                    old_n, old_d = pau[spec.unit]
-                    pau[spec.unit] = (old_n + d_num, old_d + d_den)
-            g = d_in.reshape(x.shape)
-        elif isinstance(spec, Baseline):
-            g = g * net._baselines[i].derivative(cache["x"])
-        elif isinstance(spec, Flatten):
-            g = g.reshape(cache["shape"])
-        elif isinstance(spec, Softmax):
-            p = cache["p"]
-            g = g - p * np.sum(g, axis=1, keepdims=True)
-    for u in list(pau):
-        if pau[u] is None:
-            unit = net.pau_units[u]
-            pau[u] = (np.zeros(unit.coefficients.m + 1), np.zeros(unit.coefficients.n))
-    gs = GradientSet(layers, pau)
+        g, grads = net.specs[i].backward(net, i, g, trace.caches[i], i > first)
+        if grads is not None:
+            gs.add(grads)
     _apply_masks(net, gs.layers)
     return gs
-
-
-def _conv_input_gradient(g, W, xp_shape, spec: Conv2d):
-    """dL/dx of a Conv2d from its output gradient ``g`` (B, O, oh, ow).
-
-    ``g`` is moved to channels-last rows once; each kernel offset is then
-    one (B·oh·ow, O) @ (O, C) product added, strided, into a channels-last
-    gradient of the padded input.
-    """
-    b_, o_, oh, ow = g.shape
-    s, p = spec.stride, spec.padding
-    g2 = np.moveaxis(g, 1, 3).reshape(-1, o_)
-    dxp = np.zeros((b_, xp_shape[2], xp_shape[3], xp_shape[1]))
-    for kh in range(spec.kernel):
-        for kw in range(spec.kernel):
-            t = (g2 @ W[:, :, kh, kw]).reshape(b_, oh, ow, -1)
-            dxp[:, kh:kh + s * oh:s, kw:kw + s * ow:s] += t
-    dx = np.moveaxis(dxp, 3, 1)
-    return dx[:, :, p:-p, p:-p] if p else dx
 
 
 def _apply_masks(net: Network, params):
@@ -448,21 +460,15 @@ def _apply_masks(net: Network, params):
     if not net.masks:
         return
     for i in net.parametric_indices():
-        dense = isinstance(net.specs[i], Dense)
+        spec = net.specs[i]
         W, b = params[i]["W"], params[i]["b"]
         keep = net.masks.get(i)
         if keep is not None:
-            if dense:
-                W[:, ~keep] = 0.0
-            else:
-                W[~keep] = 0.0
+            np.moveaxis(W, spec.out_axis, 0)[~keep] = 0.0
             b[~keep] = 0.0
         in_keep = net.consumer_in_mask(i)
         if in_keep is not None:
-            if dense:
-                W[~in_keep, :] = 0.0
-            else:
-                W[:, ~in_keep] = 0.0
+            np.moveaxis(W, spec.in_axis, 0)[~in_keep] = 0.0
 
 
 def param_count(net: Network):
@@ -473,17 +479,13 @@ def param_count(net: Network):
         spec = net.specs[i]
         keep = net.masks.get(i)
         in_keep = net.consumer_in_mask(i)
-        if isinstance(spec, Dense):
-            n_in = spec.in_dim if in_keep is None else int(np.sum(in_keep))
-            n_out = spec.out_dim if keep is None else int(np.sum(keep))
-        else:
-            n_in = spec.in_channels if in_keep is None else int(np.sum(in_keep))
-            n_in *= spec.kernel * spec.kernel
-            n_out = spec.out_channels if keep is None else int(np.sum(keep))
+        n_out = spec.weight_shape[spec.out_axis] if keep is None else int(np.sum(keep))
+        # a kept input channel feeds fan_in / inputs weights of each unit
+        n_in = spec.weight_shape[spec.in_axis] if in_keep is None else int(np.sum(in_keep))
+        n_in *= spec.fan_in // spec.weight_shape[spec.in_axis]
         total += n_in * n_out + n_out
     pau = sum(u.parameter_count() for u in net.pau_units if u.trainable)
     return total + pau, pau
-
 
 # ---------------------------------------------------------------------------
 # Checkpoints: JSON manifest + little-endian float64 blob with offset table
@@ -498,9 +500,7 @@ def _spec_to_dict(spec):
     return d
 
 
-_SPEC_TYPES = {"dense": Dense, "conv2d": Conv2d, "maxpool": MaxPool,
-               "activation": Activation, "baseline": Baseline,
-               "flatten": Flatten, "softmax": Softmax}
+_SPEC_TYPES = {cls.__name__.lower(): cls for cls in _Layer.__subclasses__()}
 
 
 class CheckpointFormatError(ValueError):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .network import Conv2d, Dense, Network, param_count
+from .network import Conv2d, Network, param_count
 from .train import TrainConfig, evaluate, train_model
 
 
@@ -69,12 +69,9 @@ def score_units(net: Network, method: str = "sum"):
     scores = {}
     for i in prunable_layer_indices(net):
         W = net.weights[i]["W"]
-        if isinstance(net.specs[i], Dense):
-            per_unit = W if method == "sum" else np.abs(W)
-            scores[i] = per_unit.sum(axis=0)
-        else:
-            per_unit = W if method == "sum" else np.abs(W)
-            scores[i] = per_unit.sum(axis=(1, 2, 3))
+        per_unit = W if method == "sum" else np.abs(W)
+        inputs = tuple(a for a in range(W.ndim) if a != net.specs[i].out_axis)
+        scores[i] = per_unit.sum(axis=inputs)
     return scores
 
 
