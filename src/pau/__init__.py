@@ -33,7 +33,7 @@ from .rational import (PoleError, RationalCoefficients, backward_pau, eval_pau,
                        read_coefficient_document, sample_noisy_coeffs,
                        write_coefficient_document)
 from .targets import TargetActivation, TaylorUnsupportedError, parse_target
-from .train import (Adam, SGD, Metrics, TrainConfig, evaluate, fit_regression,
-                    train_model)
+from .train import (Adam, SGD, Metrics, NonFiniteLossError, TrainConfig, evaluate,
+                    fit_regression, train_model)
 
 __version__ = "0.1.0"

@@ -342,7 +342,7 @@ def _run_config(settings):
 def cmd_train(args) -> int:
     from .data import IdxFormatError
     from .network import save_checkpoint
-    from .train import train_model, write_metrics_csv
+    from .train import NonFiniteLossError, train_model, write_metrics_csv
 
     try:
         settings = _Settings(PRESETS[args.preset], args)
@@ -352,7 +352,11 @@ def cmd_train(args) -> int:
         return EXIT_INPUT
     net = _build_preset_net(settings)
     cfg = _run_config(settings)
-    net, history = train_model(net, train, test, cfg)
+    try:
+        net, history = train_model(net, train, test, cfg)
+    except NonFiniteLossError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NONCONVERGENCE
     for m in history:
         print(f"epoch {m.epoch}: train_loss={m.train_loss:.6f} "
               f"test_acc={m.test_acc:.4f} ({m.seconds:.1f}s)")
@@ -392,6 +396,7 @@ def cmd_eval(args) -> int:
 def cmd_prune(args) -> int:
     from .data import IdxFormatError
     from .prune import PruneSchedule, lottery_run
+    from .train import NonFiniteLossError
 
     try:
         settings = _Settings(PRESETS[args.preset], args)
@@ -404,8 +409,12 @@ def cmd_prune(args) -> int:
         schedule = PruneSchedule(fractions, retrain=_run_config(settings))
     except ValueError as exc:
         return _usage_fail(str(exc))
-    report = lottery_run(lambda: _build_preset_net(settings),
-                         train, test, schedule, method=args.score)
+    try:
+        report = lottery_run(lambda: _build_preset_net(settings),
+                             train, test, schedule, method=args.score)
+    except NonFiniteLossError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NONCONVERGENCE
     for row in report.rows:
         print(f"p={row.p:g}: params={row.params_remaining} "
               f"test_acc={row.test_acc:.4f}")

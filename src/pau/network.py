@@ -2,9 +2,24 @@
 activation layer.
 
 Layers are declared as a flat spec list and compiled into a Network
-holding plain float64 arrays.  Each layer kind is one frozen dataclass
-that gives its output shape, forward and backward through the
-``_Layer`` protocol.
+holding plain float64 arrays.  Each layer kind (Dense, Conv2d, MaxPool,
+Activation, Baseline, Flatten, Softmax) is one frozen dataclass that
+holds everything the network knows of that kind, through the methods of
+the ``_Layer`` protocol:
+
+* ``out_shape(shape)``: the per-sample output shape, or ValueError;
+* ``check(net, i)``: ValueError when the network's arrays for layer i
+  contradict the spec;
+* ``forward(net, i, x, noise_rng) -> (y, cache)``: backward reads
+  ``cache`` back from ``trace.caches[i]``;
+* ``backward(net, i, g, cache, need_dx) -> (g, grads)``: the input
+  gradient and a GradientSet of the layer's gradients, or None;
+* ``has_params(net)``: whether backward has gradients to report.
+
+Kinds with weights (Dense, Conv2d) also give ``weight_shape`` and the
+axes of ``W`` that hold output units (``out_axis``) and inputs
+(``in_axis``).  Weight init, masks, parameter counts and pruning scores
+read only those, so a new layer kind is added in its class alone.
 
 Each Activation layer references a PauUnit whose coefficient gradients
 are summed over every element the layer touches in a fixed pairwise
@@ -81,6 +96,15 @@ class _Layer:
     def out_shape(self, shape):
         return shape
 
+    def check(self, net, i):
+        w = net.weights[i]
+        got = None if w is None else {k: np.shape(v) for k, v in w.items()}
+        want = None if self.weight_shape is None else \
+            {"W": self.weight_shape, "b": (self.weight_shape[self.out_axis],)}
+        if got != want:
+            raise ValueError(f"layer {i} ({type(self).__name__}) has weights {got}, "
+                             f"its spec needs {want}")
+
     def has_params(self, net) -> bool:
         return self.weight_shape is not None
 
@@ -90,7 +114,7 @@ class Dense(_Layer):
     in_dim: int
     out_dim: int
 
-    in_axis, out_axis = 0, 1
+    out_axis, in_axis = 1, 0
 
     @property
     def weight_shape(self):
@@ -207,6 +231,12 @@ class MaxPool(_Layer):
 class Activation(_Layer):
     unit: int | None = None  # None: assigned a fresh unit index at build
 
+    def check(self, net, i):
+        super().check(net, i)
+        if not isinstance(self.unit, int) or not 0 <= self.unit < len(net.pau_units):
+            raise ValueError(f"activation layer {i} references unit {self.unit!r} "
+                             f"of {len(net.pau_units)}")
+
     def has_params(self, net) -> bool:
         return net.pau_units[self.unit].trainable
 
@@ -298,10 +328,13 @@ class Network:
         self.seed = seed
         self.version = 0
         self.masks = {}                 # layer index -> bool keep-vector
+        if len(weights) != len(self.specs):
+            raise ValueError(f"{len(weights)} weight entries for {len(self.specs)} layers")
         self.shapes = []
         shape = self.input_shape
-        for spec in self.specs:
+        for i, spec in enumerate(self.specs):
             shape = spec.out_shape(shape)
+            spec.check(self, i)
             self.shapes.append(shape)
 
     def copy(self) -> "Network":
@@ -397,9 +430,6 @@ def build_network(specs, init="lrelu(0.01)", seed=0, input_shape=None,
     units = [PauUnit(base.copy(), safe=safe, noise_alpha=noise_alpha,
                      noise_granularity=noise_granularity, trainable=trainable_units)
              for _ in range(n_units)]
-    for s in specs:
-        if isinstance(s, Activation) and not 0 <= s.unit < len(units):
-            raise ValueError(f"activation references unit {s.unit} of {len(units)}")
     return Network(specs, input_shape, weights, units, seed)
 
 
@@ -597,6 +627,13 @@ def _network_from_manifest(manifest, blob) -> Network:
                   manifest["seed"])
     net.masks = {int(k): np.array(v, dtype=bool)
                  for k, v in manifest["masks"].items()}
+    units = {i: net.weights[i]["b"].size for i in net.parametric_indices()}
+    for i, keep in net.masks.items():
+        if i not in units:
+            raise ValueError(f"mask for layer {i}, which has no weights")
+        if keep.shape != (units[i],):
+            raise ValueError(f"mask of layer {i} has shape {keep.shape}, "
+                             f"the layer has {units[i]} units")
     return net
 
 

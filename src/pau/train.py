@@ -6,6 +6,7 @@ Coefficient parameters of activation units get their own learning rate
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -46,6 +47,40 @@ class Metrics:
     train_loss: float
     test_acc: float
     seconds: float
+
+
+class NonFiniteLossError(ArithmeticError):
+    """A training step's loss is NaN or infinite.  The message names the
+    step and the first unit or layer holding a non-finite value."""
+
+
+def _first_non_finite(net: Network, trace, out) -> str:
+    """Where a non-finite value first shows: a unit's coefficients, a
+    layer's weights, the input batch, or else the first layer output.
+    ``trace.caches[i]`` holds layer i's input (Softmax: its probabilities,
+    finite exactly when its input is), so layer i's output is seen in
+    ``caches[i + 1]`` and the last one in ``out``."""
+    for u, unit in enumerate(net.pau_units):
+        c = unit.coefficients
+        if not (np.isfinite(c.numerator).all() and np.isfinite(c.denominator).all()):
+            return f"unit {u}'s coefficients"
+    for i in net.parametric_indices():
+        for k, v in net.weights[i].items():
+            if not np.isfinite(v).all():
+                return f"layer {i} ({type(net.specs[i]).__name__}) weights {k}"
+    seen = [list(c.values()) for c in trace.caches] + [[out]]
+    for i, arrays in enumerate(seen):
+        if any(isinstance(v, np.ndarray) and not np.isfinite(v).all() for v in arrays):
+            if i == 0:
+                return "the input batch"
+            return f"the output of layer {i - 1} ({type(net.specs[i - 1]).__name__})"
+    return "none of the units, weights or layer outputs"
+
+
+def _check_loss(loss: float, net: Network, trace, out, step: int):
+    if not math.isfinite(loss):
+        raise NonFiniteLossError(f"step {step}: loss is {loss!r}; first non-finite "
+                                 f"value: {_first_non_finite(net, trace, out)}")
 
 
 def _check_shape(buf, grad, key):
@@ -166,7 +201,8 @@ def evaluate(net: Network, data: DatasetHandle, batch_size: int = 1024) -> float
 def train_model(net: Network, train: DatasetHandle, test: DatasetHandle,
                 cfg: TrainConfig):
     """Epoch loop: seeded shuffle, minibatch forward/backward/step, then a
-    test evaluation per epoch.  Returns (net, history)."""
+    test evaluation per epoch.  Returns (net, history); a step with a
+    non-finite loss raises NonFiniteLossError."""
     if cfg.train_subset is not None:
         train = train.subset(cfg.train_subset)
     if cfg.test_subset is not None:
@@ -186,6 +222,7 @@ def train_model(net: Network, train: DatasetHandle, test: DatasetHandle,
             out, trace = forward(net, xb, training=True,
                                  seed=cfg.seed * 1_000_003 + step)
             loss, dout = nll_loss(out, yb)
+            _check_loss(loss, net, trace, out, step)
             grads = backward(net, trace, dout)
             opt.step(net, grads)
             total_loss += loss * sel.size
@@ -206,7 +243,8 @@ def fit_regression(net: Network, xs: np.ndarray, ys: np.ndarray, steps: int,
     """Full-batch regression training against mean squared error.
 
     Inputs are column vectors; the network's output shape must match.
-    Returns (net, final_mse).
+    Returns (net, final_mse); a step with a non-finite loss raises
+    NonFiniteLossError.
     """
     cfg = TrainConfig(optimizer=optimizer, lr=lr, seed=seed)
     opt = make_optimizer(cfg)
@@ -216,6 +254,7 @@ def fit_regression(net: Network, xs: np.ndarray, ys: np.ndarray, steps: int,
     for step in range(steps):
         out, trace = forward(net, xb, training=True, seed=seed * 1_000_003 + step)
         loss, dout = mse_loss(out, yb)
+        _check_loss(loss, net, trace, out, step)
         grads = backward(net, trace, dout)
         opt.step(net, grads)
     out, _ = forward(net, xb, training=False)

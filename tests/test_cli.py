@@ -114,6 +114,16 @@ class TestTrain:
             # identical except the wall-time column
             assert row_a.split(",")[:3] == row_b.split(",")[:3]
 
+    @pytest.mark.parametrize("command", [["train"], ["prune", "--schedule", "0.1"]])
+    def test_non_finite_loss_exits_3(self, command):
+        code, stdout, stderr = run_cli(
+            *command, "--preset", "synth-desk", "--optimizer", "sgd", "--lr", "1e12",
+            "--epochs", "2", "--train-subset", "1000", "--test-subset", "200")
+        assert code == 3, stdout
+        assert "Traceback" not in stderr
+        assert "error: step 5: loss is nan" in stderr
+        assert "the output of layer 1 (Activation)" in stderr
+
     def test_mnist_desk_needs_data(self, tmp_path):
         code, _, stderr = run_cli("train", "--preset", "mnist-desk",
                                   "--data-dir", str(tmp_path / "nowhere"))
@@ -209,6 +219,14 @@ class TestTrain:
         payload = json.dumps(manifest).encode()
         return raw[:8] + struct.pack("<Q", len(payload)) + payload + raw[16 + length:]
 
+    @staticmethod
+    def _edit_offsets(layer, name, edit):
+        def apply(m):
+            for entry in m["offsets"]:
+                if (entry["layer"], entry["name"]) == (layer, name):
+                    edit(entry)
+        return apply
+
     @pytest.mark.parametrize("damage,message", [
         (lambda raw: raw[:12], "header"),
         (lambda raw: TestTrain._rewrite_manifest(
@@ -216,7 +234,19 @@ class TestTrain:
         (lambda raw: TestTrain._rewrite_manifest(
             raw, lambda m: m.pop("offsets")), "offsets"),
         (lambda raw: raw[:-8], "blob"),
-    ], ids=["short-header", "unknown-layer", "missing-key", "short-blob"])
+        (lambda raw: TestTrain._rewrite_manifest(
+            raw, lambda m: m["specs"][1].update(unit=5)), "references unit 5 of 1"),
+        (lambda raw: TestTrain._rewrite_manifest(
+            raw, TestTrain._edit_offsets(0, "W", lambda e: e.update(shape=[16, 784]))),
+         "layer 0 (Dense) has weights"),
+        (lambda raw: TestTrain._rewrite_manifest(
+            raw, lambda m: m.update(offsets=[e for e in m["offsets"] if e["layer"] != 2])),
+         "layer 2 (Dense) has weights None"),
+        (lambda raw: TestTrain._rewrite_manifest(
+            raw, lambda m: m["masks"].update({"0": [1, 0, 1]})),
+         "mask of layer 0 has shape (3,), the layer has 16 units"),
+    ], ids=["short-header", "unknown-layer", "missing-key", "short-blob",
+            "unit-out-of-range", "transposed-weights", "no-offsets", "short-mask"])
     def test_eval_corrupt_checkpoint(self, tmp_path, capsys, damage, message):
         good = tmp_path / "good.ckpt"
         pau.save_checkpoint(good, pau.build_network(pau.mlp_spec((784, 16, 10))))

@@ -378,8 +378,14 @@ class TestBackward:
 
 
 class TestCheckpoint:
-    def test_round_trip_bit_exact(self, tmp_path):
-        net = build_network(mlp_spec((20, 8, 4)), seed=17, noise_alpha=0.03)
+    @pytest.mark.parametrize("specs,input_shape", [
+        (mlp_spec((20, 8, 4)), (20,)),
+        ([Baseline("tanh"), Conv2d(1, 4, 3, stride=2, padding=1), Activation(),
+          MaxPool(2, stride=1), Conv2d(4, 6, 3), Activation(), Flatten(),
+          Dense(6 * 2 * 2, 3), Softmax()], (1, 9, 9)),
+    ], ids=["mlp", "conv"])
+    def test_round_trip_bit_exact(self, tmp_path, specs, input_shape):
+        net = build_network(specs, seed=17, noise_alpha=0.03, input_shape=input_shape)
         net.pau_units[0].trainable = False
         pau.apply_prune(net, 0.25)
         path = tmp_path / "net.ckpt"
@@ -397,7 +403,7 @@ class TestCheckpoint:
         assert set(loaded.masks) == set(net.masks)
         for i in net.masks:
             assert np.array_equal(loaded.masks[i], net.masks[i])
-        x = np.random.default_rng(17).normal(size=(5, 20))
+        x = np.random.default_rng(17).normal(size=(5,) + input_shape)
         a, _ = pau.forward(loaded, x)
         b, _ = pau.forward(net, x)
         assert np.array_equal(a, b)

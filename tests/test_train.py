@@ -3,8 +3,9 @@ import pytest
 
 import pau
 from pau.network import Activation, Baseline, Dense, Softmax, build_network, mlp_spec
-from pau.train import (Adam, SGD, TrainConfig, evaluate, fit_regression,
-                       make_optimizer, nll_loss, train_model, write_metrics_csv)
+from pau.train import (Adam, SGD, NonFiniteLossError, TrainConfig, evaluate,
+                       fit_regression, make_optimizer, nll_loss, train_model,
+                       write_metrics_csv)
 from conftest import desk_protocol
 
 
@@ -201,6 +202,37 @@ class TestRegression:
             _, mse = fit_regression(net, xs, ys, steps=50, lr=0.01)
             finals.append(mse)
         assert finals[0] == finals[1]
+
+
+class TestNonFiniteLoss:
+    @pytest.mark.parametrize("poison,where", [
+        ("unit", "unit 0's coefficients"),
+        ("weights", "layer 2 (Dense) weights b"),
+        ("batch", "the input batch"),
+    ])
+    def test_train_names_first_non_finite(self, poison, where):
+        data = tiny_data(n=32, seed=3)
+        net = tiny_net(3)
+        if poison == "unit":
+            net.pau_units[0].coefficients.denominator[0] = np.nan
+        elif poison == "weights":
+            net.weights[2]["b"][1] = np.inf
+        else:
+            data.images[20, 2] = np.nan
+        cfg = TrainConfig(epochs=1, batch_size=16, seed=3)
+        with np.errstate(all="ignore"), \
+                pytest.raises(NonFiniteLossError, match=r"^step \d+: loss is nan") as err:
+            train_model(net, data, data, cfg)
+        assert str(err.value).endswith(f"first non-finite value: {where}")
+
+    def test_regression_names_layer_output(self):
+        xs, ys = pau.synth_regression(pau.parse_target("tanh"), 200, -3, 3, seed=0)
+        net = build_network([Dense(1, 4), Activation(), Dense(4, 1)],
+                            input_shape=(1,), seed=0)
+        with np.errstate(all="ignore"), pytest.raises(
+                NonFiniteLossError, match=r"^step 3: loss is nan; first non-finite "
+                                          r"value: the output of layer 1 \(Activation\)$"):
+            fit_regression(net, xs, ys, steps=50, lr=1e12, optimizer="sgd")
 
 
 class TestLrDecay:
