@@ -510,12 +510,13 @@ def param_count(net: Network):
         keep = net.masks.get(i)
         in_keep = net.consumer_in_mask(i)
         n_out = spec.weight_shape[spec.out_axis] if keep is None else int(np.sum(keep))
-        # a kept input channel feeds fan_in / inputs weights of each unit
+        # each input (for Conv2d, a channel) holds fan_in / inputs weights of a unit
         n_in = spec.weight_shape[spec.in_axis] if in_keep is None else int(np.sum(in_keep))
         n_in *= spec.fan_in // spec.weight_shape[spec.in_axis]
         total += n_in * n_out + n_out
     pau = sum(u.parameter_count() for u in net.pau_units if u.trainable)
     return total + pau, pau
+
 
 # ---------------------------------------------------------------------------
 # Checkpoints: JSON manifest + little-endian float64 blob with offset table
