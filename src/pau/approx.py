@@ -103,33 +103,14 @@ def pade_exact(series, m: int, n: int):
 
 def pade_from_taylor(series: TaylorSeries, m: int = DEFAULT_ORDERS[0],
                      n: int = DEFAULT_ORDERS[1]) -> RationalCoefficients:
-    """[m/n] approximant from a Maclaurin series.
-
-    Uses exact rational arithmetic when the series carries fractions,
-    otherwise a float solve with a residual check of 1e-9.
-    """
+    """[m/n] approximant from a Maclaurin series, solved exactly by
+    pade_exact on the series' fractions, or else on the exact values of
+    its floats, and rounded once to float64."""
     if series.degree < m + n:
         raise ValueError(f"series degree {series.degree} < m+n = {m + n}")
-    if series.exact is not None:
-        a, b = pade_exact(series.exact, m, n)
-        return RationalCoefficients([float(v) for v in a], [float(v) for v in b])
-    c = series.coefficients
-    if n == 0:
-        return RationalCoefficients(c[:m + 1].copy(), np.zeros(0))
-    A = np.array([[c[k - j] if k - j >= 0 else 0.0 for j in range(1, n + 1)]
-                  for k in range(m + 1, m + n + 1)])
-    rhs = -c[m + 1:m + n + 1]
-    try:
-        b = np.linalg.solve(A, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateOrdersError(str(exc)) from exc
-    resid = np.max(np.abs(A @ b - rhs))
-    if not np.isfinite(resid) or resid > 1e-9 * max(1.0, np.max(np.abs(rhs))):
-        raise DegenerateOrdersError(
-            f"approximant system residual {resid:g} too large")
-    a = np.array([c[j] + sum(b[i - 1] * c[j - i] for i in range(1, min(j, n) + 1))
-                  for j in range(m + 1)])
-    return RationalCoefficients(a, b)
+    exact = series.coefficients.tolist() if series.exact is None else series.exact
+    a, b = pade_exact(exact, m, n)
+    return RationalCoefficients([float(v) for v in a], [float(v) for v in b])
 
 
 def rational_taylor(coeffs: RationalCoefficients, degree: int) -> np.ndarray:
@@ -331,8 +312,11 @@ def builtin_coefficients(name: str) -> RationalCoefficients:
     except ValueError:
         raise ValueError(f"unknown builtin {name!r}; available: {BUILTIN_NAMES}")
     if kind == "swish":
-        a, b = _swish_column(param)
-        return RationalCoefficients([float(v) for v in a], [float(v) for v in b])
+        try:
+            a, b = _swish_column(param)
+            return RationalCoefficients([float(v) for v in a], [float(v) for v in b])
+        except OverflowError:
+            raise ValueError(f"swish beta {param!r} is out of range") from None
     if key in _EXACT_COLUMNS:
         a, b = _EXACT_COLUMNS[key]
         return RationalCoefficients([float(v) for v in a], [float(v) for v in b])

@@ -4,6 +4,15 @@ Commands: pade, fit, gradcheck, train, eval, prune, export-curve.
 Exit codes: 0 success, 1 usage, 2 input/target error, 3 numerical
 non-convergence, 4 verification failure.  PAU_THREADS caps the BLAS
 worker threads.
+
+train, eval and prune take their run settings from a preset, then a
+--config file of "key value" lines, then flags of the same names.  All
+are checked before any data is made.  A config file that cannot be read,
+or that holds an unknown key, a value that does not parse or one out of
+range, exits 2 naming the file.  A flag that does not parse or is out of
+range exits 1 naming the flag or key.  Missing or malformed data files,
+and a checkpoint that cannot be read or does not fit the preset's
+images, exit 2.
 """
 
 from __future__ import annotations
@@ -11,6 +20,22 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from dataclasses import fields
+
+import numpy as np
+
+from . import gradcheck
+from .approx import (FitConfig, FitNonConvergenceError, builtin_coefficients,
+                     fit_residual, least_squares_fit, pade_from_taylor, taylor_of)
+from .data import DatasetHandle, load_idx, pad_images, synth_digits
+from .network import build_network, lenet_spec, load_checkpoint, mlp_spec, save_checkpoint
+from .prune import PruneSchedule, lottery_run
+from .rational import (DocumentFormatError, PoleError, eval_pau_batch, eval_pau_stacked,
+                       read_coefficient_document, sample_noisy_coeffs,
+                       write_coefficient_document)
+from .targets import parse_target
+from .train import (NonFiniteLossError, TrainConfig, evaluate, train_model,
+                    write_metrics_csv)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -32,9 +57,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _usage_fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_USAGE
+class _Fail(Exception):
+    """Ends a command: main prints ``error: <message>`` and returns ``code``."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
 
 
 def _parse_pair(text, what):
@@ -70,23 +98,16 @@ def _print_coefficients(coeffs):
 
 
 def cmd_pade(args) -> int:
-    from .approx import pade_from_taylor, taylor_of
-    from .rational import write_coefficient_document
-    from .targets import parse_target
-
     try:
         m, n = _parse_orders(args.orders)
     except ValueError as exc:
-        return _usage_fail(str(exc))
+        raise _Fail(EXIT_USAGE, str(exc))
     try:
         target = parse_target(args.target)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        raise _Fail(EXIT_INPUT, str(exc))
     if not target.smooth_at_zero:
-        print(f"error: target has no Taylor series at 0: {target.name}",
-              file=sys.stderr)
-        return EXIT_INPUT
+        raise _Fail(EXIT_INPUT, f"target has no Taylor series at 0: {target.name}")
     coeffs = pade_from_taylor(taylor_of(target, m + n), m, n)
     _print_coefficients(coeffs)
     if args.out:
@@ -99,40 +120,31 @@ def _resolve_fit_target(name):
     """A named activation, or 'doc:<path>' to fit against the rational
     function stored in a coefficient document."""
     if name.startswith("doc:"):
-        from .rational import eval_pau_batch, read_coefficient_document
         doc = read_coefficient_document(name[4:])
         return (lambda xs: eval_pau_batch(xs, doc.coefficients, safe=doc.safe)), name
-    from .targets import parse_target
     target = parse_target(name)
     return target, target.name
 
 
 def cmd_fit(args) -> int:
-    from .approx import (FitConfig, FitNonConvergenceError, fit_residual,
-                         least_squares_fit)
-    from .rational import DocumentFormatError, write_coefficient_document
-
     try:
         m, n = _parse_orders(args.orders)
         lo, hi = _parse_range(args.range)
         if args.step <= 0:
             raise ValueError("--step must be > 0")
     except ValueError as exc:
-        return _usage_fail(str(exc))
+        raise _Fail(EXIT_USAGE, str(exc))
     try:
         target, label = _resolve_fit_target(args.target)
     except (ValueError, OSError, DocumentFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        raise _Fail(EXIT_INPUT, str(exc))
     cfg = FitConfig(lo=lo, hi=hi, grid_step=args.step,
                     max_sk_iterations=args.max_iter)
     safe = not args.unsafe
     try:
         coeffs = least_squares_fit(target, m, n, cfg, safe=safe)
     except FitNonConvergenceError as exc:
-        print(f"error: {exc} (last residual {exc.last_residual!r})",
-              file=sys.stderr)
-        return EXIT_NONCONVERGENCE
+        raise _Fail(EXIT_NONCONVERGENCE, f"{exc} (last residual {exc.last_residual!r})")
     mx, rms = fit_residual(coeffs, target, cfg, safe=safe)
     print(f"max_abs_residual = {mx!r}")
     print(f"rms_residual = {rms!r}")
@@ -144,23 +156,16 @@ def cmd_fit(args) -> int:
 
 
 def cmd_export_curve(args) -> int:
-    import numpy as np
-
-    from .rational import (DocumentFormatError, PoleError, eval_pau_batch,
-                           read_coefficient_document, sample_noisy_coeffs,
-                           eval_pau_stacked)
-
     if args.points < 2:
-        return _usage_fail("--points must be >= 2")
+        raise _Fail(EXIT_USAGE, "--points must be >= 2")
     try:
         lo, hi = _parse_range(args.range)
     except ValueError as exc:
-        return _usage_fail(str(exc))
+        raise _Fail(EXIT_USAGE, str(exc))
     try:
         doc = read_coefficient_document(args.coeffs)
     except (OSError, DocumentFormatError) as exc:
-        print(f"error: cannot read coefficient document: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        raise _Fail(EXIT_INPUT, f"cannot read coefficient document: {exc}")
     xs = np.linspace(lo, hi, args.points)
     try:
         fx = eval_pau_batch(xs, doc.coefficients, safe=doc.safe)
@@ -184,8 +189,7 @@ def cmd_export_curve(args) -> int:
                     lo_v, hi_v = float(vals.min()), float(vals.max())
                 rows.append(f"{float(x)!r},{float(f)!r},{lo_v!r},{hi_v!r}")
     except PoleError as exc:
-        print(f"error: unsafe unit has a pole in the range: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        raise _Fail(EXIT_INPUT, f"unsafe unit has a pole in the range: {exc}")
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
         fh.write("\n".join(rows) + "\n")
@@ -198,10 +202,6 @@ def cmd_export_curve(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_gradcheck(args) -> int:
-    import numpy as np
-
-    from . import gradcheck as gc
-
     if args.trials == 0:
         print("warning: 0 trials requested, nothing checked")
         return EXIT_OK
@@ -211,10 +211,10 @@ def cmd_gradcheck(args) -> int:
     lo = np.array([-1.0] * 10 + [-3.0])
     draws = rng.uniform(lo, -lo, (args.trials, lo.size))
     nums, dens, xs = draws[:, :6], draws[:, 6:10], draws[:, 10]
-    trial_worst, labels, _ = gc.compare_trials(xs, nums, dens, safe=True,
-                                               flip_denominator=args.inject_fault)
+    trial_worst, labels, _ = gradcheck.compare_trials(
+        xs, nums, dens, safe=True, flip_denominator=args.inject_fault)
     i = int(np.argmax(trial_worst))
-    worst = max(float(trial_worst[i]), gc.toy_network_check(seed=args.seed))
+    worst = max(float(trial_worst[i]), gradcheck.toy_network_check(seed=args.seed))
     print(f"worst_relative_error = {worst!r} over {args.trials} unit trials "
           f"plus a toy network")
     if worst < 1e-4:
@@ -248,7 +248,10 @@ PRESETS = {
 
 _SYNTH_DATA_SEED = 555  # dataset content independent of the training seed
 
-# run-settings a key/value config file may provide, with parsers
+# The run settings, each with its parser: the keys of a config file and,
+# with dashes, the flags of train, eval and prune.  Those that are fields
+# of TrainConfig build it; init and noise_alpha go to build_network.
+# Settings left unset take the defaults of TrainConfig and build_network.
 _CONFIG_KEYS = {
     "optimizer": str, "lr": float, "momentum": float, "batch_size": int,
     "epochs": int, "data_dir": str, "train_subset": int, "test_subset": int,
@@ -268,95 +271,103 @@ def _read_kv_config(path):
             key, _, val = line.partition(" ")
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"unknown config key {key!r}")
-            out[key] = _CONFIG_KEYS[key](val.strip())
+            try:
+                out[key] = _CONFIG_KEYS[key](val.strip())
+            except ValueError as exc:
+                raise ValueError(f"{key}: {exc}")
     return out
 
 
-class _Settings:
-    """Effective run settings: preset defaults, then the config file,
-    then explicit command-line flags."""
+def _train_config(settings) -> TrainConfig:
+    """TrainConfig of the merged settings, after checking those it does
+    not hold; a value out of range raises ValueError naming its key."""
+    cfg = TrainConfig(**{f.name: settings[f.name] for f in fields(TrainConfig)
+                         if f.name in settings})
+    if "init" in settings:
+        try:
+            builtin_coefficients(settings["init"])
+        except ValueError as exc:
+            raise ValueError(f"init: {exc}")
+    if not settings.get("noise_alpha", 0.0) >= 0:
+        raise ValueError(f"noise_alpha must be >= 0, got {settings['noise_alpha']!r}")
+    return cfg
 
-    def __init__(self, preset, args):
-        merged = dict(preset)
-        merged.update({"data_dir": None, "init": "lrelu(0.01)",
-                       "noise_alpha": 0.0, "seed": 0, "momentum": 0.5,
-                       "pau_lr": None, "lr_decay": 1.0})
-        if getattr(args, "config", None):
-            merged.update(_read_kv_config(args.config))
-        for key in _CONFIG_KEYS:
-            flag = getattr(args, key, None)
-            if flag is not None:
-                merged[key] = flag
-        self.__dict__.update(merged)
-        self.frozen = args.frozen
+
+def _run_settings(args):
+    """The preset, then the config file, then the flags.  Each source is
+    checked as it is merged, so that a bad value is blamed on the source
+    that brought it.  Returns (settings, TrainConfig)."""
+    settings = dict(PRESETS[args.preset])
+    if args.config:
+        try:
+            settings.update(_read_kv_config(args.config))
+            _train_config(settings)
+        except (OSError, ValueError) as exc:
+            raise _Fail(EXIT_INPUT, f"config file {args.config}: {exc}")
+    settings.update({key: getattr(args, key) for key in _CONFIG_KEYS
+                     if getattr(args, key) is not None})
+    try:
+        return settings, _train_config(settings)
+    except ValueError as exc:
+        raise _Fail(EXIT_USAGE, str(exc))
 
 
 def _load_preset_data(settings):
-    from .data import DatasetHandle, load_idx, pad_images, synth_digits
-
-    if settings.source == "synth":
-        n_train = settings.train_subset or 10000
-        n_test = settings.test_subset or 2000
-        full = synth_digits(n_train + n_test, seed=_SYNTH_DATA_SEED)
+    if settings["source"] == "synth":
+        n_train = settings["train_subset"]
+        full = synth_digits(n_train + settings["test_subset"], seed=_SYNTH_DATA_SEED)
         train = DatasetHandle(full.images[:n_train], full.labels[:n_train], "train")
         test = DatasetHandle(full.images[n_train:], full.labels[n_train:], "test")
     else:
-        if settings.data_dir is None:
+        if settings.get("data_dir") is None:
             raise FileNotFoundError("this preset needs --data-dir with IDX files")
-        train = load_idx(settings.data_dir, "train")
-        test = load_idx(settings.data_dir, "test")
-    if settings.arch == "lenet":
+        train = load_idx(settings["data_dir"], "train")
+        test = load_idx(settings["data_dir"], "test")
+        for key, data in (("train_subset", train), ("test_subset", test)):
+            if (settings[key] or 0) > len(data):
+                raise ValueError(f"{key} {settings[key]} exceeds the {len(data)} "
+                                 f"{data.split} samples in {settings['data_dir']}")
+    if settings["arch"] == "lenet":
         train = pad_images(train, 32)
         test = pad_images(test, 32)
     return train, test
 
 
-def _build_preset_net(settings):
-    from .network import build_network, lenet_spec, mlp_spec
+def _prologue(args):
+    """The start of train, eval and prune: the run settings, eval's
+    checkpoint, then the preset's data.  Returns (settings, TrainConfig,
+    the checkpoint's network or None, train, test)."""
+    settings, cfg = _run_settings(args)
+    net = None
+    if getattr(args, "checkpoint", None):
+        try:
+            net = load_checkpoint(args.checkpoint)
+        except (OSError, ValueError) as exc:
+            raise _Fail(EXIT_INPUT, f"cannot load checkpoint: {exc}")
+    try:
+        train, test = _load_preset_data(settings)
+    except (OSError, ValueError) as exc:
+        raise _Fail(EXIT_INPUT, str(exc))
+    images = train.images.shape[1:]
+    if net is not None and np.prod(net.input_shape) != np.prod(images):
+        raise _Fail(EXIT_INPUT, f"checkpoint {args.checkpoint} takes inputs of shape "
+                                f"{net.input_shape}; the preset's images are {images}")
+    return settings, cfg, net, train, test
 
-    spec = lenet_spec() if settings.arch == "lenet" else mlp_spec((784, 128, 10))
-    input_shape = (1, 32, 32) if settings.arch == "lenet" else None
-    return build_network(spec, init=settings.init, seed=settings.seed,
-                         input_shape=input_shape,
-                         noise_alpha=settings.noise_alpha,
-                         trainable_units=not settings.frozen)
 
-
-def _run_config(settings):
-    from .train import TrainConfig
-
-    return TrainConfig(
-        epochs=settings.epochs,
-        batch_size=settings.batch_size,
-        optimizer=settings.optimizer,
-        lr=settings.lr,
-        momentum=settings.momentum,
-        pau_lr=settings.pau_lr,
-        lr_decay=settings.lr_decay,
-        seed=settings.seed,
-        train_subset=settings.train_subset,
-        test_subset=settings.test_subset,
-    )
+def _build_preset_net(settings, cfg, frozen):
+    lenet = settings["arch"] == "lenet"
+    return build_network(lenet_spec() if lenet else mlp_spec((784, 128, 10)),
+                         seed=cfg.seed, input_shape=(1, 32, 32) if lenet else None,
+                         trainable_units=not frozen,
+                         **{k: settings[k] for k in ("init", "noise_alpha")
+                            if k in settings})
 
 
 def cmd_train(args) -> int:
-    from .data import IdxFormatError
-    from .network import save_checkpoint
-    from .train import NonFiniteLossError, train_model, write_metrics_csv
-
-    try:
-        settings = _Settings(PRESETS[args.preset], args)
-        train, test = _load_preset_data(settings)
-    except (FileNotFoundError, IdxFormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    net = _build_preset_net(settings)
-    cfg = _run_config(settings)
-    try:
-        net, history = train_model(net, train, test, cfg)
-    except NonFiniteLossError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
+    settings, cfg, _, train, test = _prologue(args)
+    net, history = train_model(_build_preset_net(settings, cfg, args.frozen),
+                               train, test, cfg)
     for m in history:
         print(f"epoch {m.epoch}: train_loss={m.train_loss:.6f} "
               f"test_acc={m.test_acc:.4f} ({m.seconds:.1f}s)")
@@ -370,51 +381,23 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    from .data import IdxFormatError
-    from .network import load_checkpoint
-    from .train import evaluate
-
-    try:
-        net = load_checkpoint(args.checkpoint)
-    except (OSError, ValueError) as exc:
-        print(f"error: cannot load checkpoint: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        settings = _Settings(PRESETS[args.preset], args)
-        train, test = _load_preset_data(settings)
-    except (FileNotFoundError, IdxFormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    _, cfg, net, train, test = _prologue(args)
     data = test if args.split == "test" else train
-    if args.split == "test" and settings.test_subset:
-        data = data.subset(settings.test_subset)
-    acc = evaluate(net, data)
-    print(f"accuracy = {acc!r}")
+    if args.split == "test" and cfg.test_subset:
+        data = data.subset(cfg.test_subset)
+    print(f"accuracy = {evaluate(net, data)!r}")
     return EXIT_OK
 
 
 def cmd_prune(args) -> int:
-    from .data import IdxFormatError
-    from .prune import PruneSchedule, lottery_run
-    from .train import NonFiniteLossError
-
-    try:
-        settings = _Settings(PRESETS[args.preset], args)
-        train, test = _load_preset_data(settings)
-    except (FileNotFoundError, IdxFormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    settings, cfg, _, train, test = _prologue(args)
     try:
         fractions = tuple(float(v) for v in args.schedule.split(","))
-        schedule = PruneSchedule(fractions, retrain=_run_config(settings))
+        schedule = PruneSchedule(fractions, retrain=cfg)
     except ValueError as exc:
-        return _usage_fail(str(exc))
-    try:
-        report = lottery_run(lambda: _build_preset_net(settings),
-                             train, test, schedule, method=args.score)
-    except NonFiniteLossError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
+        raise _Fail(EXIT_USAGE, str(exc))
+    report = lottery_run(lambda: _build_preset_net(settings, cfg, args.frozen),
+                         train, test, schedule, method=args.score)
     for row in report.rows:
         print(f"p={row.p:g}: params={row.params_remaining} "
               f"test_acc={row.test_acc:.4f}")
@@ -458,21 +441,10 @@ def build_parser() -> _Parser:
         p = sub.add_parser(name)
         p.add_argument("--preset", choices=sorted(PRESETS), default="synth-desk")
         p.add_argument("--config", help="key/value settings file; flags override it")
-        p.add_argument("--data-dir")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--init", help="builtin coefficient name, e.g. lrelu(0.01)")
-        p.add_argument("--noise-alpha", type=float)
         p.add_argument("--frozen", action="store_true",
                        help="freeze unit coefficients at their initialization")
-        p.add_argument("--epochs", type=int)
-        p.add_argument("--batch-size", type=int)
-        p.add_argument("--optimizer", choices=("adam", "sgd"))
-        p.add_argument("--lr", type=float)
-        p.add_argument("--momentum", type=float)
-        p.add_argument("--pau-lr", type=float)
-        p.add_argument("--lr-decay", type=float)
-        p.add_argument("--train-subset", type=int)
-        p.add_argument("--test-subset", type=int)
+        for key, parse in _CONFIG_KEYS.items():
+            p.add_argument("--" + key.replace("_", "-"), type=parse)
         if name == "train":
             p.add_argument("--metrics-out")
             p.add_argument("--save")
@@ -505,6 +477,12 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
+    except _Fail as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.code
+    except NonFiniteLossError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NONCONVERGENCE
     except KeyboardInterrupt:
         return 130
 

@@ -9,7 +9,9 @@ Pixels are scaled by 1/255 on load.
 from __future__ import annotations
 
 import gzip
+import math
 import struct
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -96,25 +98,33 @@ def _read_header(fh, path, expected_magic, expected_dims):
     return dims
 
 
+def _read_idx(path, expected_magic, expected_dims):
+    """(dims, payload bytes) of a plain or gzip IDX file; a truncated or
+    corrupt gzip stream raises IdxFormatError naming ``path``."""
+    try:
+        with _open_maybe_gzip(path) as fh:
+            dims = _read_header(fh, path, expected_magic, expected_dims)
+            count = math.prod(dims)
+            payload = fh.read(count)
+    except EOFError as exc:
+        raise TruncatedFileError(f"{path}: {exc}") from exc
+    except (gzip.BadGzipFile, zlib.error) as exc:
+        raise IdxFormatError(f"{path}: corrupt gzip stream: {exc}") from exc
+    if len(payload) < count:
+        raise TruncatedFileError(
+            f"{path}: payload {len(payload)} bytes < {count} expected")
+    return dims, payload
+
+
 def read_idx_images(path) -> np.ndarray:
     """(N,H,W) float64 in [0,1]; validates magic, sizes and payload length."""
-    with _open_maybe_gzip(path) as fh:
-        n, h, w = _read_header(fh, path, IMAGE_MAGIC, 3)
-        payload = fh.read(n * h * w + 1)
-    if len(payload) < n * h * w:
-        raise TruncatedFileError(
-            f"{path}: payload {len(payload)} bytes < {n * h * w} expected")
-    data = np.frombuffer(payload[:n * h * w], dtype=np.uint8)
-    return data.reshape(n, h, w).astype(np.float64) / 255.0
+    dims, payload = _read_idx(path, IMAGE_MAGIC, 3)
+    return np.frombuffer(payload, dtype=np.uint8).reshape(dims).astype(np.float64) / 255.0
 
 
 def read_idx_labels(path) -> np.ndarray:
-    with _open_maybe_gzip(path) as fh:
-        (n,) = _read_header(fh, path, LABEL_MAGIC, 1)
-        payload = fh.read(n + 1)
-    if len(payload) < n:
-        raise TruncatedFileError(f"{path}: payload {len(payload)} bytes < {n} expected")
-    return np.frombuffer(payload[:n], dtype=np.uint8).astype(np.int64)
+    _, payload = _read_idx(path, LABEL_MAGIC, 1)
+    return np.frombuffer(payload, dtype=np.uint8).astype(np.int64)
 
 
 def _resolve(directory, name):

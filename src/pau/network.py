@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -54,8 +54,19 @@ class PauUnit:
     noise_granularity: str = "element"  # or "batch"
     trainable: bool = True
 
+    def __post_init__(self):
+        if not self.noise_alpha >= 0:
+            raise ValueError(f"noise_alpha must be >= 0, got {self.noise_alpha!r}")
+        if self.noise_granularity not in ("element", "batch"):
+            raise ValueError(f"noise_granularity must be 'element' or 'batch', "
+                             f"got {self.noise_granularity!r}")
+
     def parameter_count(self) -> int:
         return self.coefficients.m + 1 + self.coefficients.n
+
+
+# the settings of a unit besides its coefficients, as checkpoints store them
+_UNIT_SETTINGS = tuple(f.name for f in fields(PauUnit) if f.name != "coefficients")
 
 
 class StaleTraceError(RuntimeError):
@@ -340,8 +351,7 @@ class Network:
     def copy(self) -> "Network":
         weights = [None if w is None else {k: v.copy() for k, v in w.items()}
                    for w in self.weights]
-        units = [PauUnit(u.coefficients.copy(), u.safe, u.noise_alpha,
-                         u.noise_granularity, u.trainable) for u in self.pau_units]
+        units = [replace(u, coefficients=u.coefficients.copy()) for u in self.pau_units]
         net = Network(self.specs, self.input_shape, weights, units, self.seed)
         net.masks = {i: m.copy() for i, m in self.masks.items()}
         return net
@@ -564,10 +574,7 @@ def save_checkpoint(path, net: Network) -> None:
         "pau_units": [{
             "numerator": [repr(float(v)) for v in u.coefficients.numerator],
             "denominator": [repr(float(v)) for v in u.coefficients.denominator],
-            "safe": u.safe,
-            "noise_alpha": u.noise_alpha,
-            "noise_granularity": u.noise_granularity,
-            "trainable": u.trainable,
+            **{k: getattr(u, k) for k in _UNIT_SETTINGS},
         } for u in net.pau_units],
         "offsets": offsets,
     }
@@ -606,9 +613,7 @@ def _network_from_manifest(manifest, blob) -> Network:
     specs = [_spec_from_dict(d) for d in manifest["specs"]]
     units = [PauUnit(RationalCoefficients([float(v) for v in u["numerator"]],
                                           [float(v) for v in u["denominator"]]),
-                     safe=u["safe"], noise_alpha=u["noise_alpha"],
-                     noise_granularity=u["noise_granularity"],
-                     trainable=u["trainable"])
+                     **{k: u[k] for k in _UNIT_SETTINGS})
              for u in manifest["pau_units"]]
     weights = [None] * len(specs)
     for entry in manifest["offsets"]:

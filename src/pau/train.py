@@ -31,14 +31,23 @@ class TrainConfig:
     test_subset: int | None = None
 
     def __post_init__(self):
+        if self.epochs < 0:
+            raise ValueError("epochs must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.lr <= 0:
+        if not self.lr > 0:
             raise ValueError("lr must be > 0")
+        if self.pau_lr is not None and not self.pau_lr > 0:
+            raise ValueError("pau_lr must be > 0")
         if not 0.0 < self.lr_decay <= 1.0:
             raise ValueError("lr_decay must lie in (0, 1]")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        for name in ("train_subset", "test_subset"):
+            if getattr(self, name) is not None and getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 @dataclass
@@ -202,7 +211,9 @@ def train_model(net: Network, train: DatasetHandle, test: DatasetHandle,
                 cfg: TrainConfig):
     """Epoch loop: seeded shuffle, minibatch forward/backward/step, then a
     test evaluation per epoch.  Returns (net, history); a step with a
-    non-finite loss raises NonFiniteLossError."""
+    non-finite loss raises NonFiniteLossError.  The step loop silences
+    numpy's floating-point warnings: a diverging step overflows before its
+    loss is checked, and the error names the first non-finite value."""
     if cfg.train_subset is not None:
         train = train.subset(cfg.train_subset)
     if cfg.test_subset is not None:
@@ -215,18 +226,19 @@ def train_model(net: Network, train: DatasetHandle, test: DatasetHandle,
         t0 = time.monotonic()
         perm = shuffle_rng.permutation(len(train))
         total_loss = 0.0
-        for lo in range(0, len(train), cfg.batch_size):
-            sel = perm[lo:lo + cfg.batch_size]
-            xb = _model_inputs(net, train.images[sel])
-            yb = train.labels[sel]
-            out, trace = forward(net, xb, training=True,
-                                 seed=cfg.seed * 1_000_003 + step)
-            loss, dout = nll_loss(out, yb)
-            _check_loss(loss, net, trace, out, step)
-            grads = backward(net, trace, dout)
-            opt.step(net, grads)
-            total_loss += loss * sel.size
-            step += 1
+        with np.errstate(all="ignore"):
+            for lo in range(0, len(train), cfg.batch_size):
+                sel = perm[lo:lo + cfg.batch_size]
+                xb = _model_inputs(net, train.images[sel])
+                yb = train.labels[sel]
+                out, trace = forward(net, xb, training=True,
+                                     seed=cfg.seed * 1_000_003 + step)
+                loss, dout = nll_loss(out, yb)
+                _check_loss(loss, net, trace, out, step)
+                grads = backward(net, trace, dout)
+                opt.step(net, grads)
+                total_loss += loss * sel.size
+                step += 1
         # per-epoch step decay on the layer rate; the unit rate stays constant
         opt.lr *= cfg.lr_decay
         history.append(Metrics(
@@ -244,19 +256,19 @@ def fit_regression(net: Network, xs: np.ndarray, ys: np.ndarray, steps: int,
 
     Inputs are column vectors; the network's output shape must match.
     Returns (net, final_mse); a step with a non-finite loss raises
-    NonFiniteLossError.
+    NonFiniteLossError, with warnings silenced as in train_model.
     """
     cfg = TrainConfig(optimizer=optimizer, lr=lr, seed=seed)
     opt = make_optimizer(cfg)
     xb = np.asarray(xs, dtype=np.float64).reshape(-1, 1)
     yb = np.asarray(ys, dtype=np.float64).reshape(-1, 1)
-    loss = float("nan")
-    for step in range(steps):
-        out, trace = forward(net, xb, training=True, seed=seed * 1_000_003 + step)
-        loss, dout = mse_loss(out, yb)
-        _check_loss(loss, net, trace, out, step)
-        grads = backward(net, trace, dout)
-        opt.step(net, grads)
+    with np.errstate(all="ignore"):
+        for step in range(steps):
+            out, trace = forward(net, xb, training=True, seed=seed * 1_000_003 + step)
+            loss, dout = mse_loss(out, yb)
+            _check_loss(loss, net, trace, out, step)
+            grads = backward(net, trace, dout)
+            opt.step(net, grads)
     out, _ = forward(net, xb, training=False)
     return net, mse_loss(out, yb)[0]
 

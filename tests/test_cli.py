@@ -1,11 +1,14 @@
+import gzip
 import json
 import struct
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pau
+from pau import cli
 from pau.cli import main
 
 
@@ -121,6 +124,7 @@ class TestTrain:
             "--epochs", "2", "--train-subset", "1000", "--test-subset", "200")
         assert code == 3, stdout
         assert "Traceback" not in stderr
+        assert "Warning" not in stderr
         assert "error: step 5: loss is nan" in stderr
         assert "the output of layer 1 (Activation)" in stderr
 
@@ -245,8 +249,15 @@ class TestTrain:
         (lambda raw: TestTrain._rewrite_manifest(
             raw, lambda m: m["masks"].update({"0": [1, 0, 1]})),
          "mask of layer 0 has shape (3,), the layer has 16 units"),
+        (lambda raw: TestTrain._rewrite_manifest(
+            raw, lambda m: m["pau_units"][0].update(noise_alpha=-0.5)),
+         "noise_alpha must be >= 0, got -0.5"),
+        (lambda raw: TestTrain._rewrite_manifest(
+            raw, lambda m: m["pau_units"][0].update(noise_granularity="pixel")),
+         "noise_granularity must be 'element' or 'batch', got 'pixel'"),
     ], ids=["short-header", "unknown-layer", "missing-key", "short-blob",
-            "unit-out-of-range", "transposed-weights", "no-offsets", "short-mask"])
+            "unit-out-of-range", "transposed-weights", "no-offsets", "short-mask",
+            "negative-noise", "unknown-granularity"])
     def test_eval_corrupt_checkpoint(self, tmp_path, capsys, damage, message):
         good = tmp_path / "good.ckpt"
         pau.save_checkpoint(good, pau.build_network(pau.mlp_spec((784, 16, 10))))
@@ -255,6 +266,33 @@ class TestTrain:
         assert main(["eval", "--preset", "synth-desk", "--checkpoint", str(p)]) == 2
         err = capsys.readouterr().err
         assert str(p) in err and message in err
+
+    def test_eval_checkpoint_input_shape_mismatch(self, tmp_path, capsys):
+        ckpt = tmp_path / "lenet.ckpt"
+        pau.save_checkpoint(ckpt, pau.build_network(pau.lenet_spec(),
+                                                    input_shape=(1, 32, 32)))
+        assert main(["eval", "--preset", "synth-desk", "--checkpoint", str(ckpt)]) == 2
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "(1, 32, 32)" in err and "(28, 28)" in err
+
+    @pytest.mark.parametrize("truncate,message", [
+        (True, "train-images-idx3-ubyte.gz: Compressed file ended"),
+        (False, "train_subset 10000 exceeds the 32 train samples in "),
+    ], ids=["truncated-gzip", "fewer-samples-than-subset"])
+    def test_bad_idx_files_exit_2(self, tmp_path, truncate, message):
+        data = pau.synth_digits(40, seed=6)
+        pau.data.write_dataset(data.subset(32), tmp_path, "train")
+        pau.data.write_dataset(
+            pau.DatasetHandle(data.images[32:], data.labels[32:]), tmp_path, "test")
+        if truncate:
+            plain = tmp_path / "train-images-idx3-ubyte"
+            gz = tmp_path / "train-images-idx3-ubyte.gz"
+            gz.write_bytes(gzip.compress(plain.read_bytes())[:200])
+            plain.unlink()
+        code, _, stderr = run_cli("train", "--preset", "mnist-desk",
+                                  "--data-dir", str(tmp_path))
+        assert code == 2
+        assert "Traceback" not in stderr and message in stderr
 
     def test_mnist_paper_preset_on_idx_files(self, tmp_path):
         # drive the IDX -> pad -> LeNet path with standard-named files
@@ -269,6 +307,88 @@ class TestTrain:
             "--train-subset", "256", "--test-subset", "64")
         assert code == 0, stderr
         assert "final test_acc" in stdout
+
+
+_BAD_FLAGS = [
+    (["--lr", "-1"], "lr must be > 0"),
+    (["--batch-size", "0"], "batch_size must be >= 1"),
+    (["--lr-decay", "2"], "lr_decay must lie in (0, 1]"),
+    (["--init", "bogus"], "init: unknown builtin 'bogus'"),
+    (["--init", "swish(1e400)"], "init: swish beta inf is out of range"),
+    (["--noise-alpha", "-1"], "noise_alpha must be >= 0"),
+    (["--pau-lr", "-1"], "pau_lr must be > 0"),
+    (["--seed", "-1"], "seed must be >= 0"),
+    (["--train-subset", "0"], "train_subset must be >= 1"),
+]
+_BAD_CONFIG_LINES = [
+    ("optimizer bogus", "unknown optimizer 'bogus'"),
+    ("lr -1", "lr must be > 0"),
+    ("init bogus", "init: unknown builtin 'bogus'"),
+    (None, "Is a directory"),   # --config names a directory
+]
+# short runs, so that a check that lets a bad value through ends quickly
+_SHORT_RUN = ["--preset", "synth-desk", "--epochs", "1", "--train-subset", "300",
+              "--test-subset", "100"]
+
+
+class TestBadSettings:
+    @pytest.mark.parametrize("command", [["train"], ["prune", "--schedule", "0.1"]],
+                             ids=["train", "prune"])
+    @pytest.mark.parametrize("flags,message", _BAD_FLAGS,
+                             ids=[" ".join(f) for f, _ in _BAD_FLAGS])
+    def test_bad_flag_exits_1(self, capsys, command, flags, message):
+        assert main([*command, *_SHORT_RUN, *flags]) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ") and message in err
+        assert out == ""
+
+    @pytest.mark.parametrize("line,message", _BAD_CONFIG_LINES,
+                             ids=[line or "directory" for line, _ in _BAD_CONFIG_LINES])
+    def test_bad_config_file_exits_2(self, tmp_path, capsys, line, message):
+        path = tmp_path
+        if line is not None:
+            path = tmp_path / "run.cfg"
+            path.write_text(f"epochs 1\n{line}\n")
+        assert main(["train", "--preset", "synth-desk", "--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith(f"error: config file {path}: ") and message in err
+        assert out == ""
+
+
+VALID_CONFIG = (b"# desk run\noptimizer adam\nlr 0.002\nmomentum 0.5\nbatch_size 256\n"
+                b"epochs 2\nseed 5\ntrain_subset 2000\ntest_subset 500\n"
+                b"init lrelu(0.01)\nnoise_alpha 0.0\npau_lr 0.001\nlr_decay 0.9\n"
+                b"data_dir idx\n")
+# bytes of numbers, separators and comments, or any byte at all
+_BYTES = st.sampled_from(b"-+.0123456789eE \t\n#") | st.integers(0, 255)
+_EDITS = st.lists(st.tuples(st.sampled_from(("replace", "insert", "delete")),
+                            st.integers(0, len(VALID_CONFIG)), _BYTES),
+                  min_size=1, max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(edits=_EDITS)
+def test_mutated_config_gives_settings_or_exits_2(tmp_path_factory, edits):
+    # only the settings step runs: no data is made and nothing trains
+    raw = bytearray(VALID_CONFIG)
+    for op, pos, byte in edits:
+        pos %= len(raw) + 1
+        if op == "insert":
+            raw.insert(pos, byte)
+        elif pos < len(raw):
+            if op == "replace":
+                raw[pos] = byte
+            else:
+                del raw[pos]
+    path = tmp_path_factory.getbasetemp() / "fuzzed.cfg"
+    path.write_bytes(bytes(raw))
+    args = cli.build_parser().parse_args(["train", "--config", str(path)])
+    try:
+        _, cfg = cli._run_settings(args)
+    except cli._Fail as exc:
+        assert exc.code == 2 and str(exc).startswith(f"config file {path}: ")
+    else:
+        assert isinstance(cfg, pau.TrainConfig)
 
 
 class TestPrune:

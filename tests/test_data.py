@@ -6,8 +6,8 @@ import pytest
 
 import pau
 from pau.data import (BadMagicError, DatasetHandle, DimensionError,
-                      IMAGE_MAGIC, LABEL_MAGIC, TruncatedFileError, load_idx,
-                      pad_images, read_idx_images, read_idx_labels,
+                      IMAGE_MAGIC, LABEL_MAGIC, IdxFormatError, TruncatedFileError,
+                      load_idx, pad_images, read_idx_images, read_idx_labels,
                       synth_digits, synth_regression, write_dataset,
                       write_idx_images, write_idx_labels)
 from conftest import find_mnist_dir
@@ -56,6 +56,22 @@ class TestIdxImages:
         path.write_bytes(struct.pack(">I", IMAGE_MAGIC) + b"\0\0")
         with pytest.raises(TruncatedFileError):
             read_idx_images(path)
+
+    @pytest.mark.parametrize("write,read", [
+        (write_idx_images, read_idx_images), (write_idx_labels, read_idx_labels)])
+    @pytest.mark.parametrize("damage,error,message", [
+        (lambda gz: gz[:30], TruncatedFileError, "end-of-stream marker"),
+        (lambda gz: gz[:2] + b"not a gzip stream", IdxFormatError, "corrupt gzip stream"),
+    ], ids=["truncated", "not-gzip"])
+    def test_damaged_gzip(self, tmp_path, write, read, damage, error, message):
+        plain = tmp_path / "idx"
+        write(plain, np.arange(2 * 4 * 4, dtype=np.uint8).reshape(2, 4, 4)
+              if write is write_idx_images else np.arange(40, dtype=np.uint8) % 10)
+        gz = tmp_path / "idx.gz"
+        gz.write_bytes(damage(gzip.compress(plain.read_bytes())))
+        with pytest.raises(error, match=message) as info:
+            read(gz)
+        assert str(gz) in str(info.value)
 
     def test_dimension_overflow(self, tmp_path):
         path = tmp_path / "imgs"

@@ -63,6 +63,12 @@ class TestBuild:
         with pytest.raises(ValueError, match="Conv2d expects"):
             build_network([Conv2d(3, 8, 3)], input_shape=(1, 8, 8))
 
+    def test_unit_settings_checked(self):
+        with pytest.raises(ValueError, match="noise_alpha must be >= 0"):
+            build_network(mlp_spec((4, 3, 2)), noise_alpha=-1)
+        with pytest.raises(ValueError, match="noise_granularity"):
+            build_network(mlp_spec((4, 3, 2)), noise_granularity="pixel")
+
     def test_softmax_must_be_terminal(self):
         with pytest.raises(ValueError, match="terminal"):
             build_network([Dense(4, 2), Softmax(), Dense(2, 2)], input_shape=(4,))

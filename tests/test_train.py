@@ -274,3 +274,7 @@ class TestConfig:
             TrainConfig(lr_decay=0.0)
         with pytest.raises(ValueError):
             TrainConfig(lr_decay=1.5)
+        for bad in (dict(epochs=-1), dict(lr=float("nan")), dict(pau_lr=0.0),
+                    dict(seed=-1), dict(train_subset=0), dict(test_subset=0)):
+            with pytest.raises(ValueError, match=next(iter(bad))):
+                TrainConfig(**bad)
