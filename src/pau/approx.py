@@ -106,8 +106,6 @@ def pade_from_taylor(series: TaylorSeries, m: int = DEFAULT_ORDERS[0],
     """[m/n] approximant from a Maclaurin series, solved exactly by
     pade_exact on the series' fractions, or else on the exact values of
     its floats, and rounded once to float64."""
-    if series.degree < m + n:
-        raise ValueError(f"series degree {series.degree} < m+n = {m + n}")
     exact = series.coefficients.tolist() if series.exact is None else series.exact
     a, b = pade_exact(exact, m, n)
     return RationalCoefficients([float(v) for v in a], [float(v) for v in b])
@@ -203,13 +201,17 @@ def least_squares_fit(target, m: int = DEFAULT_ORDERS[0],
     by 1/Q_previous, and iterates to a fixed point; the polish stage then
     descends the true objective (with the |A| kink handled via sign(A)
     when ``safe``).  Raises FitNonConvergenceError when the SK stage does
-    not reach ``convergence_tol`` within ``max_sk_iterations``.
+    not reach ``convergence_tol`` within ``max_sk_iterations``, and
+    OverflowError when the target is not finite on the grid.
     """
     cfg = config or FitConfig()
     xs = cfg.grid()
     if xs.size < m + n + 1:
         raise ValueError(f"grid has {xs.size} points, need >= {m + n + 1}")
     y = np.asarray(target(xs), dtype=np.float64)
+    if not np.all(np.isfinite(y)):
+        i = int(np.argmin(np.isfinite(y)))
+        raise OverflowError(f"value {float(y[i])!r} at x={float(xs[i])!r} is not finite")
 
     # Sanathanan-Koerner rows: x^j for the numerator, -y x^k for the denominator
     D = _expand_gradients(xs, 1.0, -y, m, n)

@@ -5,14 +5,15 @@ Exit codes: 0 success, 1 usage, 2 input/target error, 3 numerical
 non-convergence, 4 verification failure.  PAU_THREADS caps the BLAS
 worker threads.
 
-train, eval and prune take their run settings from a preset, then a
---config file of "key value" lines, then flags of the same names.  All
-are checked before any data is made.  A config file that cannot be read,
-or that holds an unknown key, a value that does not parse or one out of
-range, exits 2 naming the file.  A flag that does not parse or is out of
-range exits 1 naming the flag or key.  Missing or malformed data files,
-and a checkpoint that cannot be read or does not fit the preset's
-images, exit 2.
+Every flag is checked before its command runs: one that does not parse
+or is out of range exits 1 naming the flag or key.  train, eval and
+prune take their run settings from a preset, then a --config file of
+"key value" lines, then flags of the same names, all checked before any
+data is made; a config file that cannot be read, or that holds an
+unknown key or a bad value, exits 2 naming the file.  A Pade system that
+is singular or overflows, a pole or overflow in fit's target, unreadable
+coefficient documents, data files and checkpoints, and images that do
+not fit the network exit 2.
 """
 
 from __future__ import annotations
@@ -65,25 +66,35 @@ class _Fail(Exception):
         self.code = code
 
 
-def _parse_pair(text, what):
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"{what} must be two comma-separated values")
-    return parts
+def _checked(parse, ok, rule):
+    """An argparse type: ``parse`` the text, then require ``ok`` of the
+    value.  Either failing is a usage error naming the flag and ``rule``."""
+    def convert(text):
+        try:
+            value = parse(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{rule}, got {text!r}")
+    return convert
 
 
-def _parse_orders(text):
-    m, n = (int(v) for v in _parse_pair(text, "--orders"))
-    if m < 0 or n < 0:
-        raise ValueError("orders must be non-negative")
-    return m, n
+def _pair(parse):
+    """'a,b' as (parse(a), parse(b)); any other text raises ValueError."""
+    return lambda text: tuple(parse(v) for v in text.partition(",")[::2])
 
 
-def _parse_range(text):
-    lo, hi = (float(v) for v in _parse_pair(text, "--range"))
-    if not lo < hi:
-        raise ValueError(f"range lo={lo} must be below hi={hi}")
-    return lo, hi
+_ORDERS = _checked(_pair(int), lambda mn: min(mn) >= 0, "must be two integers m,n >= 0")
+_RANGE = _checked(_pair(float), lambda r: np.all(np.isfinite(r)) and r[0] < r[1],
+                  "must be two finite numbers lo,hi with lo < hi")
+_POSITIVE = _checked(float, lambda v: np.isfinite(v) and v > 0, "must be finite and > 0")
+_NON_NEGATIVE = _checked(float, lambda v: np.isfinite(v) and v >= 0,
+                         "must be finite and >= 0")
+
+
+def _int_from(low):
+    return _checked(int, lambda v: v >= low, f"must be an integer >= {low}")
 
 
 # ---------------------------------------------------------------------------
@@ -98,17 +109,12 @@ def _print_coefficients(coeffs):
 
 
 def cmd_pade(args) -> int:
-    try:
-        m, n = _parse_orders(args.orders)
-    except ValueError as exc:
-        raise _Fail(EXIT_USAGE, str(exc))
+    m, n = args.orders
     try:
         target = parse_target(args.target)
-    except ValueError as exc:
-        raise _Fail(EXIT_INPUT, str(exc))
-    if not target.smooth_at_zero:
-        raise _Fail(EXIT_INPUT, f"target has no Taylor series at 0: {target.name}")
-    coeffs = pade_from_taylor(taylor_of(target, m + n), m, n)
+        coeffs = pade_from_taylor(taylor_of(target, m + n), m, n)
+    except (ValueError, OverflowError) as exc:
+        raise _Fail(EXIT_INPUT, f"target {args.target}: {exc}")
     _print_coefficients(coeffs)
     if args.out:
         write_coefficient_document(args.out, coeffs, safe=True,
@@ -127,24 +133,21 @@ def _resolve_fit_target(name):
 
 
 def cmd_fit(args) -> int:
-    try:
-        m, n = _parse_orders(args.orders)
-        lo, hi = _parse_range(args.range)
-        if args.step <= 0:
-            raise ValueError("--step must be > 0")
-    except ValueError as exc:
-        raise _Fail(EXIT_USAGE, str(exc))
+    m, n = args.orders
     try:
         target, label = _resolve_fit_target(args.target)
-    except (ValueError, OSError, DocumentFormatError) as exc:
+    except (ValueError, OSError) as exc:
         raise _Fail(EXIT_INPUT, str(exc))
-    cfg = FitConfig(lo=lo, hi=hi, grid_step=args.step,
-                    max_sk_iterations=args.max_iter)
+    cfg = FitConfig(*args.range, grid_step=args.step, max_sk_iterations=args.max_iter)
     safe = not args.unsafe
     try:
         coeffs = least_squares_fit(target, m, n, cfg, safe=safe)
     except FitNonConvergenceError as exc:
         raise _Fail(EXIT_NONCONVERGENCE, f"{exc} (last residual {exc.last_residual!r})")
+    except ArithmeticError as exc:   # a pole of the target, or an overflow
+        raise _Fail(EXIT_INPUT, f"target {label}: {exc}")
+    except ValueError as exc:        # a grid too coarse for the orders
+        raise _Fail(EXIT_USAGE, f"--step {args.step!r}: {exc}")
     mx, rms = fit_residual(coeffs, target, cfg, safe=safe)
     print(f"max_abs_residual = {mx!r}")
     print(f"rms_residual = {rms!r}")
@@ -156,43 +159,29 @@ def cmd_fit(args) -> int:
 
 
 def cmd_export_curve(args) -> int:
-    if args.points < 2:
-        raise _Fail(EXIT_USAGE, "--points must be >= 2")
-    try:
-        lo, hi = _parse_range(args.range)
-    except ValueError as exc:
-        raise _Fail(EXIT_USAGE, str(exc))
     try:
         doc = read_coefficient_document(args.coeffs)
     except (OSError, DocumentFormatError) as exc:
         raise _Fail(EXIT_INPUT, f"cannot read coefficient document: {exc}")
-    xs = np.linspace(lo, hi, args.points)
+    xs = np.linspace(*args.range, args.points)
+    header, columns = "x,f", [xs]
     try:
-        fx = eval_pau_batch(xs, doc.coefficients, safe=doc.safe)
-        rows = []
-        if args.noise is None:
-            header = "x,f"
-            for x, f in zip(xs, fx):
-                rows.append(f"{float(x)!r},{float(f)!r}")
-        else:
-            header = "x,f,noise_min,noise_max"
+        columns.append(eval_pau_batch(xs, doc.coefficients, safe=doc.safe))
+        if args.noise is not None:
+            header += ",noise_min,noise_max"
             rng = np.random.default_rng(args.seed)
             samples = 1000
-            for x, f in zip(xs, fx):
-                if args.noise == 0.0:
-                    lo_v = hi_v = float(f)
-                else:
-                    stacks = sample_noisy_coeffs(doc.coefficients, args.noise, rng,
-                                                 size=samples)
-                    vals = eval_pau_stacked(np.full(samples, x), *stacks,
-                                            safe=doc.safe)
-                    lo_v, hi_v = float(vals.min()), float(vals.max())
-                rows.append(f"{float(x)!r},{float(f)!r},{lo_v!r},{hi_v!r}")
+            envelope = []
+            for x in xs:
+                stacks = sample_noisy_coeffs(doc.coefficients, args.noise, rng, size=samples)
+                vals = eval_pau_stacked(np.full(samples, x), *stacks, safe=doc.safe)
+                envelope.append((vals.min(), vals.max()))
+            columns += zip(*envelope)
     except PoleError as exc:
         raise _Fail(EXIT_INPUT, f"unsafe unit has a pole in the range: {exc}")
+    rows = [",".join(repr(float(v)) for v in row) for row in zip(*columns)]
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        fh.write("\n".join(rows) + "\n")
+        fh.write("\n".join([header, *rows]) + "\n")
     print(f"wrote {len(rows)} rows to {args.out}")
     return EXIT_OK
 
@@ -244,6 +233,13 @@ PRESETS = {
     "mnist-paper": dict(arch="lenet", source="idx", epochs=100, batch_size=256,
                         optimizer="adam", lr=0.002, train_subset=None,
                         test_subset=None),
+}
+
+# each architecture: its layers, the input shape they take, and the side
+# its images are zero-padded to (None: used as loaded)
+_ARCHS = {
+    "mlp": (lambda: mlp_spec((784, 128, 10)), (784,), None),
+    "lenet": (lenet_spec, (1, 32, 32), 32),
 }
 
 _SYNTH_DATA_SEED = 555  # dataset content independent of the training seed
@@ -327,38 +323,41 @@ def _load_preset_data(settings):
             if (settings[key] or 0) > len(data):
                 raise ValueError(f"{key} {settings[key]} exceeds the {len(data)} "
                                  f"{data.split} samples in {settings['data_dir']}")
-    if settings["arch"] == "lenet":
-        train = pad_images(train, 32)
-        test = pad_images(test, 32)
+    pad = _ARCHS[settings["arch"]][2]
+    if pad:
+        train, test = pad_images(train, pad), pad_images(test, pad)
     return train, test
 
 
 def _prologue(args):
     """The start of train, eval and prune: the run settings, eval's
-    checkpoint, then the preset's data.  Returns (settings, TrainConfig,
-    the checkpoint's network or None, train, test)."""
+    checkpoint, then the preset's data, checked against the input shape
+    of the network that will run.  Returns (settings, TrainConfig, the
+    checkpoint's network or None, train, test)."""
     settings, cfg = _run_settings(args)
-    net = None
+    net, runs, takes = None, f"the {args.preset} network", _ARCHS[settings["arch"]][1]
     if getattr(args, "checkpoint", None):
         try:
             net = load_checkpoint(args.checkpoint)
         except (OSError, ValueError) as exc:
             raise _Fail(EXIT_INPUT, f"cannot load checkpoint: {exc}")
+        runs, takes = f"checkpoint {args.checkpoint}", net.input_shape
     try:
         train, test = _load_preset_data(settings)
     except (OSError, ValueError) as exc:
         raise _Fail(EXIT_INPUT, str(exc))
-    images = train.images.shape[1:]
-    if net is not None and np.prod(net.input_shape) != np.prod(images):
-        raise _Fail(EXIT_INPUT, f"checkpoint {args.checkpoint} takes inputs of shape "
-                                f"{net.input_shape}; the preset's images are {images}")
+    source = settings["data_dir"] if settings["source"] == "idx" else "the preset"
+    for data in (train, test):
+        images = data.images.shape[1:]
+        if np.prod(takes) != np.prod(images):
+            raise _Fail(EXIT_INPUT, f"{runs} takes inputs of shape {takes}; the "
+                                    f"{data.split} images of {source} are {images}")
     return settings, cfg, net, train, test
 
 
 def _build_preset_net(settings, cfg, frozen):
-    lenet = settings["arch"] == "lenet"
-    return build_network(lenet_spec() if lenet else mlp_spec((784, 128, 10)),
-                         seed=cfg.seed, input_shape=(1, 32, 32) if lenet else None,
+    spec, input_shape, _ = _ARCHS[settings["arch"]]
+    return build_network(spec(), seed=cfg.seed, input_shape=input_shape,
                          trainable_units=not frozen,
                          **{k: settings[k] for k in ("init", "noise_alpha")
                             if k in settings})
@@ -414,25 +413,25 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("pade", help="derive coefficients from a Taylor series")
     p.add_argument("--target", required=True)
-    p.add_argument("--orders", default="5,4")
+    p.add_argument("--orders", type=_ORDERS, default="5,4")
     p.add_argument("--out")
     p.set_defaults(func=cmd_pade)
 
     p = sub.add_parser("fit", help="least-squares fit over a grid")
     p.add_argument("--target", required=True,
                    help="activation name or doc:<coefficient document>")
-    p.add_argument("--range", default="-3,3")
-    p.add_argument("--step", type=float, default=1e-4)
-    p.add_argument("--orders", default="5,4")
-    p.add_argument("--max-iter", type=int, default=25,
+    p.add_argument("--range", type=_RANGE, default="-3,3")
+    p.add_argument("--step", type=_POSITIVE, default=1e-4)
+    p.add_argument("--orders", type=_ORDERS, default="5,4")
+    p.add_argument("--max-iter", type=_int_from(1), default=25,
                    help="reweighting iteration budget (elu needs ~50)")
     p.add_argument("--unsafe", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient audit")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--seed", type=_int_from(0), default=0)
+    p.add_argument("--trials", type=_int_from(0), default=1000)
     p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_gradcheck)
 
@@ -459,11 +458,11 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("export-curve", help="sample a coefficient document to CSV")
     p.add_argument("--coeffs", required=True)
-    p.add_argument("--range", default="-3,3")
-    p.add_argument("--points", type=int, default=601)
+    p.add_argument("--range", type=_RANGE, default="-3,3")
+    p.add_argument("--points", type=_int_from(2), default=601)
     p.add_argument("--out", required=True)
-    p.add_argument("--noise", type=float)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--noise", type=_NON_NEGATIVE)
+    p.add_argument("--seed", type=_int_from(0), default=0)
     p.set_defaults(func=cmd_export_curve)
 
     return parser

@@ -37,7 +37,7 @@ def _rel(analytic, fd, scale):
     return np.abs(analytic - fd) / denom
 
 
-def compare_trials(xs, nums, dens, safe=True, h=FD_STEP, flip_denominator=False):
+def compare_trials(xs, nums, dens, safe=True, flip_denominator=False):
     """Worst relative error of each trial, its component label, and the
     number of comparisons made.
 
@@ -45,6 +45,7 @@ def compare_trials(xs, nums, dens, safe=True, h=FD_STEP, flip_denominator=False)
     ``dens[i]`` (n) at ``xs[i]``.  Components are taken in the order
     d_input, d_numerator[0..m], d_denominator[1..n]; the label is the
     first one reaching the trial's worst, or "none" when that is 0.
+    Central differences take the step FD_STEP.
     ``flip_denominator`` negates the analytic denominator gradients, a
     deliberate fault used to prove the harness can fail.
     """
@@ -52,6 +53,7 @@ def compare_trials(xs, nums, dens, safe=True, h=FD_STEP, flip_denominator=False)
     nums = np.asarray(nums, dtype=np.float64)
     dens = np.asarray(dens, dtype=np.float64)
     m, n = nums.shape[1] - 1, dens.shape[1]
+    h = FD_STEP
     theta = np.concatenate([nums, dens], axis=1)
 
     def f(t=theta, x=xs):
@@ -89,32 +91,27 @@ def compare_trials(xs, nums, dens, safe=True, h=FD_STEP, flip_denominator=False)
     return worst, labels, int(np.count_nonzero(ok))
 
 
-def compare_single(x, coeffs: RationalCoefficients, safe=True, h=FD_STEP,
-                   flip_denominator=False):
+def compare_single(x, coeffs: RationalCoefficients, safe=True, flip_denominator=False):
     """(worst relative error, component label) at one point."""
     worst, labels, _ = compare_trials([x], coeffs.numerator[None],
-                                      coeffs.denominator[None], safe, h,
-                                      flip_denominator)
+                                      coeffs.denominator[None], safe, flip_denominator)
     return float(worst[0]), labels[0]
 
 
-def compare_batch(trials, rng, m=5, n=4, coeff_range=1.0, x_range=3.0,
-                  safe=True, h=FD_STEP):
-    """Vectorized sweep over random (coefficients, x) trials.
-
-    Returns (worst relative error, checked comparison count).
-    """
+def compare_batch(trials, rng, safe=True):
+    """Vectorized sweep over random [5/4] trials, coefficients on [-1, 1]
+    and x on [-3, 3]; returns (worst relative error, checked comparison count)."""
     rng = np.random.default_rng(rng)
-    xs = rng.uniform(-x_range, x_range, trials)
-    nums = rng.uniform(-coeff_range, coeff_range, (trials, m + 1))
-    dens = rng.uniform(-coeff_range, coeff_range, (trials, n))
-    worst, _, checked = compare_trials(xs, nums, dens, safe, h)
+    xs = rng.uniform(-3.0, 3.0, trials)
+    nums = rng.uniform(-1.0, 1.0, (trials, 6))
+    dens = rng.uniform(-1.0, 1.0, (trials, 4))
+    worst, _, checked = compare_trials(xs, nums, dens, safe)
     return float(worst.max(initial=0.0)), checked
 
 
-def network_fd_gradients(net, batch, labels, h=FD_STEP):
+def network_fd_gradients(net, batch, labels):
     """Worst relative disagreement between analytic and finite-difference
-    gradients of the mean NLL over every parameter of ``net``."""
+    gradients (step FD_STEP) of the mean NLL over every parameter of ``net``."""
     from .network import backward, forward
     from .train import nll_loss
 
@@ -135,12 +132,12 @@ def network_fd_gradients(net, batch, labels, h=FD_STEP):
         ga = np.asarray(analytic).reshape(-1)
         for idx in range(flat.size):
             old = flat[idx]
-            flat[idx] = old + h
+            flat[idx] = old + FD_STEP
             up = loss_of()
-            flat[idx] = old - h
+            flat[idx] = old - FD_STEP
             down = loss_of()
             flat[idx] = old
-            fd = (up - down) / (2 * h)
+            fd = (up - down) / (2 * FD_STEP)
             worst = max(worst, float(_rel(ga[idx], fd, scale)))
 
     for i, d in grads.layers.items():

@@ -130,8 +130,8 @@ def _pau_parts(x, numerator, denominator, safe):
     return P, A, Q
 
 
-def _check_poles(x, Q, pole_floor):
-    bad = np.abs(Q) < pole_floor
+def _check_poles(x, Q):
+    bad = np.abs(Q) < DEFAULT_POLE_FLOOR
     if not np.any(bad):
         return
     if np.ndim(Q) == 0:
@@ -140,40 +140,37 @@ def _check_poles(x, Q, pole_floor):
     raise PoleError(float(np.asarray(x).reshape(-1)[idx]), float(Q.reshape(-1)[idx]), index=idx)
 
 
-def _eval(x, numerator, denominator, safe, pole_floor):
+def _eval(x, numerator, denominator, safe):
     """P/Q at every element of ``x``, the one body of the three entry
     points below.  Unsafe mode raises PoleError, with the index of the
-    first offending element, when |Q| drops below ``pole_floor``."""
+    first offending element, when |Q| drops below DEFAULT_POLE_FLOOR."""
     P, _, Q = _pau_parts(x, numerator, denominator, safe)
     if not safe:
-        _check_poles(x, Q, pole_floor)
+        _check_poles(x, Q)
     return P / Q
 
 
-def eval_pau(x, coeffs: RationalCoefficients, safe: bool = True,
-             pole_floor: float = DEFAULT_POLE_FLOOR):
+def eval_pau(x, coeffs: RationalCoefficients, safe: bool = True):
     """Evaluate the unit at a scalar x.  Unsafe mode raises PoleError when
-    the denominator magnitude drops below ``pole_floor``."""
-    out = _eval(x, coeffs.numerator, coeffs.denominator, safe, pole_floor)
+    the denominator magnitude drops below DEFAULT_POLE_FLOOR."""
+    out = _eval(x, coeffs.numerator, coeffs.denominator, safe)
     return float(out) if np.ndim(x) == 0 else out
 
 
-def eval_pau_batch(xs, coeffs: RationalCoefficients, safe: bool = True,
-                   pole_floor: float = DEFAULT_POLE_FLOOR) -> np.ndarray:
+def eval_pau_batch(xs, coeffs: RationalCoefficients, safe: bool = True) -> np.ndarray:
     """Elementwise evaluation; bit-identical to looping :func:`eval_pau`.
 
     A pole raises with the index of the first offending element.
     """
     return _eval(np.asarray(xs, dtype=np.float64), coeffs.numerator,
-                 coeffs.denominator, safe, pole_floor)
+                 coeffs.denominator, safe)
 
 
 def eval_pau_stacked(xs, num_stack, den_stack, safe: bool = True) -> np.ndarray:
     """Evaluate with one coefficient vector per element (noise-perturbed
     units); stacks have shape (len(xs), m+1) and (len(xs), n).  Poles
     raise as in :func:`eval_pau_batch`."""
-    return _eval(np.asarray(xs, dtype=np.float64), num_stack, den_stack, safe,
-                 DEFAULT_POLE_FLOOR)
+    return _eval(np.asarray(xs, dtype=np.float64), num_stack, den_stack, safe)
 
 
 @dataclass
@@ -185,7 +182,7 @@ class PauGradientBundle:
     d_denominator: np.ndarray
 
 
-def _grad_parts(x, numerator, denominator, safe, pole_floor=None, upstream=1.0):
+def _grad_parts(x, numerator, denominator, safe, check_poles=False, upstream=1.0):
     """Vectorized gradient pieces sharing one (P, A, Q) evaluation.
 
     Returns (d_input, w, v): d_input is dF/dx, and the factors
@@ -193,16 +190,16 @@ def _grad_parts(x, numerator, denominator, safe, pole_floor=None, upstream=1.0):
     gradients upstream * dF/da_j = w x^j and upstream * dF/db_k = v x^k
     (see :func:`_power_terms`).  Coefficient arrays may carry a leading
     per-element stack exactly as in :func:`eval_polynomial`.
-    ``pole_floor`` triggers the unsafe-mode pole check before anything is
-    divided by Q.
+    ``check_poles`` runs the unsafe-mode pole check of :func:`_eval`
+    before anything is divided by Q.
     """
     num = np.asarray(numerator, dtype=np.float64)
     den = np.asarray(denominator, dtype=np.float64)
     xa = np.asarray(x, dtype=np.float64)
 
     P, A, Q = _pau_parts(xa, num, den, safe)
-    if not safe and pole_floor is not None:
-        _check_poles(xa, Q, pole_floor)
+    if not safe and check_poles:
+        _check_poles(xa, Q)
     s = np.sign(A) if safe else np.ones_like(A)
 
     PQ2 = P / Q ** 2
@@ -241,17 +238,15 @@ def _expand_gradients(x, w, v, m, n):
     return out
 
 
-def grad_pau(x, coeffs: RationalCoefficients, safe: bool = True,
-             pole_floor: float = DEFAULT_POLE_FLOOR) -> PauGradientBundle:
+def grad_pau(x, coeffs: RationalCoefficients, safe: bool = True) -> PauGradientBundle:
     """Exact analytic gradients of the unit at a scalar x."""
     d_input, w, v = _grad_parts(
-        x, coeffs.numerator, coeffs.denominator, safe, pole_floor=pole_floor)
+        x, coeffs.numerator, coeffs.denominator, safe, check_poles=True)
     d = _expand_gradients(x, w, v, coeffs.m, coeffs.n)
     return PauGradientBundle(float(d_input), d[:coeffs.m + 1], d[coeffs.m + 1:])
 
 
 def backward_pau(xs, upstream, coeffs: RationalCoefficients, safe: bool = True,
-                 pole_floor: float = DEFAULT_POLE_FLOOR,
                  coefficient_stacks=None):
     """Backward pass for one shared unit applied elementwise.
 
@@ -276,8 +271,7 @@ def backward_pau(xs, upstream, coeffs: RationalCoefficients, safe: bool = True,
         num, den = coeffs.numerator, coeffs.denominator
     else:
         num, den = coefficient_stacks
-    d_input, w, v = _grad_parts(xa, num, den, safe, pole_floor=pole_floor,
-                                upstream=up)
+    d_input, w, v = _grad_parts(xa, num, den, safe, check_poles=True, upstream=up)
     d_inputs = up * d_input
     d_num = np.array([np.sum(t) for t in _power_terms(w, xa, coeffs.m + 1)])
     d_den = np.array([np.sum(t) for t in _power_terms(v * xa, xa, coeffs.n)])
@@ -369,14 +363,23 @@ def write_coefficient_document(path, coeffs: RationalCoefficients,
 
 
 def read_coefficient_document(path) -> CoefficientDocument:
+    """Read a document written by :func:`write_coefficient_document`; any
+    malformed one, UTF-8 decoding included, raises DocumentFormatError naming ``path``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return _parse_document(fh)
+    except ValueError as exc:  # UnicodeDecodeError and DocumentFormatError among them
+        raise DocumentFormatError(f"{path}: {exc}") from exc
+
+
+def _parse_document(lines) -> CoefficientDocument:
     fields = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            key, _, rest = line.partition(" ")
-            fields[key] = rest
+    for raw in lines:
+        line = raw.rstrip("\n")
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        key, _, rest = line.partition(" ")
+        fields[key] = rest
     for required in ("version", "orders", "safe", "numerator"):
         if required not in fields:
             raise DocumentFormatError(f"missing field {required!r}")

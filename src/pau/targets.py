@@ -124,13 +124,9 @@ class TargetActivation:
             return s + a * x * s * (1.0 - s)
         return np.where(x > 0, 1.0, a * np.exp(np.minimum(x, 0.0)))
 
-    @property
-    def smooth_at_zero(self) -> bool:
-        return self.kind in ("sigmoid", "tanh", "swish")
-
     def taylor(self, degree: int) -> list[Fraction]:
         """Exact Maclaurin coefficients c_0..c_degree."""
-        if not self.smooth_at_zero:
+        if self.kind not in ("sigmoid", "tanh", "swish"):
             raise TaylorUnsupportedError(
                 f"{self.name} has no Taylor series at 0")
         if degree < 0:

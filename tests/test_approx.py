@@ -158,6 +158,12 @@ class TestFit:
             least_squares_fit(parse_target("relu"), 5, 4,
                               FitConfig(lo=-1, hi=1, grid_step=0.5))
 
+    def test_non_finite_target(self):
+        big = RationalCoefficients([0.0, 1e308], [])
+        with np.errstate(over="ignore"), \
+                pytest.raises(OverflowError, match=r"value -inf at x=-3.0 is not finite"):
+            least_squares_fit(lambda xs: eval_pau_batch(xs, big, True), 1, 0)
+
     def test_bad_config(self):
         with pytest.raises(ValueError):
             FitConfig(lo=3, hi=-3)

@@ -15,6 +15,7 @@ from pau.cli import main
 def run_cli(*args, cwd=None):
     proc = subprocess.run([sys.executable, "-m", "pau.cli", *args],
                           capture_output=True, text=True, cwd=cwd, timeout=600)
+    assert "Traceback" not in proc.stderr
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -100,6 +101,49 @@ class TestGradcheck:
         code, stdout, _ = run_cli("gradcheck", "--trials", "0")
         assert code == 0
         assert "0 trials" in stdout
+
+
+def _write_doc(path, numerator, denominator, safe=True):
+    pau.write_coefficient_document(
+        path, pau.RationalCoefficients(numerator, denominator), safe=safe)
+    return str(path)
+
+
+_CURVE = ["export-curve", "--coeffs", "{unit}", "--out", "{csv}"]
+# each input ends in the exit code given, before the command writes anything;
+# stderr names the flag (exit 1) or the target or file (exit 2)
+_BAD_TOOL_INPUTS = [
+    (_CURVE + ["--noise", "-1"], 1, "--noise"),
+    (_CURVE + ["--noise", "nan"], 1, "--noise"),
+    (_CURVE + ["--noise", "inf"], 1, "--noise"),
+    (_CURVE + ["--range", "0,inf"], 1, "--range"),
+    (_CURVE + ["--noise", "0.1", "--seed", "-1"], 1, "--seed"),
+    (["fit", "--target", "relu", "--max-iter", "0"], 1, "--max-iter"),
+    (["fit", "--target", "relu", "--step", "nan"], 1, "--step"),
+    (["fit", "--target", "relu", "--step", "10"], 1, "--step"),   # 2 grid points
+    (["gradcheck", "--trials", "-1"], 1, "--trials"),
+    (["gradcheck", "--seed", "-1"], 1, "--seed"),
+    (["pade", "--target", "swish(0)"], 2, "swish(0)"),            # singular system
+    (["pade", "--target", "swish(1e300)"], 2, "swish(1e300)"),    # OverflowError
+    (["fit", "--target", "doc:{pole}", "--step", "0.5"], 2, "doc:{pole}"),
+    (["fit", "--target", "doc:{huge}", "--step", "0.5"], 2, "doc:{huge}"),
+]
+
+
+@pytest.mark.parametrize("argv,code,named", _BAD_TOOL_INPUTS,
+                         ids=[" ".join(a).replace(" ".join(_CURVE), "export-curve")
+                              for a, _, _ in _BAD_TOOL_INPUTS])
+def test_bad_tool_input_exits_without_traceback(tmp_path, argv, code, named):
+    paths = {"unit": _write_doc(tmp_path / "unit.coeffs", [0.0, 1.0], [0.5]),
+             # Q(x) = 1 - 0.5x: a pole at x = 2
+             "pole": _write_doc(tmp_path / "pole.coeffs", [1.0], [-0.5], safe=False),
+             # 1e308 x overflows at the ends of the grid
+             "huge": _write_doc(tmp_path / "huge.coeffs", [0.0, 1e308], []),
+             "csv": str(tmp_path / "c.csv")}
+    got, _, stderr = run_cli(*(a.format(**paths) for a in argv))
+    assert got == code, stderr
+    assert named.format(**paths) in stderr
+    assert not (tmp_path / "c.csv").exists()
 
 
 class TestTrain:
@@ -294,6 +338,23 @@ class TestTrain:
         assert code == 2
         assert "Traceback" not in stderr and message in stderr
 
+    @pytest.mark.parametrize("command", [["train"], ["prune", "--schedule", "0.1"]],
+                             ids=["train", "prune"])
+    def test_idx_images_that_do_not_fit_exit_2(self, tmp_path, capsys, command):
+        data = pau.synth_digits(60, seed=6)
+        pau.data.write_dataset(data.subset(40), tmp_path, "train")
+        pau.data.write_dataset(
+            pau.DatasetHandle(data.images[40:], data.labels[40:]), tmp_path, "test")
+        # the header claims 28x20 images; the payload is still long enough
+        path = tmp_path / "train-images-idx3-ubyte"
+        raw = path.read_bytes()
+        path.write_bytes(raw[:12] + struct.pack(">I", 20) + raw[16:])
+        assert main([*command, "--preset", "mnist-desk", "--data-dir", str(tmp_path),
+                     "--train-subset", "40", "--test-subset", "20"]) == 2
+        err = capsys.readouterr().err
+        assert (f"the mnist-desk network takes inputs of shape (784,); the train images "
+                f"of {tmp_path} are (28, 20)") in err
+
     def test_mnist_paper_preset_on_idx_files(self, tmp_path):
         # drive the IDX -> pad -> LeNet path with standard-named files
         data = pau.synth_digits(320, seed=6)
@@ -361,27 +422,44 @@ VALID_CONFIG = (b"# desk run\noptimizer adam\nlr 0.002\nmomentum 0.5\nbatch_size
                 b"data_dir idx\n")
 # bytes of numbers, separators and comments, or any byte at all
 _BYTES = st.sampled_from(b"-+.0123456789eE \t\n#") | st.integers(0, 255)
-_EDITS = st.lists(st.tuples(st.sampled_from(("replace", "insert", "delete")),
-                            st.integers(0, len(VALID_CONFIG)), _BYTES),
-                  min_size=1, max_size=8)
 
 
-@settings(max_examples=200, deadline=None)
-@given(edits=_EDITS)
-def test_mutated_config_gives_settings_or_exits_2(tmp_path_factory, edits):
-    # only the settings step runs: no data is made and nothing trains
-    raw = bytearray(VALID_CONFIG)
+def _edits(size, header=0):
+    """Lists of up to 8 byte replacements, insertions and deletions at
+    positions in [0, size].  With a ``header``: truncations too, and as
+    often the first ``header`` bytes zero-filled from some byte on, as a
+    header cut short would be; uniform edits seldom land there."""
+    ops = ("replace", "insert", "delete") + (("truncate",) if header else ())
+    edits = st.lists(st.tuples(st.sampled_from(ops), st.integers(0, size), _BYTES),
+                     min_size=1, max_size=8)
+    if header:
+        edits |= st.integers(0, header - 1).map(
+            lambda start: [("replace", i, 0) for i in range(start, header)])
+    return edits
+
+
+def _mutate(raw, edits):
+    raw = bytearray(raw)
     for op, pos, byte in edits:
         pos %= len(raw) + 1
         if op == "insert":
             raw.insert(pos, byte)
+        elif op == "truncate":
+            del raw[pos:]
         elif pos < len(raw):
             if op == "replace":
                 raw[pos] = byte
             else:
                 del raw[pos]
+    return bytes(raw)
+
+
+@settings(max_examples=200, deadline=None)
+@given(edits=_edits(len(VALID_CONFIG)))
+def test_mutated_config_gives_settings_or_exits_2(tmp_path_factory, edits):
+    # only the settings step runs: no data is made and nothing trains
     path = tmp_path_factory.getbasetemp() / "fuzzed.cfg"
-    path.write_bytes(bytes(raw))
+    path.write_bytes(_mutate(VALID_CONFIG, edits))
     args = cli.build_parser().parse_args(["train", "--config", str(path)])
     try:
         _, cfg = cli._run_settings(args)
@@ -389,6 +467,64 @@ def test_mutated_config_gives_settings_or_exits_2(tmp_path_factory, edits):
         assert exc.code == 2 and str(exc).startswith(f"config file {path}: ")
     else:
         assert isinstance(cfg, pau.TrainConfig)
+
+
+# The file readers, each fed byte-mutated copies of a valid file through
+# main: every mutant runs or exits with a documented code, never raising.
+_FUZZED = settings(max_examples=100, deadline=None)
+
+
+def _valid_document(tmp, safe):
+    path = tmp / "valid.coeffs"
+    pau.write_coefficient_document(path, pau.builtin_coefficients("tanh"), safe=safe,
+                                   provenance="pade:tanh")
+    return path.read_bytes()
+
+
+@_FUZZED
+@given(safe=st.booleans(), edits=_edits(200, header=32))
+def test_mutated_coefficient_document(tmp_path_factory, safe, edits):
+    tmp = tmp_path_factory.getbasetemp()
+    path = tmp / "fuzzed.coeffs"
+    path.write_bytes(_mutate(_valid_document(tmp, safe), edits))
+    assert main(["export-curve", "--coeffs", str(path), "--points", "41",
+                 "--noise", "0.05", "--out", str(tmp / "curve.csv")]) in (0, 2)
+    assert main(["fit", "--target", f"doc:{path}", "--step", "0.05"]) in (0, 2, 3)
+
+
+def _valid_checkpoint(tmp):
+    path = tmp / "valid.ckpt"
+    pau.save_checkpoint(path, pau.build_network(pau.mlp_spec((784, 8, 10)), seed=3))
+    raw = path.read_bytes()
+    return raw, 16 + struct.unpack_from("<Q", raw, 8)[0]
+
+
+@_FUZZED
+@given(data=st.data())
+def test_mutated_checkpoint(tmp_path_factory, data):
+    tmp = tmp_path_factory.getbasetemp()
+    raw, manifest_end = _valid_checkpoint(tmp)
+    path = tmp / "fuzzed.ckpt"
+    # edits land in the header and manifest; a changed weight still evaluates
+    path.write_bytes(_mutate(raw, data.draw(_edits(manifest_end, header=16))))
+    assert main(["eval", "--preset", "synth-desk", "--checkpoint", str(path),
+                 "--train-subset", "50", "--test-subset", "20"]) in (0, 2)
+
+
+_IDX_FILES = [name for pair in pau.data.STANDARD_FILES.values() for name in pair]
+
+
+@_FUZZED
+@given(name=st.sampled_from(_IDX_FILES), edits=_edits(40 * 784 + 16, header=16))
+def test_mutated_idx_file(tmp_path_factory, name, edits):
+    tmp = tmp_path_factory.getbasetemp() / "idx"
+    data = pau.synth_digits(60, seed=6)
+    pau.data.write_dataset(data.subset(40), tmp, "train")
+    pau.data.write_dataset(pau.DatasetHandle(data.images[40:], data.labels[40:]), tmp, "test")
+    path = tmp / name
+    path.write_bytes(_mutate(path.read_bytes(), edits))
+    assert main(["train", "--preset", "mnist-desk", "--data-dir", str(tmp), "--epochs", "1",
+                 "--train-subset", "40", "--test-subset", "20"]) in (0, 2)
 
 
 class TestPrune:

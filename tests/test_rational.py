@@ -543,6 +543,18 @@ class TestCoefficientDocument:
         with pytest.raises(DocumentFormatError, match="non-finite"):
             read_coefficient_document(p)
 
+    @pytest.mark.parametrize("text,message", [
+        (b"version 1\norders 0 0\nsafe true\nnumerator 1.0\nprovenance caf\xe9\n",
+         "can't decode byte 0xe9"),
+        (b"version 1\norders -1 0\nsafe true\nnumerator\n", "numerator must be a non-empty"),
+    ], ids=["not-utf8", "negative-order"])
+    def test_error_names_path(self, tmp_path, text, message):
+        p = tmp_path / "bad.txt"
+        p.write_bytes(text)
+        with pytest.raises(DocumentFormatError, match=message) as err:
+            read_coefficient_document(p)
+        assert str(err.value).startswith(f"{p}: ")
+
     def test_zero_order_denominator(self, tmp_path):
         c = RationalCoefficients([1.5, -0.25], [])
         path = tmp_path / "poly.txt"
