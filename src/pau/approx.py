@@ -208,7 +208,8 @@ def least_squares_fit(target, m: int = DEFAULT_ORDERS[0],
     xs = cfg.grid()
     if xs.size < m + n + 1:
         raise ValueError(f"grid has {xs.size} points, need >= {m + n + 1}")
-    y = np.asarray(target(xs), dtype=np.float64)
+    with np.errstate(all="ignore"):   # an overflow is reported just below
+        y = np.asarray(target(xs), dtype=np.float64)
     if not np.all(np.isfinite(y)):
         i = int(np.argmin(np.isfinite(y)))
         raise OverflowError(f"value {float(y[i])!r} at x={float(xs[i])!r} is not finite")

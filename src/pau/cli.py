@@ -166,20 +166,28 @@ def cmd_export_curve(args) -> int:
     xs = np.linspace(*args.range, args.points)
     header, columns = "x,f", [xs]
     try:
-        columns.append(eval_pau_batch(xs, doc.coefficients, safe=doc.safe))
-        if args.noise is not None:
-            header += ",noise_min,noise_max"
-            rng = np.random.default_rng(args.seed)
-            samples = 1000
-            envelope = []
-            for x in xs:
-                stacks = sample_noisy_coeffs(doc.coefficients, args.noise, rng, size=samples)
-                vals = eval_pau_stacked(np.full(samples, x), *stacks, safe=doc.safe)
-                envelope.append((vals.min(), vals.max()))
-            columns += zip(*envelope)
-    except PoleError as exc:
-        raise _Fail(EXIT_INPUT, f"unsafe unit has a pole in the range: {exc}")
-    rows = [",".join(repr(float(v)) for v in row) for row in zip(*columns)]
+        with np.errstate(all="ignore"):   # an overflow is reported below
+            columns.append(eval_pau_batch(xs, doc.coefficients, safe=doc.safe))
+            if args.noise is not None:
+                header += ",noise_min,noise_max"
+                rng = np.random.default_rng(args.seed)
+                samples = 1000
+                envelope = []
+                for x in xs:
+                    stacks = sample_noisy_coeffs(doc.coefficients, args.noise, rng,
+                                                 size=samples)
+                    vals = eval_pau_stacked(np.full(samples, x), *stacks, safe=doc.safe)
+                    envelope.append((vals.min(), vals.max()))
+                columns += zip(*envelope)
+    except (PoleError, OverflowError) as exc:   # OverflowError: the noise range
+        raise _Fail(EXIT_INPUT, f"coefficient document {args.coeffs}: {exc}")
+    table = np.column_stack(columns)
+    if not np.isfinite(table).all():
+        r, c = np.argwhere(~np.isfinite(table))[0]
+        raise _Fail(EXIT_INPUT, f"coefficient document {args.coeffs}: the curve overflows: "
+                                f"{header.split(',')[c]} is {float(table[r, c])!r} "
+                                f"at x={float(xs[r])!r}")
+    rows = [",".join(repr(float(v)) for v in row) for row in table]
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join([header, *rows]) + "\n")
     print(f"wrote {len(rows)} rows to {args.out}")

@@ -136,10 +136,19 @@ def _resolve(directory, name):
 
 
 def load_idx(directory, split: str = "train") -> DatasetHandle:
-    """Load a standard-named IDX pair (optionally .gz) from a directory."""
+    """Load a standard-named IDX pair (optionally .gz) from a directory;
+    a bad label or sample count raises IdxFormatError naming the file."""
     img_name, lbl_name = STANDARD_FILES[split]
     images = read_idx_images(_resolve(directory, img_name))
-    labels = read_idx_labels(_resolve(directory, lbl_name))
+    label_path = _resolve(directory, lbl_name)
+    labels = read_idx_labels(label_path)
+    bad = np.flatnonzero(labels > 9)
+    if bad.size:
+        raise IdxFormatError(f"{label_path}: label {labels[bad[0]]} at index {bad[0]}; "
+                             f"labels must lie in [0, 9]")
+    if len(images) != len(labels):
+        raise IdxFormatError(f"{directory}: {len(images)} {split} images and "
+                             f"{len(labels)} labels; images and labels disagree on N")
     return DatasetHandle(images, labels, split)
 
 

@@ -140,13 +140,8 @@ def network_fd_gradients(net, batch, labels):
             fd = (up - down) / (2 * FD_STEP)
             worst = max(worst, float(_rel(ga[idx], fd, scale)))
 
-    for i, d in grads.layers.items():
-        fd_for(net.weights[i]["W"], d["W"])
-        fd_for(net.weights[i]["b"], d["b"])
-    for u, (d_num, d_den) in grads.pau.items():
-        c = net.pau_units[u].coefficients
-        fd_for(c.numerator, d_num)
-        fd_for(c.denominator, d_den)
+    for key, arr in net.params():   # an unreferenced unit has no entry: zero
+        fd_for(arr, grads.get(key, np.zeros_like(arr)))
     return worst
 
 

@@ -13,7 +13,8 @@ the ``_Layer`` protocol:
 * ``forward(net, i, x, noise_rng) -> (y, cache)``: backward reads
   ``cache`` back from ``trace.caches[i]``;
 * ``backward(net, i, g, cache, need_dx) -> (g, grads)``: the input
-  gradient and a GradientSet of the layer's gradients, or None;
+  gradient and a dict of the layer's gradients under their
+  ``Network.params()`` keys, or None;
 * ``has_params(net)``: whether backward has gradients to report.
 
 Kinds with weights (Dense, Conv2d) also give ``weight_shape`` and the
@@ -23,11 +24,13 @@ read only those, so a new layer kind is added in its class alone.
 
 Each Activation layer references a PauUnit whose coefficient gradients
 are summed over every element the layer touches in a fixed pairwise
-order, independent of thread count.  Backward returns parameter
-gradients only, so it stops at the first layer with parameters (a Dense,
-a Conv2d or an Activation with a trainable unit), and that layer skips
-its own input gradient.  Whole-network results repeat bit for bit at a
-fixed BLAS thread count: the Dense and Conv2d matrix products may round
+order, independent of thread count.  ``backward`` returns a dict of
+gradients under the keys of ``Network.params()``, which the optimizers
+also keep their state under.  It returns parameter gradients only, so
+it stops at the first layer with parameters (a Dense, a Conv2d or an
+Activation with a trainable unit), and that layer skips its own input
+gradient.  Whole-network results repeat bit for bit at a fixed BLAS
+thread count: the Dense and Conv2d matrix products may round
 differently when the thread count changes.
 """
 
@@ -61,9 +64,6 @@ class PauUnit:
             raise ValueError(f"noise_granularity must be 'element' or 'batch', "
                              f"got {self.noise_granularity!r}")
 
-    def parameter_count(self) -> int:
-        return self.coefficients.m + 1 + self.coefficients.n
-
 
 # the settings of a unit besides its coefficients, as checkpoints store them
 _UNIT_SETTINGS = tuple(f.name for f in fields(PauUnit) if f.name != "coefficients")
@@ -71,23 +71,6 @@ _UNIT_SETTINGS = tuple(f.name for f in fields(PauUnit) if f.name != "coefficient
 
 class StaleTraceError(RuntimeError):
     """The trace was produced by a different parameter version."""
-
-
-@dataclass
-class GradientSet:
-    layers: dict         # layer index -> {"W": dW, "b": db}
-    pau: dict            # unit index -> (d_numerator, d_denominator)
-
-    def is_zero(self) -> bool:
-        return (all(not np.any(g) for d in self.layers.values() for g in d.values())
-                and all(not (np.any(dn) or np.any(dd)) for dn, dd in self.pau.values()))
-
-    def add(self, part: GradientSet):
-        """Sum one layer's gradients in; shared units accumulate."""
-        self.layers.update(part.layers)
-        for u, (d_num, d_den) in part.pau.items():
-            old_n, old_d = self.pau[u]
-            self.pau[u] = (old_n + d_num, old_d + d_den)
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +123,7 @@ class Dense(_Layer):
         return x @ net.weights[i]["W"] + net.weights[i]["b"], {"x": x}
 
     def backward(self, net, i, g, cache, need_dx):
-        grads = GradientSet({i: {"W": cache["x"].T @ g, "b": np.sum(g, axis=0)}}, {})
+        grads = {("layer", i, "W"): cache["x"].T @ g, ("layer", i, "b"): np.sum(g, axis=0)}
         return (g @ net.weights[i]["W"].T if need_dx else None), grads
 
 
@@ -182,8 +165,8 @@ class Conv2d(_Layer):
         gradient of the padded input."""
         xp = cache["xp"]
         win = _conv_windows(xp, self.kernel, self.stride)
-        grads = GradientSet({i: {"W": np.tensordot(g, win, axes=([0, 2, 3], [0, 2, 3])),
-                                 "b": np.sum(g, axis=(0, 2, 3))}}, {})
+        grads = {("layer", i, "W"): np.tensordot(g, win, axes=([0, 2, 3], [0, 2, 3])),
+                 ("layer", i, "b"): np.sum(g, axis=(0, 2, 3))}
         if not need_dx:
             return None, grads
         W = net.weights[i]["W"]
@@ -278,8 +261,8 @@ class Activation(_Layer):
         d_in, d_coeffs = backward_pau(
             x.reshape(-1), g.reshape(-1), unit.coefficients,
             safe=unit.safe, coefficient_stacks=cache["stacks"])
-        grads = GradientSet({}, {self.unit: d_coeffs}) if unit.trainable else None
-        return d_in.reshape(x.shape), grads
+        keys = (("unit", self.unit, "num"), ("unit", self.unit, "den"))
+        return d_in.reshape(x.shape), dict(zip(keys, d_coeffs)) if unit.trainable else None
 
 
 @dataclass(frozen=True)
@@ -359,11 +342,23 @@ class Network:
     def bump_version(self):
         self.version += 1
 
+    def params(self):
+        """(key, live array) of every trained array: ("layer", i, "W"/"b")
+        of each layer with weights, then ("unit", u, "num"/"den") of each
+        trainable unit."""
+        for i in self.parametric_indices():
+            for name in ("W", "b"):
+                yield ("layer", i, name), self.weights[i][name]
+        for u, unit in enumerate(self.pau_units):
+            if unit.trainable:
+                yield ("unit", u, "num"), unit.coefficients.numerator
+                yield ("unit", u, "den"), unit.coefficients.denominator
+
     def enforce_masks(self):
         """Zero masked rows/biases and the consumer columns they feed.
         Called after pruning and after every optimizer step so masked
         units can never drift away from zero."""
-        _apply_masks(self, self.weights)
+        _apply_masks(self, dict(self.params()))
 
     # -- mask plumbing ------------------------------------------------------
 
@@ -469,8 +464,9 @@ def forward(net: Network, batch, training=False, seed=0):
     return x, trace
 
 
-def backward(net: Network, trace: ForwardTrace, loss_grad) -> GradientSet:
-    """Gradients of every weight, bias and trainable unit's coefficients.
+def backward(net: Network, trace: ForwardTrace, loss_grad) -> dict:
+    """Gradients of every weight, bias and referenced trainable unit under
+    their ``Network.params()`` keys; a shared unit's sum last layer first.
 
     Layers below the first one with parameters (a Dense, a Conv2d or an
     Activation with a trainable unit) have nothing to report, so the pass
@@ -479,29 +475,26 @@ def backward(net: Network, trace: ForwardTrace, loss_grad) -> GradientSet:
     if trace.version != net.version:
         raise StaleTraceError("trace predates the current parameters")
     g = np.asarray(loss_grad, dtype=np.float64)
-    gs = GradientSet({}, {u: (np.zeros(unit.coefficients.m + 1),
-                              np.zeros(unit.coefficients.n))
-                          for u, unit in enumerate(net.pau_units) if unit.trainable})
+    grads = {}
     first = next((i for i, s in enumerate(net.specs) if s.has_params(net)),
                  len(net.specs))
     for i in range(len(net.specs) - 1, first - 1, -1):
-        g, grads = net.specs[i].backward(net, i, g, trace.caches[i], i > first)
-        if grads is not None:
-            gs.add(grads)
-    _apply_masks(net, gs.layers)
-    return gs
+        g, part = net.specs[i].backward(net, i, g, trace.caches[i], i > first)
+        for key, value in (part or {}).items():
+            grads[key] = grads[key] + value if key in grads else value
+    _apply_masks(net, grads)
+    return grads
 
 
 def _apply_masks(net: Network, params):
-    """Zero, in ``params[i]["W"]`` and ``params[i]["b"]`` of every
-    parametric layer i, the masked output units and the input columns fed
-    by the producer's masked units.  ``params`` holds weights or their
-    gradients."""
+    """Zero, in W and b of every parametric layer, the masked output units
+    and the input columns fed by the producer's masked units.  ``params``
+    maps ``Network.params()`` keys to weights or to their gradients."""
     if not net.masks:
         return
     for i in net.parametric_indices():
         spec = net.specs[i]
-        W, b = params[i]["W"], params[i]["b"]
+        W, b = params[("layer", i, "W")], params[("layer", i, "b")]
         keep = net.masks.get(i)
         if keep is not None:
             np.moveaxis(W, spec.out_axis, 0)[~keep] = 0.0
@@ -524,7 +517,7 @@ def param_count(net: Network):
         n_in = spec.weight_shape[spec.in_axis] if in_keep is None else int(np.sum(in_keep))
         n_in *= spec.fan_in // spec.weight_shape[spec.in_axis]
         total += n_in * n_out + n_out
-    pau = sum(u.parameter_count() for u in net.pau_units if u.trainable)
+    pau = sum(arr.size for key, arr in net.params() if key[0] == "unit")
     return total + pau, pau
 
 

@@ -106,16 +106,12 @@ def apply_prune(net: Network, p: float, method: str = "sum"):
 
 
 def rewind(net: Network, reference: Network):
-    """Reset every parameter to its value in ``reference`` (the original
-    initialization), then re-zero the masked entries.  Surviving weights
-    come back bit-identical."""
-    for i in net.parametric_indices():
-        for name in ("W", "b"):
-            net.weights[i][name][...] = reference.weights[i][name]
-    for u, unit in enumerate(net.pau_units):
-        ref = reference.pau_units[u].coefficients
-        unit.coefficients.numerator[...] = ref.numerator
-        unit.coefficients.denominator[...] = ref.denominator
+    """Reset every trained parameter to its value in ``reference`` (the
+    original initialization), then re-zero the masked entries.  Surviving
+    weights come back bit-identical."""
+    ref = dict(reference.params())
+    for key, arr in net.params():
+        arr[...] = ref[key]
     net.enforce_masks()
     net.bump_version()
 

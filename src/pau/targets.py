@@ -8,6 +8,7 @@ analytic at 0) an exact-rational Maclaurin series.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,13 +32,6 @@ def _sigmoid(x):
     return np.where(pos, 1.0 / (1.0 + ex_pos), ex_neg / (1.0 + ex_neg))
 
 
-def _factorial(k):
-    r = 1
-    for i in range(2, k + 1):
-        r *= i
-    return r
-
-
 def _series_divide(u, v, degree):
     # power series u/v through x^degree; v[0] != 0
     q = []
@@ -52,14 +46,14 @@ def _series_divide(u, v, degree):
 
 
 def _sigmoid_series(degree):
-    e = [Fraction(1, _factorial(k)) for k in range(degree + 1)]
+    e = [Fraction(1, math.factorial(k)) for k in range(degree + 1)]
     return _series_divide(e, [e[0] + 1] + e[1:], degree)
 
 
 def _tanh_series(degree):
-    sinh = [Fraction(1, _factorial(k)) if k % 2 else Fraction(0)
+    sinh = [Fraction(1, math.factorial(k)) if k % 2 else Fraction(0)
             for k in range(degree + 1)]
-    cosh = [Fraction(0) if k % 2 else Fraction(1, _factorial(k))
+    cosh = [Fraction(0) if k % 2 else Fraction(1, math.factorial(k))
             for k in range(degree + 1)]
     return _series_divide(sinh, cosh, degree)
 

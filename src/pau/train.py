@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DatasetHandle
-from .network import GradientSet, Network, backward, forward
+from .network import Network, backward, forward
 
 
 @dataclass
@@ -101,15 +101,13 @@ def _check_shape(buf, grad, key):
 class _Optimizer:
     """The step loop shared by SGD and Adam; subclasses define ``_update``."""
 
-    def step(self, net: Network, grads: GradientSet):
-        for i, d in grads.layers.items():
-            for name, g in d.items():
-                self._update(("layer", i, name), net.weights[i][name], g,
-                             self.lr, self.weight_decay)
-        for u, (d_num, d_den) in grads.pau.items():
-            c = net.pau_units[u].coefficients
-            self._update(("unit", u, "num"), c.numerator, d_num, self.pau_lr, 0.0)
-            self._update(("unit", u, "den"), c.denominator, d_den, self.pau_lr, 0.0)
+    def step(self, net: Network, grads: dict):
+        """``grads`` and the optimizer state are keyed like ``net.params()``."""
+        params = dict(net.params())
+        for key, g in grads.items():
+            unit = key[0] == "unit"
+            self._update(key, params[key], g, self.pau_lr if unit else self.lr,
+                         0.0 if unit else self.weight_decay)
         net.enforce_masks()
         net.bump_version()
 
@@ -163,7 +161,7 @@ class Adam(_Optimizer):
         v_hat = v / (1 - self.beta2 ** self.t)
         param -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
-    def step(self, net: Network, grads: GradientSet):
+    def step(self, net: Network, grads: dict):
         self.t += 1
         super().step(net, grads)
 

@@ -110,6 +110,7 @@ def _write_doc(path, numerator, denominator, safe=True):
 
 
 _CURVE = ["export-curve", "--coeffs", "{unit}", "--out", "{csv}"]
+_HUGE_CURVE = ["export-curve", "--coeffs", "{huge}", "--out", "{csv}"]
 # each input ends in the exit code given, before the command writes anything;
 # stderr names the flag (exit 1) or the target or file (exit 2)
 _BAD_TOOL_INPUTS = [
@@ -127,6 +128,12 @@ _BAD_TOOL_INPUTS = [
     (["pade", "--target", "swish(1e300)"], 2, "swish(1e300)"),    # OverflowError
     (["fit", "--target", "doc:{pole}", "--step", "0.5"], 2, "doc:{pole}"),
     (["fit", "--target", "doc:{huge}", "--step", "0.5"], 2, "doc:{huge}"),
+    # the curve itself, the noise envelope, and the noise range overflow
+    (_HUGE_CURVE + ["--points", "5"], 2, "{huge}: the curve overflows: f is -inf"),
+    (_HUGE_CURVE + ["--range", "-1.5,1.5", "--points", "3", "--noise", "0.5"], 2,
+     "{huge}: the curve overflows: noise_min is -inf"),
+    (_HUGE_CURVE + ["--range", "-1,1", "--points", "3", "--noise", "1"], 2,
+     "{huge}: noise range exceeds valid bounds"),
 ]
 
 
@@ -143,6 +150,7 @@ def test_bad_tool_input_exits_without_traceback(tmp_path, argv, code, named):
     got, _, stderr = run_cli(*(a.format(**paths) for a in argv))
     assert got == code, stderr
     assert named.format(**paths) in stderr
+    assert "Warning" not in stderr
     assert not (tmp_path / "c.csv").exists()
 
 
@@ -319,24 +327,33 @@ class TestTrain:
         err = capsys.readouterr().err
         assert str(ckpt) in err and "(1, 32, 32)" in err and "(28, 28)" in err
 
-    @pytest.mark.parametrize("truncate,message", [
-        (True, "train-images-idx3-ubyte.gz: Compressed file ended"),
-        (False, "train_subset 10000 exceeds the 32 train samples in "),
-    ], ids=["truncated-gzip", "fewer-samples-than-subset"])
-    def test_bad_idx_files_exit_2(self, tmp_path, truncate, message):
+    @pytest.mark.parametrize("damage,message", [
+        ("truncated-gzip", "train-images-idx3-ubyte.gz: Compressed file ended"),
+        (None, "train_subset 10000 exceeds the 32 train samples in "),
+        ("label-past-9", "{dir}/train-labels-idx1-ubyte: label 12 at index 0; "
+                         "labels must lie in [0, 9]"),
+        ("fewer-labels", "{dir}: 32 train images and 31 labels"),
+    ], ids=["truncated-gzip", "fewer-samples-than-subset", "label-past-9", "fewer-labels"])
+    def test_bad_idx_files_exit_2(self, tmp_path, damage, message):
         data = pau.synth_digits(40, seed=6)
         pau.data.write_dataset(data.subset(32), tmp_path, "train")
         pau.data.write_dataset(
             pau.DatasetHandle(data.images[32:], data.labels[32:]), tmp_path, "test")
-        if truncate:
+        labels = tmp_path / "train-labels-idx1-ubyte"
+        if damage == "truncated-gzip":
             plain = tmp_path / "train-images-idx3-ubyte"
             gz = tmp_path / "train-images-idx3-ubyte.gz"
             gz.write_bytes(gzip.compress(plain.read_bytes())[:200])
             plain.unlink()
+        elif damage == "label-past-9":
+            raw = labels.read_bytes()
+            labels.write_bytes(raw[:8] + bytes([12]) + raw[9:])
+        elif damage == "fewer-labels":
+            pau.data.write_idx_labels(labels, data.labels[:31])
         code, _, stderr = run_cli("train", "--preset", "mnist-desk",
                                   "--data-dir", str(tmp_path))
         assert code == 2
-        assert "Traceback" not in stderr and message in stderr
+        assert "Traceback" not in stderr and message.format(dir=tmp_path) in stderr
 
     @pytest.mark.parametrize("command", [["train"], ["prune", "--schedule", "0.1"]],
                              ids=["train", "prune"])

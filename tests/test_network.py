@@ -239,8 +239,7 @@ def assert_gradients_complete_and_match_fd(net, batch, labels):
     out, trace = pau.forward(net, batch)
     _, dout = nll_loss(out, labels)
     gs = pau.backward(net, trace, dout)
-    assert set(gs.layers) == set(net.parametric_indices())
-    assert set(gs.pau) == {u for u, unit in enumerate(net.pau_units) if unit.trainable}
+    assert set(gs) == {key for key, _ in net.params()}
     assert network_fd_gradients(net, batch, labels) < 1e-4
 
 
@@ -250,7 +249,7 @@ class TestBackward:
         x = np.random.default_rng(11).normal(size=(6, 4))
         out, trace = pau.forward(net, x)
         gs = pau.backward(net, trace, np.zeros_like(out))
-        assert gs.is_zero()
+        assert gs and not any(np.any(g) for g in gs.values())
 
     def test_full_finite_difference_check(self):
         rng = np.random.default_rng(12)
@@ -281,7 +280,7 @@ class TestBackward:
             down, _ = pau.forward(net, batch, training=True, seed=99)
             W[idx] = old
             fd = (nll_loss(up, labels)[0] - nll_loss(down, labels)[0]) / (2 * h)
-            worst = max(worst, abs(fd - gs.layers[0]["W"][idx])
+            worst = max(worst, abs(fd - gs[("layer", 0, "W")][idx])
                         / max(abs(fd), 1e-8))
         assert worst < 1e-4
 
@@ -305,9 +304,9 @@ class TestBackward:
         fixed.pau_units[0].coefficients = noisy
         fixed.pau_units[0].noise_alpha = 0.0
         h = 1e-6
-        for arr, analytic in ((fixed.weights[0]["W"], gs.layers[0]["W"]),
-                              (noisy.numerator, gs.pau[0][0]),
-                              (noisy.denominator, gs.pau[0][1])):
+        for arr, analytic in ((fixed.weights[0]["W"], gs[("layer", 0, "W")]),
+                              (noisy.numerator, gs[("unit", 0, "num")]),
+                              (noisy.denominator, gs[("unit", 0, "den")])):
             flat = arr.reshape(-1)
             fd = []
             for j in range(flat.size):
@@ -350,8 +349,7 @@ class TestBackward:
         out, trace = pau.forward(net, x)
         _, dout = nll_loss(out, np.zeros(6, dtype=int))
         gs = pau.backward(net, trace, dout)
-        assert gs.pau == {}
-        assert 0 in gs.layers and 2 in gs.layers
+        assert set(gs) == {("layer", i, k) for i in (0, 2) for k in ("W", "b")}
 
     def test_stale_trace_rejected(self):
         net = toy_net(15)
@@ -375,12 +373,73 @@ class TestBackward:
         g1 = grads(x, y)
         perm = rng.permutation(32)
         g2 = grads(x[perm], y[perm])
-        for i in g1.layers:
-            for k in ("W", "b"):
-                assert np.max(np.abs(g1.layers[i][k] - g2.layers[i][k])) < 1e-12
-        for u in g1.pau:
-            for a, b in zip(g1.pau[u], g2.pau[u]):
-                assert np.max(np.abs(a - b)) < 1e-12
+        assert set(g1) == set(g2)
+        for key in g1:
+            assert np.max(np.abs(g1[key] - g2[key])) < 1e-12
+
+
+class TestParams:
+    def test_keys_in_fixed_order_over_live_arrays(self):
+        net = toy_net(30)
+        params = list(net.params())
+        assert [key for key, _ in params] == [
+            ("layer", 0, "W"), ("layer", 0, "b"), ("layer", 2, "W"), ("layer", 2, "b"),
+            ("unit", 0, "num"), ("unit", 0, "den")]
+        assert params[0][1] is net.weights[0]["W"]
+        assert params[4][1] is net.pau_units[0].coefficients.numerator
+
+    def test_shared_unit_gradient_is_sum_of_its_layers(self):
+        # the same network with the two activation layers on separate but
+        # equal units: each unit's gradient is one layer's contribution
+        def net_with(u, v):
+            return build_network([Dense(4, 3), Activation(u), Dense(3, 3), Activation(v),
+                                  Dense(3, 2), Softmax()], seed=31)
+        shared, split = net_with(0, 0), net_with(0, 1)
+        rng = np.random.default_rng(31)
+        x, labels = rng.normal(size=(6, 4)), rng.integers(0, 2, 6)
+        grads = []
+        for net in (shared, split):
+            out, trace = pau.forward(net, x)
+            grads.append(pau.backward(net, trace, nll_loss(out, labels)[1]))
+        g_shared, g_split = grads
+        assert {k for k in g_shared if k[0] == "unit"} == {("unit", 0, "num"),
+                                                           ("unit", 0, "den")}
+        for name in ("num", "den"):
+            # summed last layer first, as backward reaches them
+            assert np.array_equal(g_shared[("unit", 0, name)],
+                                  g_split[("unit", 1, name)] + g_split[("unit", 0, name)])
+
+    @pytest.mark.parametrize("make", [lambda: pau.Adam(lr=0.1),
+                                      lambda: pau.SGD(lr=0.1, momentum=0.5)],
+                             ids=["adam", "sgd"])
+    def test_frozen_and_unreferenced_units_get_no_key(self, make):
+        # units 0 and 2 are referenced by no layer; unit 3 is frozen
+        net = build_network([Dense(4, 3), Activation(1), Dense(3, 3), Activation(3),
+                             Dense(3, 2), Softmax()], seed=32)
+        net.pau_units[3].trainable = False
+        before = [u.coefficients.copy() for u in net.pau_units]
+        rng = np.random.default_rng(32)
+        out, trace = pau.forward(net, rng.normal(size=(6, 4)))
+        grads = pau.backward(net, trace, nll_loss(out, rng.integers(0, 2, 6))[1])
+        assert {k for k in grads if k[0] == "unit"} == {("unit", 1, "num"),
+                                                        ("unit", 1, "den")}
+        assert {k for k, _ in net.params() if k[0] == "unit"} == {
+            ("unit", u, name) for u in (0, 1, 2) for name in ("num", "den")}
+        make().step(net, grads)
+        for u in (0, 2, 3):
+            c = net.pau_units[u].coefficients
+            assert c.numerator.tobytes() == before[u].numerator.tobytes()
+            assert c.denominator.tobytes() == before[u].denominator.tobytes()
+        assert net.pau_units[1].coefficients != before[1]
+
+    def test_adam_state_keyed_like_gradients(self):
+        net = toy_net(33)
+        rng = np.random.default_rng(33)
+        out, trace = pau.forward(net, rng.normal(size=(6, 4)))
+        grads = pau.backward(net, trace, nll_loss(out, rng.integers(0, 2, 6))[1])
+        opt = pau.Adam()
+        opt.step(net, grads)
+        assert set(opt.m) == set(opt.v) == set(grads) == {k for k, _ in net.params()}
 
 
 class TestCheckpoint:

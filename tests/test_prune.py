@@ -135,10 +135,10 @@ class TestApply:
         out, trace = pau.forward(net, x)
         _, dout = nll_loss(out, rng.integers(0, 4, 8))
         gs = pau.backward(net, trace, dout)
-        assert not gs.layers[0]["W"][:, ~keep].any()
-        assert not gs.layers[0]["b"][~keep].any()
-        assert not gs.layers[2]["W"][~keep, :].any()
-        assert gs.layers[0]["W"][:, keep].any()
+        assert not gs[("layer", 0, "W")][:, ~keep].any()
+        assert not gs[("layer", 0, "b")][~keep].any()
+        assert not gs[("layer", 2, "W")][~keep, :].any()
+        assert gs[("layer", 0, "W")][:, keep].any()
 
     def test_idempotent_at_same_p(self):
         net = small_mlp(8)

@@ -35,24 +35,21 @@ class TestOptimizers:
     def test_sgd_hand_value(self):
         net = build_network([Dense(1, 1)], input_shape=(1,), seed=0)
         net.weights[0]["W"][...] = 1.0
-        gs = pau.network.GradientSet({0: {"W": np.array([[0.5]]),
-                                          "b": np.zeros(1)}}, {})
+        gs = {("layer", 0, "W"): np.array([[0.5]]), ("layer", 0, "b"): np.zeros(1)}
         SGD(lr=0.1, momentum=0.0).step(net, gs)
         assert net.weights[0]["W"][0, 0] == pytest.approx(0.95, abs=1e-15)
 
     def test_adam_first_step_magnitude(self):
         net = build_network([Dense(1, 1)], input_shape=(1,), seed=0)
         net.weights[0]["W"][...] = 1.0
-        gs = pau.network.GradientSet({0: {"W": np.array([[1.0]]),
-                                          "b": np.zeros(1)}}, {})
+        gs = {("layer", 0, "W"): np.array([[1.0]]), ("layer", 0, "b"): np.zeros(1)}
         Adam(lr=0.002).step(net, gs)
         update = 1.0 - net.weights[0]["W"][0, 0]
         assert update == pytest.approx(0.002, rel=1e-6)
 
     def test_shape_mismatch(self):
         net = tiny_net(2)
-        gs = pau.network.GradientSet({0: {"W": np.zeros((2, 2)),
-                                          "b": np.zeros(4)}}, {})
+        gs = {("layer", 0, "W"): np.zeros((2, 2)), ("layer", 0, "b"): np.zeros(4)}
         with pytest.raises(ValueError, match="shape"):
             Adam().step(net, gs)
 
