@@ -23,15 +23,15 @@ axes of ``W`` that hold output units (``out_axis``) and inputs
 read only those, so a new layer kind is added in its class alone.
 
 Each Activation layer references a PauUnit whose coefficient gradients
-are summed over every element the layer touches in a fixed pairwise
-order, independent of thread count.  ``backward`` returns a dict of
-gradients under the keys of ``Network.params()``, which the optimizers
-also keep their state under.  It returns parameter gradients only, so
-it stops at the first layer with parameters (a Dense, a Conv2d or an
-Activation with a trainable unit), and that layer skips its own input
-gradient.  Whole-network results repeat bit for bit at a fixed BLAS
-thread count: the Dense and Conv2d matrix products may round
-differently when the thread count changes.
+are summed over the layer's elements in fixed ``BLOCK_ELEMENTS`` blocks,
+block sums combined in block order, independent of thread count.
+``backward`` returns a dict of gradients under the keys of
+``Network.params()``, which the optimizers also keep their state under.
+It returns parameter gradients only, so it stops at the first layer with
+parameters (a Dense, a Conv2d or an Activation with a trainable unit),
+and that layer skips its own input gradient.  Whole-network results
+repeat bit for bit at a fixed BLAS thread count: the Dense and Conv2d
+matrix products may round differently when the thread count changes.
 """
 
 from __future__ import annotations
@@ -47,6 +47,8 @@ from .approx import builtin_coefficients
 from .rational import (RationalCoefficients, backward_pau, eval_pau_batch,
                        eval_pau_stacked, sample_noisy_coeffs)
 from .targets import parse_target
+
+CONV_BLOCK_ELEMENTS = 2 ** 18  # window elements per Conv2d image block, to stay in L2
 
 
 @dataclass
@@ -155,8 +157,11 @@ class Conv2d(_Layer):
         p = self.padding
         xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
         win = _conv_windows(xp, self.kernel, self.stride)
-        y = np.tensordot(win, net.weights[i]["W"], axes=([1, 4, 5], [1, 2, 3]))
-        return np.moveaxis(y, 3, 1) + net.weights[i]["b"][None, :, None, None], {"xp": xp}
+        y = np.empty((win.shape[0], self.out_channels) + win.shape[2:4])
+        for s in _image_blocks(win):
+            t = np.tensordot(win[s], net.weights[i]["W"], axes=([1, 4, 5], [1, 2, 3]))
+            np.add(np.moveaxis(t, 3, 1), net.weights[i]["b"][:, None, None], out=y[s])
+        return y, {"xp": xp}
 
     def backward(self, net, i, g, cache, need_dx):
         """For dL/dx, the output gradient ``g`` (B, O, oh, ow) is moved to
@@ -165,8 +170,10 @@ class Conv2d(_Layer):
         gradient of the padded input."""
         xp = cache["xp"]
         win = _conv_windows(xp, self.kernel, self.stride)
-        grads = {("layer", i, "W"): np.tensordot(g, win, axes=([0, 2, 3], [0, 2, 3])),
-                 ("layer", i, "b"): np.sum(g, axis=(0, 2, 3))}
+        dW = np.zeros(self.weight_shape)
+        for s in _image_blocks(win):
+            dW += np.tensordot(g[s], win[s], axes=([0, 2, 3], [0, 2, 3]))
+        grads = {("layer", i, "W"): dW, ("layer", i, "b"): np.sum(g, axis=(0, 2, 3))}
         if not need_dx:
             return None, grads
         W = net.weights[i]["W"]
@@ -309,6 +316,13 @@ class Softmax(_Layer):
 def _conv_windows(xp, kernel, stride):
     w = sliding_window_view(xp, (kernel, kernel), axis=(2, 3))
     return w[:, :, ::stride, ::stride]
+
+
+def _image_blocks(win):
+    """Slices of consecutive images, one or as many as keep their window copy
+    (``tensordot``'s im2col matrix) within CONV_BLOCK_ELEMENTS values."""
+    step = max(1, CONV_BLOCK_ELEMENTS // int(np.prod(win.shape[1:])))
+    return [slice(start, start + step) for start in range(0, win.shape[0], step)]
 
 
 class Network:

@@ -31,6 +31,7 @@ DEFAULT_POLE_FLOOR = 1e-12
 
 # rows of noise drawn per generator call; bounds the draw's temporary
 NOISE_BLOCK_ROWS = 8192
+BLOCK_ELEMENTS = 32768  # elements per kernel slice, so a slice's temporaries stay in L2
 
 
 class PoleError(ArithmeticError):
@@ -130,24 +131,36 @@ def _pau_parts(x, numerator, denominator, safe):
     return P, A, Q
 
 
-def _check_poles(x, Q):
+def _check_poles(x, Q, offset):
+    """PoleError at the first |Q| below the floor, its index counted from ``offset``."""
     bad = np.abs(Q) < DEFAULT_POLE_FLOOR
-    if not np.any(bad):
-        return
-    if np.ndim(Q) == 0:
-        raise PoleError(float(np.asarray(x)), float(Q))
-    idx = int(np.argmax(bad))
-    raise PoleError(float(np.asarray(x).reshape(-1)[idx]), float(Q.reshape(-1)[idx]), index=idx)
+    if np.any(bad):
+        idx = int(np.argmax(bad))
+        raise PoleError(float(np.ravel(x)[idx]), float(np.ravel(Q)[idx]), index=offset + idx)
+
+
+def _blocks(size, *coeffs):
+    """(start, stop, rows...) of each fixed BLOCK_ELEMENTS slice of range(size) (one
+    empty slice if size is 0), with each stack's rows for it; shared vectors as is."""
+    for start in range(0, max(size, 1), BLOCK_ELEMENTS):
+        stop = min(start + BLOCK_ELEMENTS, size)
+        yield (start, stop, *(c if np.ndim(c) == 1 else c[start:stop] for c in coeffs))
 
 
 def _eval(x, numerator, denominator, safe):
     """P/Q at every element of ``x``, the one body of the three entry
-    points below.  Unsafe mode raises PoleError, with the index of the
-    first offending element, when |Q| drops below DEFAULT_POLE_FLOOR."""
-    P, _, Q = _pau_parts(x, numerator, denominator, safe)
-    if not safe:
-        _check_poles(x, Q)
-    return P / Q
+    points below, over the flattened ``x`` in :func:`_blocks`.  Unsafe mode
+    raises PoleError, with the C-order index of the first offending
+    element, when |Q| drops below DEFAULT_POLE_FLOOR."""
+    flat = np.asarray(x, dtype=np.float64).reshape(-1)
+    out = np.empty(flat.size)
+    for start, stop, num, den in _blocks(flat.size, numerator, denominator):
+        xb = flat[start:stop]
+        P, _, Q = _pau_parts(xb, num, den, safe)
+        if not safe:
+            _check_poles(xb, Q, start)
+        np.divide(P, Q, out=out[start:stop])
+    return out.reshape(np.shape(x))
 
 
 def eval_pau(x, coeffs: RationalCoefficients, safe: bool = True):
@@ -182,24 +195,24 @@ class PauGradientBundle:
     d_denominator: np.ndarray
 
 
-def _grad_parts(x, numerator, denominator, safe, check_poles=False, upstream=1.0):
+def _grad_parts(x, numerator, denominator, safe, pole_offset=None, upstream=1.0):
     """Vectorized gradient pieces sharing one (P, A, Q) evaluation.
 
     Returns (d_input, w, v): d_input is dF/dx, and the factors
     w = upstream / Q and v = -upstream * s * P / Q^2 give the coefficient
     gradients upstream * dF/da_j = w x^j and upstream * dF/db_k = v x^k
     (see :func:`_power_terms`).  Coefficient arrays may carry a leading
-    per-element stack exactly as in :func:`eval_polynomial`.
-    ``check_poles`` runs the unsafe-mode pole check of :func:`_eval`
-    before anything is divided by Q.
+    per-element stack exactly as in :func:`eval_polynomial`.  A
+    ``pole_offset`` runs the unsafe-mode pole check of :func:`_eval`
+    before anything is divided by Q, counting indices from it.
     """
     num = np.asarray(numerator, dtype=np.float64)
     den = np.asarray(denominator, dtype=np.float64)
     xa = np.asarray(x, dtype=np.float64)
 
     P, A, Q = _pau_parts(xa, num, den, safe)
-    if not safe and check_poles:
-        _check_poles(xa, Q)
+    if not safe and pole_offset is not None:
+        _check_poles(xa, Q, pole_offset)
     s = np.sign(A) if safe else np.ones_like(A)
 
     PQ2 = P / Q ** 2
@@ -241,7 +254,7 @@ def _expand_gradients(x, w, v, m, n):
 def grad_pau(x, coeffs: RationalCoefficients, safe: bool = True) -> PauGradientBundle:
     """Exact analytic gradients of the unit at a scalar x."""
     d_input, w, v = _grad_parts(
-        x, coeffs.numerator, coeffs.denominator, safe, check_poles=True)
+        x, coeffs.numerator, coeffs.denominator, safe, pole_offset=0)
     d = _expand_gradients(x, w, v, coeffs.m, coeffs.n)
     return PauGradientBundle(float(d_input), d[:coeffs.m + 1], d[coeffs.m + 1:])
 
@@ -252,9 +265,10 @@ def backward_pau(xs, upstream, coeffs: RationalCoefficients, safe: bool = True,
 
     Returns ``(d_inputs, (d_numerator, d_denominator))`` where d_inputs[i]
     is upstream[i] * dF/dx at xs[i] and the coefficient gradients are the
-    sums of upstream[i] * dF/dc over all elements.  Each sum is one
-    ``np.sum`` over a contiguous vector of power-sum terms: a fixed
-    pairwise order set by the length alone, independent of thread count.
+    sums of upstream[i] * dF/dc over all elements: each fixed
+    BLOCK_ELEMENTS block of :func:`_blocks` gives one row of power sums,
+    and the rows are summed once, in block order, independent of thread
+    count.  Poles raise as in :func:`eval_pau_batch`.
 
     ``coefficient_stacks``, when given as ``(num_stack, den_stack)`` with
     one coefficient vector per element, evaluates the gradients at those
@@ -267,15 +281,17 @@ def backward_pau(xs, upstream, coeffs: RationalCoefficients, safe: bool = True,
     up = np.asarray(upstream, dtype=np.float64).reshape(-1)
     if xa.size != up.size:
         raise ValueError(f"length mismatch: {xa.size} inputs vs {up.size} upstream")
-    if coefficient_stacks is None:
-        num, den = coeffs.numerator, coeffs.denominator
-    else:
-        num, den = coefficient_stacks
-    d_input, w, v = _grad_parts(xa, num, den, safe, check_poles=True, upstream=up)
-    d_inputs = up * d_input
-    d_num = np.array([np.sum(t) for t in _power_terms(w, xa, coeffs.m + 1)])
-    d_den = np.array([np.sum(t) for t in _power_terms(v * xa, xa, coeffs.n)])
-    return d_inputs, (d_num, d_den)
+    stacks = coefficient_stacks or (coeffs.numerator, coeffs.denominator)
+    d_inputs = np.empty(xa.size)
+    block_sums = []
+    for start, stop, num, den in _blocks(xa.size, *stacks):
+        x, u = xa[start:stop], up[start:stop]
+        d_input, w, v = _grad_parts(x, num, den, safe, pole_offset=start, upstream=u)
+        np.multiply(u, d_input, out=d_inputs[start:stop])
+        block_sums.append([np.sum(t) for t in _power_terms(w, x, coeffs.m + 1)]
+                          + [np.sum(t) for t in _power_terms(v * x, x, coeffs.n)])
+    total = np.sum(block_sums, axis=0)
+    return d_inputs, (total[:coeffs.m + 1], total[coeffs.m + 1:])
 
 
 def sample_noisy_coeffs(coeffs: RationalCoefficients, alpha: float, rng,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import pau
+from pau import network
 from pau.network import (Activation, Baseline, Conv2d, Dense, Flatten, MaxPool,
                          Softmax, StaleTraceError, build_network, lenet_spec,
                          load_checkpoint, mlp_spec, param_count, save_checkpoint,
@@ -233,6 +234,35 @@ class TestConv:
         batch = rng.normal(size=(4,) + input_shape)
         labels = rng.integers(0, 2, 4)
         assert_gradients_complete_and_match_fd(net, batch, labels)
+
+    @pytest.mark.parametrize("stride,padding", [(1, 0), (2, 1)])
+    def test_image_blocks_match_one_block(self, monkeypatch, stride, padding):
+        conv = Conv2d(2, 3, 3, stride=stride, padding=padding)
+        _, oh, ow = conv.out_shape((2, 7, 7))
+        net = build_network([conv, Activation(), Flatten(), Dense(3 * oh * ow, 2),
+                             Softmax()], input_shape=(2, 7, 7), seed=19)
+        rng = np.random.default_rng(19)
+        batch = rng.normal(size=(7, 2, 7, 7))
+        labels = rng.integers(0, 2, 7)
+
+        def run():
+            out, trace = pau.forward(net, batch)
+            _, dout = nll_loss(out, labels)
+            return trace.caches[0], trace.caches[1]["x"], pau.backward(net, trace, dout)
+
+        per_image = 2 * oh * ow * 3 * 3
+        monkeypatch.setattr(network, "CONV_BLOCK_ELEMENTS", 7 * per_image)
+        cache, y_one, g_one = run()
+        monkeypatch.setattr(network, "CONV_BLOCK_ELEMENTS", 3 * per_image)
+        win = network._conv_windows(cache["xp"], 3, stride)
+        assert [s.indices(7) for s in network._image_blocks(win)] == \
+            [(0, 3, 1), (3, 6, 1), (6, 7, 1)]
+        _, y, g = run()
+        assert np.array_equal(y, y_one) and y.flags.c_contiguous
+        for name in ("W", "b"):
+            np.testing.assert_allclose(g[("layer", 0, name)], g_one[("layer", 0, name)],
+                                       rtol=1e-12, atol=0)
+        assert network_fd_gradients(net, batch, labels) < 1e-4
 
 
 def assert_gradients_complete_and_match_fd(net, batch, labels):

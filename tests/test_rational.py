@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pau
-from pau.rational import (DocumentFormatError, PoleError, RationalCoefficients,
-                          _grad_parts, _pau_parts, backward_pau, eval_pau,
+from pau.rational import (BLOCK_ELEMENTS, DocumentFormatError, PoleError,
+                          RationalCoefficients, _expand_gradients, _grad_parts,
+                          _pau_parts, backward_pau, eval_pau,
                           eval_pau_batch, eval_pau_stacked, eval_polynomial, grad_pau,
                           read_coefficient_document, sample_noisy_coeffs,
                           write_coefficient_document)
@@ -330,6 +331,72 @@ class TestBackward:
         assert digests[0] == digests[1]
 
 
+def coefficient_kinds(c, size):
+    """The three coefficient layouts a unit is run with: shared, the
+    column-major stacks of sample_noisy_coeffs, and a per-batch draw
+    broadcast to every element."""
+    return {"shared": (c.numerator, c.denominator),
+            "column-major": sample_noisy_coeffs(c, 0.05, rng=31, size=size),
+            "broadcast": (np.broadcast_to(c.numerator, (size, c.m + 1)),
+                          np.broadcast_to(c.denominator, (size, c.n)))}
+
+
+class TestBlocks:
+    """The kernels walk the flattened input in BLOCK_ELEMENTS slices."""
+
+    B = BLOCK_ELEMENTS
+
+    @pytest.mark.parametrize("size", [0, 1, B - 1, B, B + 1, 3 * B + 17])
+    @pytest.mark.parametrize("kind", ["shared", "column-major", "broadcast"])
+    def test_block_boundaries(self, size, kind):
+        rng = np.random.default_rng(30)
+        c = random_coeffs(rng)
+        xs = rng.uniform(-3, 3, size)
+        up = rng.uniform(-1, 1, size)
+        num, den = coefficient_kinds(c, size)[kind]
+        # the per-block body applied to the whole array at once
+        P, _, Q = _pau_parts(xs, num, den, True)
+        d_input, w, v = _grad_parts(xs, num, den, True, upstream=up)
+        terms = _expand_gradients(xs, w, v, c.m, c.n)
+
+        y = eval_pau_batch(xs, c) if kind == "shared" else eval_pau_stacked(xs, num, den)
+        assert np.array_equal(y, P / Q)
+        stacks = None if kind == "shared" else (num, den)
+        d_in, (d_num, d_den) = backward_pau(xs, up, c, coefficient_stacks=stacks)
+        assert np.array_equal(d_in, up * d_input)
+        exact = [math.fsum(col) for col in terms.T]
+        assert list(d_num) == pytest.approx(exact[:c.m + 1], rel=1e-12)
+        assert list(d_den) == pytest.approx(exact[c.m + 1:], rel=1e-12)
+
+    def test_non_contiguous_input_matches_contiguous_copy(self):
+        rng = np.random.default_rng(32)
+        c = random_coeffs(rng)
+        xs = np.moveaxis(rng.uniform(-3, 3, (7, 3, 4099)), 0, -1)
+        up = np.moveaxis(rng.uniform(-1, 1, (7, 3, 4099)), 0, -1)
+        assert not xs.flags.c_contiguous and xs.size > 2 * self.B
+        xc, uc = np.ascontiguousarray(xs), np.ascontiguousarray(up)
+        assert np.array_equal(eval_pau_batch(xs, c), eval_pau_batch(xc, c))
+        view, copy = backward_pau(xs, up, c), backward_pau(xc, uc, c)
+        assert np.array_equal(view[0], copy[0])
+        assert all(np.array_equal(a, b) for a, b in zip(view[1], copy[1]))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_pole_reports_index_in_whole_input(self, order):
+        c = RationalCoefficients([1.0], [-0.5])  # Q(2) = 0
+        pole = 2 * self.B + 5
+        flat = np.zeros(4 * self.B)
+        flat[[pole, pole + 9, 3 * self.B]] = 2.0
+        xs = np.asarray(flat.reshape(-1, 4), order=order)
+        calls = [lambda: eval_pau_batch(xs, c, safe=False),
+                 lambda: eval_pau_stacked(flat, np.ones((flat.size, 1)),
+                                          np.full((flat.size, 1), -0.5), safe=False),
+                 lambda: backward_pau(xs, np.ones(xs.shape), c, safe=False)]
+        for call in calls:
+            with pytest.raises(PoleError) as exc:
+                call()
+            assert exc.value.index == pole and exc.value.x == 2.0
+
+
 THREAD_VARIABLES = ("PAU_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                     "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 
@@ -337,7 +404,8 @@ KERNEL_DIGEST_SCRIPT = (
     "import hashlib\n"
     "import pau\n"
     "import numpy as np\n"
-    "from pau.rational import RationalCoefficients, backward_pau, sample_noisy_coeffs\n"
+    "from pau.rational import (RationalCoefficients, backward_pau, eval_pau_batch,\n"
+    "                          eval_pau_stacked, sample_noisy_coeffs)\n"
     "rng = np.random.default_rng(26)\n"
     "c = RationalCoefficients(rng.uniform(-1, 1, 6), rng.uniform(-1, 1, 4))\n"
     "xs = rng.uniform(-3, 3, 200_003)\n"
@@ -348,6 +416,8 @@ KERNEL_DIGEST_SCRIPT = (
     "    d_in, (d_num, d_den) = backward_pau(xs, up, c, coefficient_stacks=st)\n"
     "    for a in (d_in, d_num, d_den):\n"
     "        h.update(a.tobytes())\n"
+    "h.update(eval_pau_batch(xs, c).tobytes())\n"
+    "h.update(eval_pau_stacked(xs, *stacks).tobytes())\n"
     "print(h.hexdigest())\n")
 
 
