@@ -22,8 +22,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .rational import (RationalCoefficients, _expand_gradients, _pau_parts,
-                       eval_pau_batch)
+from .rational import (RationalCoefficients, _expand_gradients, _grad_parts,
+                       _pau_parts, eval_pau_batch)
 from .targets import TargetActivation, parse_target
 
 DEFAULT_ORDERS = (5, 4)
@@ -149,20 +149,26 @@ class FitConfig:
         return np.linspace(self.lo, self.hi, count)
 
 
+def _residual(theta, xs, y, m, safe):
+    """P/Q - y on the grid and its sum of squares."""
+    P, _, Q = _pau_parts(xs, theta[:m + 1], theta[m + 1:], safe)
+    r = P / Q - y
+    return r, float(r @ r)
+
+
 def _gauss_newton_polish(theta, xs, y, m, n, safe, max_iter=80):
     """Damped Gauss-Newton on the true residual P/Q - y.
 
-    In safe mode Q = 1 + |A| and the b-columns of the Jacobian carry
-    sign(A).  Improves the linearized solution to a stationary point of
+    The Jacobian is the coefficient gradient of the unit, from the
+    factors of :func:`_grad_parts` (in safe mode its b-columns carry
+    sign(A)).  Improves the linearized solution to a stationary point of
     the actual grid sum of squares.
     """
     lam = 1e-10
-    P, A, Q = _pau_parts(xs, theta[:m + 1], theta[m + 1:], safe)
-    r = P / Q - y
-    sse = float(r @ r)
+    r, sse = _residual(theta, xs, y, m, safe)
     for _ in range(max_iter):
-        s = np.sign(A) if safe else 1.0
-        J = _expand_gradients(xs, 1.0 / Q, -s * P / Q ** 2, m, n)
+        _, w, v = _grad_parts(xs, theta[:m + 1], theta[m + 1:], safe)
+        J = _expand_gradients(xs, w, v, m, n)
         g = J.T @ r
         H = J.T @ J
         del J   # else the next Jacobian is built while this one is still held
@@ -174,11 +180,9 @@ def _gauss_newton_polish(theta, xs, y, m, n, safe, max_iter=80):
                 lam *= 10
                 continue
             cand = theta + step
-            P2, A2, Q2 = _pau_parts(xs, cand[:m + 1], cand[m + 1:], safe)
-            r2 = P2 / Q2 - y
-            sse2 = float(r2 @ r2)
+            r2, sse2 = _residual(cand, xs, y, m, safe)
             if np.isfinite(sse2) and sse2 < sse:
-                theta, P, A, Q, r = cand, P2, A2, Q2, r2
+                theta, r = cand, r2
                 improvement = sse - sse2
                 sse = sse2
                 lam = max(lam / 3.0, 1e-14)

@@ -12,8 +12,10 @@ prune take their run settings from a preset, then a --config file of
 data is made; a config file that cannot be read, or that holds an
 unknown key or a bad value, exits 2 naming the file.  A Pade system that
 is singular or overflows, a pole or overflow in fit's target, unreadable
-coefficient documents, data files and checkpoints, and images that do
-not fit the network exit 2.
+coefficient documents, data files and checkpoints (non-finite weights
+among them), a pole of an eval checkpoint's unit, and images that do not
+fit the network exit 2.  A non-finite training loss or eval output exits
+3 naming the first non-finite unit, weight or layer output.
 """
 
 from __future__ import annotations
@@ -392,7 +394,13 @@ def cmd_eval(args) -> int:
     data = test if args.split == "test" else train
     if args.split == "test" and cfg.test_subset:
         data = data.subset(cfg.test_subset)
-    print(f"accuracy = {evaluate(net, data)!r}")
+    try:
+        accuracy = evaluate(net, data)
+    except PoleError as exc:
+        raise _Fail(EXIT_INPUT, f"checkpoint {args.checkpoint}: {exc}")
+    except NonFiniteLossError as exc:
+        raise _Fail(EXIT_NONCONVERGENCE, f"checkpoint {args.checkpoint}: {exc}")
+    print(f"accuracy = {accuracy!r}")
     return EXIT_OK
 
 

@@ -168,11 +168,10 @@ def write_idx_labels(path, labels: np.ndarray) -> None:
         fh.write(arr.tobytes())
 
 
-def write_dataset(handle: DatasetHandle, directory, split: str | None = None) -> None:
-    """Emit a handle as a standard-named IDX pair (u8, value-exact for data
-    that originated as u8)."""
-    split = split or handle.split
-    img_name, lbl_name = STANDARD_FILES[split]
+def write_dataset(handle: DatasetHandle, directory) -> None:
+    """Emit a handle as the standard-named IDX pair of its split (u8,
+    value-exact for data that originated as u8)."""
+    img_name, lbl_name = STANDARD_FILES[handle.split]
     u8 = np.round(handle.images * 255.0).astype(np.uint8)
     Path(directory).mkdir(parents=True, exist_ok=True)
     write_idx_images(Path(directory) / img_name, u8)

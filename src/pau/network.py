@@ -19,12 +19,15 @@ the ``_Layer`` protocol:
 
 Kinds with weights (Dense, Conv2d) also give ``weight_shape`` and the
 axes of ``W`` that hold output units (``out_axis``) and inputs
-(``in_axis``).  Weight init, masks, parameter counts and pruning scores
-read only those, so a new layer kind is added in its class alone.
+(``in_axis``).  Weight init, masks and pruning scores read only those,
+and parameter counts count what the mask applier leaves, so a new layer
+kind is added in its class alone.
 
 Each Activation layer references a PauUnit whose coefficient gradients
 are summed over the layer's elements in fixed ``BLOCK_ELEMENTS`` blocks,
-block sums combined in block order, independent of thread count.
+block sums combined in block order, independent of thread count.  A
+unit with ``noise_alpha > 0`` draws, in training only, its own perturbed
+coefficients for every element of the layer.
 ``backward`` returns a dict of gradients under the keys of
 ``Network.params()``, which the optimizers also keep their state under.
 It returns parameter gradients only, so it stops at the first layer with
@@ -44,7 +47,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .approx import builtin_coefficients
-from .rational import (RationalCoefficients, backward_pau, eval_pau_batch,
+from .rational import (PoleError, RationalCoefficients, backward_pau, eval_pau_batch,
                        eval_pau_stacked, sample_noisy_coeffs)
 from .targets import parse_target
 
@@ -56,15 +59,11 @@ class PauUnit:
     coefficients: RationalCoefficients
     safe: bool = True
     noise_alpha: float = 0.0
-    noise_granularity: str = "element"  # or "batch"
     trainable: bool = True
 
     def __post_init__(self):
         if not self.noise_alpha >= 0:
             raise ValueError(f"noise_alpha must be >= 0, got {self.noise_alpha!r}")
-        if self.noise_granularity not in ("element", "batch"):
-            raise ValueError(f"noise_granularity must be 'element' or 'batch', "
-                             f"got {self.noise_granularity!r}")
 
 
 # the settings of a unit besides its coefficients, as checkpoints store them
@@ -212,11 +211,11 @@ class MaxPool(_Layer):
         flat = win.reshape(b_, c_, oh, ow, -1)
         idx = np.argmax(flat, axis=-1)
         y = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
-        return y, {"in_shape": x.shape, "idx": idx, "window": self.window, "stride": s}
+        return y, {"in_shape": x.shape, "idx": idx}
 
     def backward(self, net, i, g, cache, need_dx):
         idx = cache["idx"]
-        w, s = cache["window"], cache["stride"]
+        w, s = self.window, self.stride or self.window
         oh, ow = idx.shape[2:]
         # one strided add per window offset; where windows overlap an
         # element sums the values of every window whose max it holds
@@ -242,24 +241,22 @@ class Activation(_Layer):
         return net.pau_units[self.unit].trainable
 
     def forward(self, net, i, x, noise_rng):
-        """Noisy coefficients, one set per element or per batch, are
-        cached so that backward differentiates at the sampled values."""
+        """Noisy coefficients, one set per element, are cached so that
+        backward differentiates at the sampled values.  A pole raises
+        PoleError naming the layer and the unit."""
         unit = net.pau_units[self.unit]
         stacks = None
-        if noise_rng is not None and unit.noise_alpha > 0:
-            if unit.noise_granularity == "batch":
-                noisy = sample_noisy_coeffs(unit.coefficients, unit.noise_alpha,
-                                            noise_rng)
-                stacks = (np.broadcast_to(noisy.numerator, (x.size, noisy.m + 1)),
-                          np.broadcast_to(noisy.denominator, (x.size, noisy.n)))
-            else:
+        try:
+            if noise_rng is not None and unit.noise_alpha > 0:
                 stacks = sample_noisy_coeffs(unit.coefficients, unit.noise_alpha,
                                              noise_rng, size=x.size)
-        if stacks is None:
-            y = eval_pau_batch(x, unit.coefficients, safe=unit.safe)
-        else:
-            y = eval_pau_stacked(x.reshape(-1), *stacks,
-                                 safe=unit.safe).reshape(x.shape)
+                y = eval_pau_stacked(x.reshape(-1), *stacks,
+                                     safe=unit.safe).reshape(x.shape)
+            else:
+                y = eval_pau_batch(x, unit.coefficients, safe=unit.safe)
+        except PoleError as exc:
+            raise PoleError(exc.x, exc.q, exc.index,
+                            where=f"layer {i} (Activation) unit {self.unit}") from None
         return y, {"x": x, "stacks": stacks}
 
     def backward(self, net, i, g, cache, need_dx):
@@ -374,25 +371,8 @@ class Network:
         units can never drift away from zero."""
         _apply_masks(self, dict(self.params()))
 
-    # -- mask plumbing ------------------------------------------------------
-
     def parametric_indices(self):
         return [i for i, s in enumerate(self.specs) if s.weight_shape is not None]
-
-    def consumer_in_mask(self, layer_index):
-        """Keep-mask over a parametric layer's inputs, induced by the mask of
-        the closest parametric layer upstream (expanded across spatial
-        positions when a Flatten sits in between).  None when unmasked."""
-        producer = next((j for j in range(layer_index - 1, -1, -1)
-                         if self.specs[j].weight_shape is not None), None)
-        if producer is None or producer not in self.masks:
-            return None
-        keep = self.masks[producer]
-        spec = self.specs[layer_index]
-        n_in = spec.weight_shape[spec.in_axis]
-        if keep.size == n_in:
-            return keep
-        return np.repeat(keep, n_in // keep.size)
 
 
 def resolve_units(specs):
@@ -413,8 +393,7 @@ def resolve_units(specs):
 
 
 def build_network(specs, init="lrelu(0.01)", seed=0, input_shape=None,
-                  safe=True, noise_alpha=0.0, noise_granularity="element",
-                  trainable_units=True) -> Network:
+                  safe=True, noise_alpha=0.0, trainable_units=True) -> Network:
     """Compile a spec list into a Network.
 
     ``init`` is a builtin coefficient name or a RationalCoefficients used
@@ -447,7 +426,7 @@ def build_network(specs, init="lrelu(0.01)", seed=0, input_shape=None,
     else:
         base = builtin_coefficients(init)
     units = [PauUnit(base.copy(), safe=safe, noise_alpha=noise_alpha,
-                     noise_granularity=noise_granularity, trainable=trainable_units)
+                     trainable=trainable_units)
              for _ in range(n_units)]
     return Network(specs, input_shape, weights, units, seed)
 
@@ -502,10 +481,13 @@ def backward(net: Network, trace: ForwardTrace, loss_grad) -> dict:
 
 def _apply_masks(net: Network, params):
     """Zero, in W and b of every parametric layer, the masked output units
-    and the input columns fed by the producer's masked units.  ``params``
-    maps ``Network.params()`` keys to weights or to their gradients."""
+    and the inputs fed by the masked units of the closest parametric layer
+    upstream, the producer (each of its units feeds one input, or one per
+    spatial position when a Flatten sits in between).  ``params`` maps
+    ``Network.params()`` keys to weights or to their gradients."""
     if not net.masks:
         return
+    producer = None
     for i in net.parametric_indices():
         spec = net.specs[i]
         W, b = params[("layer", i, "W")], params[("layer", i, "b")]
@@ -513,26 +495,21 @@ def _apply_masks(net: Network, params):
         if keep is not None:
             np.moveaxis(W, spec.out_axis, 0)[~keep] = 0.0
             b[~keep] = 0.0
-        in_keep = net.consumer_in_mask(i)
+        in_keep = net.masks.get(producer)
         if in_keep is not None:
-            np.moveaxis(W, spec.in_axis, 0)[~in_keep] = 0.0
+            n_in = spec.weight_shape[spec.in_axis]
+            np.moveaxis(W, spec.in_axis, 0)[~np.repeat(in_keep, n_in // in_keep.size)] = 0.0
+        producer = i
 
 
 def param_count(net: Network):
     """(total, pau) parameter counts; masked units are excluded, exactly as
-    if they had been removed from the architecture."""
-    total = 0
-    for i in net.parametric_indices():
-        spec = net.specs[i]
-        keep = net.masks.get(i)
-        in_keep = net.consumer_in_mask(i)
-        n_out = spec.weight_shape[spec.out_axis] if keep is None else int(np.sum(keep))
-        # each input (for Conv2d, a channel) holds fan_in / inputs weights of a unit
-        n_in = spec.weight_shape[spec.in_axis] if in_keep is None else int(np.sum(in_keep))
-        n_in *= spec.fan_in // spec.weight_shape[spec.in_axis]
-        total += n_in * n_out + n_out
-    pau = sum(arr.size for key, arr in net.params() if key[0] == "unit")
-    return total + pau, pau
+    if they had been removed from the architecture: the entries that
+    :func:`_apply_masks` would zero are not counted."""
+    kept = {key: np.ones(arr.shape, dtype=bool) for key, arr in net.params()}
+    _apply_masks(net, kept)
+    pau = sum(int(m.sum()) for key, m in kept.items() if key[0] == "unit")
+    return sum(int(m.sum()) for m in kept.values()), pau
 
 
 # ---------------------------------------------------------------------------
@@ -633,6 +610,10 @@ def _network_from_manifest(manifest, blob) -> Network:
                              f"the blob holds {len(blob)}")
         arr = np.frombuffer(blob, dtype="<f8", count=count,
                             offset=start).reshape(shape).copy()
+        if not np.isfinite(arr).all():
+            bad = np.unravel_index(np.argmin(np.isfinite(arr)), shape)
+            raise ValueError(f"{name} of layer {i} holds {float(arr[bad])!r} "
+                             f"at index {tuple(map(int, bad))}")
         if weights[i] is None:
             weights[i] = {}
         weights[i][name] = arr

@@ -5,7 +5,9 @@ output neurons of hidden dense layers.  A unit's score is the plain
 signed sum of its incoming weights; pass ``method='l1'`` for the
 absolute-sum variant.  Masked units stay at exactly zero: their rows,
 their biases and every downstream consumer column are zeroed, and the
-backward pass pins their gradients to zero.
+backward pass pins their gradients to zero.  The parameters a report
+counts as remaining are exactly those that zeroing leaves
+(:func:`pau.network.param_count`).
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ class PruneRow:
     p: float
     params_remaining: int
     test_acc: float
-    retrain_epochs: int
 
 
 @dataclass
@@ -133,6 +134,5 @@ def lottery_run(build_fn, train_data, test_data, schedule: PruneSchedule,
         rewind(net, net0)
         train_model(net, train_data, test_data, cfg)
         test = test_data.subset(cfg.test_subset) if cfg.test_subset else test_data
-        rows.append(PruneRow(p, param_count(net)[0], evaluate(net, test),
-                             cfg.epochs))
+        rows.append(PruneRow(p, param_count(net)[0], evaluate(net, test)))
     return PruneReport(rows)

@@ -19,6 +19,10 @@ coefficients.  Gradients are computed analytically:
 with s = sign(A(x)) in safe mode (and Q'(x) = s * A'(x)), s = 1 in unsafe
 mode.  sign(0) is defined as 0, which keeps the gradients finite at the
 kink of |A|.
+
+Coefficient noise is drawn per element: :func:`sample_noisy_coeffs`
+gives every element its own perturbed coefficients, as stacks that
+:func:`eval_pau_stacked` and :func:`backward_pau` read.
 """
 
 from __future__ import annotations
@@ -35,14 +39,16 @@ BLOCK_ELEMENTS = 32768  # elements per kernel slice, so a slice's temporaries st
 
 
 class PoleError(ArithmeticError):
-    """Unsafe-mode denominator magnitude fell below the pole floor."""
+    """Unsafe-mode denominator magnitude fell below the pole floor.
+    ``where``, when given, names the network layer and unit."""
 
-    def __init__(self, x, q, index=None):
+    def __init__(self, x, q, index=None, where=None):
         self.x = x
         self.q = q
         self.index = index
         at = f" at index {index}" if index is not None else ""
-        super().__init__(f"denominator {q!r} below pole floor{at} (x={x!r})")
+        of = f"{where}: " if where else ""
+        super().__init__(f"{of}denominator {q!r} below pole floor{at} (x={x!r})")
 
 
 @dataclass
@@ -294,35 +300,27 @@ def backward_pau(xs, upstream, coeffs: RationalCoefficients, safe: bool = True,
     return d_inputs, (total[:coeffs.m + 1], total[coeffs.m + 1:])
 
 
-def sample_noisy_coeffs(coeffs: RationalCoefficients, alpha: float, rng,
-                        size=None):
-    """Perturb each coefficient by a uniform draw on [c - a|c|, c + a|c|].
+def sample_noisy_coeffs(coeffs: RationalCoefficients, alpha: float, rng, size: int):
+    """Perturb each coefficient by a uniform draw on [c - a|c|, c + a|c|],
+    once for each of ``size`` elements.
 
-    ``rng`` is a seed or a numpy Generator.  With ``size=None`` one
-    perturbed RationalCoefficients is returned; an integer size returns
-    stacked arrays ``(num_stack, den_stack)`` of shapes (size, m+1) and
-    (size, n), one sample per element.  Each stack is column-major: column
-    j, the j-th coefficient of every element, is contiguous.  The values
-    are drawn in the order of ``gen.uniform(lo, hi, (size, k))`` (every
-    numerator row, then every denominator row), so a seed gives the same
-    stacks whatever their layout.  alpha = 0 returns the coefficients
-    unchanged and draws nothing from the generator.
+    ``rng`` is a seed or a numpy Generator.  Returns the stacks
+    ``(num_stack, den_stack)`` of shapes (size, m+1) and (size, n), one
+    sample per element.  Each stack is column-major: column j, the j-th
+    coefficient of every element, is contiguous.  The values are drawn in
+    the order of ``gen.uniform(lo, hi, (size, k))`` (every numerator row,
+    then every denominator row), so a seed gives the same stacks whatever
+    their layout.  alpha = 0 repeats the coefficients and draws nothing
+    from the generator.
     """
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
-    num, den = coeffs.numerator, coeffs.denominator
+    vectors = (coeffs.numerator, coeffs.denominator)
     if alpha == 0.0:
-        if size is None:
-            return coeffs.copy()
-        return (np.repeat(num[:, None], size, axis=1).T,
-                np.repeat(den[:, None], size, axis=1).T)
+        return tuple(np.repeat(c[:, None], size, axis=1).T for c in vectors)
     gen = np.random.default_rng(rng)
-    lo_n, hi_n = num - alpha * np.abs(num), num + alpha * np.abs(num)
-    lo_d, hi_d = den - alpha * np.abs(den), den + alpha * np.abs(den)
-    if size is None:
-        return RationalCoefficients(gen.uniform(lo_n, hi_n, num.size),
-                                    gen.uniform(lo_d, hi_d, den.size))
-    return _uniform_stack(gen, lo_n, hi_n, size), _uniform_stack(gen, lo_d, hi_d, size)
+    return tuple(_uniform_stack(gen, c - alpha * np.abs(c), c + alpha * np.abs(c), size)
+                 for c in vectors)
 
 
 def _uniform_stack(gen, lo, hi, size):

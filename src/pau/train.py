@@ -59,8 +59,9 @@ class Metrics:
 
 
 class NonFiniteLossError(ArithmeticError):
-    """A training step's loss is NaN or infinite.  The message names the
-    step and the first unit or layer holding a non-finite value."""
+    """A training step's loss, or an evaluated batch's output, is NaN or
+    infinite.  The message names the step or the batch, and the first
+    unit or layer holding a non-finite value."""
 
 
 def _first_non_finite(net: Network, trace, out) -> str:
@@ -86,28 +87,23 @@ def _first_non_finite(net: Network, trace, out) -> str:
     return "none of the units, weights or layer outputs"
 
 
-def _check_loss(loss: float, net: Network, trace, out, step: int):
-    if not math.isfinite(loss):
-        raise NonFiniteLossError(f"step {step}: loss is {loss!r}; first non-finite "
-                                 f"value: {_first_non_finite(net, trace, out)}")
-
-
-def _check_shape(buf, grad, key):
-    if buf.shape != grad.shape:
-        raise ValueError(f"gradient shape {grad.shape} != parameter shape "
-                         f"{buf.shape} for {key}")
-
-
 class _Optimizer:
-    """The step loop shared by SGD and Adam; subclasses define ``_update``."""
+    """The step loop shared by SGD and Adam, with the shape check and the
+    layer weight decay; subclasses define ``_update(key, param, g, lr)``."""
 
     def step(self, net: Network, grads: dict):
         """``grads`` and the optimizer state are keyed like ``net.params()``."""
         params = dict(net.params())
         for key, g in grads.items():
-            unit = key[0] == "unit"
-            self._update(key, params[key], g, self.pau_lr if unit else self.lr,
-                         0.0 if unit else self.weight_decay)
+            param = params[key]
+            if param.shape != np.shape(g):
+                raise ValueError(f"gradient shape {np.shape(g)} != parameter shape "
+                                 f"{param.shape} for {key}")
+            if key[0] == "unit":
+                self._update(key, param, g, self.pau_lr)
+            else:
+                decay = self.weight_decay
+                self._update(key, param, g + decay * param if decay else g, self.lr)
         net.enforce_masks()
         net.bump_version()
 
@@ -122,9 +118,7 @@ class SGD(_Optimizer):
         self.pau_lr = lr if pau_lr is None else pau_lr
         self.velocity = {}
 
-    def _update(self, key, param, grad, lr, decay):
-        _check_shape(param, np.asarray(grad), key)
-        g = grad + decay * param if decay else grad
+    def _update(self, key, param, g, lr):
         if self.momentum:
             buf = self.velocity.get(key)
             buf = g if buf is None else self.momentum * buf + g
@@ -148,9 +142,7 @@ class Adam(_Optimizer):
         self.v = {}
         self.t = 0
 
-    def _update(self, key, param, grad, lr, decay):
-        _check_shape(param, np.asarray(grad), key)
-        g = grad + decay * param if decay else grad
+    def _update(self, key, param, g, lr):
         m = self.m.get(key, 0.0)
         v = self.v.get(key, 0.0)
         m = self.beta1 * m + (1 - self.beta1) * g
@@ -196,13 +188,30 @@ def _model_inputs(net: Network, images: np.ndarray) -> np.ndarray:
 
 
 def evaluate(net: Network, data: DatasetHandle, batch_size: int = 1024) -> float:
-    """Accuracy of argmax predictions; ties resolve to the lowest class."""
+    """Accuracy of argmax predictions; ties resolve to the lowest class.
+    A non-finite output raises NonFiniteLossError; warnings are silenced."""
     hits = 0
-    for lo in range(0, len(data), batch_size):
-        xb = _model_inputs(net, data.images[lo:lo + batch_size])
-        out, _ = forward(net, xb, training=False)
-        hits += int(np.sum(np.argmax(out, axis=1) == data.labels[lo:lo + batch_size]))
+    with np.errstate(all="ignore"):
+        for lo in range(0, len(data), batch_size):
+            xb = _model_inputs(net, data.images[lo:lo + batch_size])
+            out, trace = forward(net, xb, training=False)
+            if not np.isfinite(out).all():
+                raise NonFiniteLossError(
+                    f"samples {lo}-{lo + len(xb) - 1}: output is not finite; first "
+                    f"non-finite value: {_first_non_finite(net, trace, out)}")
+            hits += int(np.sum(np.argmax(out, axis=1) == data.labels[lo:lo + batch_size]))
     return hits / len(data) if len(data) else 0.0
+
+
+def _step(net: Network, opt, xb, target, loss_fn, seed: int, step: int) -> float:
+    """One training step, noise seeded by ``seed`` and ``step``; returns the loss."""
+    out, trace = forward(net, xb, training=True, seed=seed * 1_000_003 + step)
+    loss, dout = loss_fn(out, target)
+    if not math.isfinite(loss):
+        raise NonFiniteLossError(f"step {step}: loss is {loss!r}; first non-finite "
+                                 f"value: {_first_non_finite(net, trace, out)}")
+    opt.step(net, backward(net, trace, dout))
+    return loss
 
 
 def train_model(net: Network, train: DatasetHandle, test: DatasetHandle,
@@ -227,14 +236,8 @@ def train_model(net: Network, train: DatasetHandle, test: DatasetHandle,
         with np.errstate(all="ignore"):
             for lo in range(0, len(train), cfg.batch_size):
                 sel = perm[lo:lo + cfg.batch_size]
-                xb = _model_inputs(net, train.images[sel])
-                yb = train.labels[sel]
-                out, trace = forward(net, xb, training=True,
-                                     seed=cfg.seed * 1_000_003 + step)
-                loss, dout = nll_loss(out, yb)
-                _check_loss(loss, net, trace, out, step)
-                grads = backward(net, trace, dout)
-                opt.step(net, grads)
+                loss = _step(net, opt, _model_inputs(net, train.images[sel]),
+                             train.labels[sel], nll_loss, cfg.seed, step)
                 total_loss += loss * sel.size
                 step += 1
         # per-epoch step decay on the layer rate; the unit rate stays constant
@@ -262,11 +265,7 @@ def fit_regression(net: Network, xs: np.ndarray, ys: np.ndarray, steps: int,
     yb = np.asarray(ys, dtype=np.float64).reshape(-1, 1)
     with np.errstate(all="ignore"):
         for step in range(steps):
-            out, trace = forward(net, xb, training=True, seed=seed * 1_000_003 + step)
-            loss, dout = mse_loss(out, yb)
-            _check_loss(loss, net, trace, out, step)
-            grads = backward(net, trace, dout)
-            opt.step(net, grads)
+            _step(net, opt, xb, yb, mse_loss, seed, step)
     out, _ = forward(net, xb, training=False)
     return net, mse_loss(out, yb)[0]
 

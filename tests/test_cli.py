@@ -3,6 +3,7 @@ import json
 import struct
 import subprocess
 import sys
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -283,39 +284,64 @@ class TestTrain:
                     edit(entry)
         return apply
 
-    @pytest.mark.parametrize("damage,message", [
-        (lambda raw: raw[:12], "header"),
+    @staticmethod
+    def _fill_blob(raw, layer, name, value, count):
+        """Overwrite the first ``count`` values of a layer's array."""
+        (length,) = struct.unpack_from("<Q", raw, 8)
+        entry = next(e for e in json.loads(raw[16:16 + length])["offsets"]
+                     if (e["layer"], e["name"]) == (layer, name))
+        start = 16 + length + entry["offset"]
+        return raw[:start] + struct.pack(f"<{count}d", *[value] * count) + raw[start + 8 * count:]
+
+    @staticmethod
+    def _pole(raw):
+        """Every hidden pre-activation 1.0, at the pole of the unsafe unit x / (1 - x)."""
+        raw = TestTrain._rewrite_manifest(raw, lambda m: m["pau_units"][0].update(
+            safe=False, numerator=["0.0", "1.0"], denominator=["-1.0"]))
+        return TestTrain._fill_blob(TestTrain._fill_blob(raw, 0, "W", 0.0, 784 * 16),
+                                    0, "b", 1.0, 16)
+
+    @pytest.mark.parametrize("damage,code,message", [
+        (lambda raw: raw[:12], 2, "header"),
         (lambda raw: TestTrain._rewrite_manifest(
-            raw, lambda m: m["specs"][0].update(type="bogus")), "unknown layer type"),
+            raw, lambda m: m["specs"][0].update(type="bogus")), 2, "unknown layer type"),
         (lambda raw: TestTrain._rewrite_manifest(
-            raw, lambda m: m.pop("offsets")), "offsets"),
-        (lambda raw: raw[:-8], "blob"),
+            raw, lambda m: m.pop("offsets")), 2, "offsets"),
+        (lambda raw: raw[:-8], 2, "blob"),
         (lambda raw: TestTrain._rewrite_manifest(
-            raw, lambda m: m["specs"][1].update(unit=5)), "references unit 5 of 1"),
+            raw, lambda m: m["specs"][1].update(unit=5)), 2, "references unit 5 of 1"),
         (lambda raw: TestTrain._rewrite_manifest(
             raw, TestTrain._edit_offsets(0, "W", lambda e: e.update(shape=[16, 784]))),
-         "layer 0 (Dense) has weights"),
+         2, "layer 0 (Dense) has weights"),
         (lambda raw: TestTrain._rewrite_manifest(
             raw, lambda m: m.update(offsets=[e for e in m["offsets"] if e["layer"] != 2])),
-         "layer 2 (Dense) has weights None"),
+         2, "layer 2 (Dense) has weights None"),
         (lambda raw: TestTrain._rewrite_manifest(
             raw, lambda m: m["masks"].update({"0": [1, 0, 1]})),
-         "mask of layer 0 has shape (3,), the layer has 16 units"),
+         2, "mask of layer 0 has shape (3,), the layer has 16 units"),
         (lambda raw: TestTrain._rewrite_manifest(
             raw, lambda m: m["pau_units"][0].update(noise_alpha=-0.5)),
-         "noise_alpha must be >= 0, got -0.5"),
-        (lambda raw: TestTrain._rewrite_manifest(
-            raw, lambda m: m["pau_units"][0].update(noise_granularity="pixel")),
-         "noise_granularity must be 'element' or 'batch', got 'pixel'"),
+         2, "noise_alpha must be >= 0, got -0.5"),
+        (lambda raw: TestTrain._fill_blob(raw, 0, "W", float("nan"), 1),
+         2, "W of layer 0 holds nan at index (0, 0)"),
+        (lambda raw: TestTrain._fill_blob(raw, 2, "b", float("-inf"), 10),
+         2, "b of layer 2 holds -inf at index (0,)"),
+        (lambda raw: TestTrain._fill_blob(raw, 0, "W", 1e308, 784 * 16),
+         3, "samples 0-1023: output is not finite; first non-finite value: "
+            "the output of layer 0 (Dense)"),
+        (lambda raw: TestTrain._pole(raw), 2, "layer 1 (Activation) unit 0: denominator "
+                                              "0.0 below pole floor at index 0 (x=1.0)"),
     ], ids=["short-header", "unknown-layer", "missing-key", "short-blob",
             "unit-out-of-range", "transposed-weights", "no-offsets", "short-mask",
-            "negative-noise", "unknown-granularity"])
-    def test_eval_corrupt_checkpoint(self, tmp_path, capsys, damage, message):
+            "negative-noise", "nan-weight", "infinite-bias", "overflowing-output", "pole"])
+    def test_eval_corrupt_checkpoint(self, tmp_path, capsys, damage, code, message):
         good = tmp_path / "good.ckpt"
         pau.save_checkpoint(good, pau.build_network(pau.mlp_spec((784, 16, 10))))
         p = tmp_path / "bad.ckpt"
         p.write_bytes(damage(good.read_bytes()))
-        assert main(["eval", "--preset", "synth-desk", "--checkpoint", str(p)]) == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # numpy's warnings are silenced
+            assert main(["eval", "--preset", "synth-desk", "--checkpoint", str(p)]) == code
         err = capsys.readouterr().err
         assert str(p) in err and message in err
 
@@ -336,9 +362,9 @@ class TestTrain:
     ], ids=["truncated-gzip", "fewer-samples-than-subset", "label-past-9", "fewer-labels"])
     def test_bad_idx_files_exit_2(self, tmp_path, damage, message):
         data = pau.synth_digits(40, seed=6)
-        pau.data.write_dataset(data.subset(32), tmp_path, "train")
+        pau.data.write_dataset(data.subset(32), tmp_path)
         pau.data.write_dataset(
-            pau.DatasetHandle(data.images[32:], data.labels[32:]), tmp_path, "test")
+            pau.DatasetHandle(data.images[32:], data.labels[32:], "test"), tmp_path)
         labels = tmp_path / "train-labels-idx1-ubyte"
         if damage == "truncated-gzip":
             plain = tmp_path / "train-images-idx3-ubyte"
@@ -359,9 +385,9 @@ class TestTrain:
                              ids=["train", "prune"])
     def test_idx_images_that_do_not_fit_exit_2(self, tmp_path, capsys, command):
         data = pau.synth_digits(60, seed=6)
-        pau.data.write_dataset(data.subset(40), tmp_path, "train")
+        pau.data.write_dataset(data.subset(40), tmp_path)
         pau.data.write_dataset(
-            pau.DatasetHandle(data.images[40:], data.labels[40:]), tmp_path, "test")
+            pau.DatasetHandle(data.images[40:], data.labels[40:], "test"), tmp_path)
         # the header claims 28x20 images; the payload is still long enough
         path = tmp_path / "train-images-idx3-ubyte"
         raw = path.read_bytes()
@@ -375,10 +401,9 @@ class TestTrain:
     def test_mnist_paper_preset_on_idx_files(self, tmp_path):
         # drive the IDX -> pad -> LeNet path with standard-named files
         data = pau.synth_digits(320, seed=6)
-        pau.data.write_dataset(data.subset(256), tmp_path, "train")
+        pau.data.write_dataset(data.subset(256), tmp_path)
         pau.data.write_dataset(
-            pau.DatasetHandle(data.images[256:], data.labels[256:]),
-            tmp_path, "test")
+            pau.DatasetHandle(data.images[256:], data.labels[256:], "test"), tmp_path)
         code, stdout, stderr = run_cli(
             "train", "--preset", "mnist-paper", "--data-dir", str(tmp_path),
             "--seed", "1", "--epochs", "1", "--batch-size", "64",
@@ -525,7 +550,7 @@ def test_mutated_checkpoint(tmp_path_factory, data):
     # edits land in the header and manifest; a changed weight still evaluates
     path.write_bytes(_mutate(raw, data.draw(_edits(manifest_end, header=16))))
     assert main(["eval", "--preset", "synth-desk", "--checkpoint", str(path),
-                 "--train-subset", "50", "--test-subset", "20"]) in (0, 2)
+                 "--train-subset", "50", "--test-subset", "20"]) in (0, 2, 3)
 
 
 _IDX_FILES = [name for pair in pau.data.STANDARD_FILES.values() for name in pair]
@@ -536,8 +561,9 @@ _IDX_FILES = [name for pair in pau.data.STANDARD_FILES.values() for name in pair
 def test_mutated_idx_file(tmp_path_factory, name, edits):
     tmp = tmp_path_factory.getbasetemp() / "idx"
     data = pau.synth_digits(60, seed=6)
-    pau.data.write_dataset(data.subset(40), tmp, "train")
-    pau.data.write_dataset(pau.DatasetHandle(data.images[40:], data.labels[40:]), tmp, "test")
+    pau.data.write_dataset(data.subset(40), tmp)
+    pau.data.write_dataset(
+        pau.DatasetHandle(data.images[40:], data.labels[40:], "test"), tmp)
     path = tmp / name
     path.write_bytes(_mutate(path.read_bytes(), edits))
     assert main(["train", "--preset", "mnist-desk", "--data-dir", str(tmp), "--epochs", "1",

@@ -108,10 +108,11 @@ class TestDatasetHandle:
 
     def test_write_dataset_round_trip(self, tmp_path):
         h = synth_digits(20, seed=3)
-        write_dataset(h, tmp_path, "train")
-        back = load_idx(tmp_path, "train")
-        assert np.array_equal(back.images, h.images)
-        assert np.array_equal(back.labels, h.labels)
+        for split in ("train", "test"):   # the handle's split names the files
+            write_dataset(DatasetHandle(h.images, h.labels, split), tmp_path)
+            back = load_idx(tmp_path, split)
+            assert np.array_equal(back.images, h.images)
+            assert np.array_equal(back.labels, h.labels)
 
     def test_pad_images(self):
         h = synth_digits(5, seed=1)

@@ -8,7 +8,6 @@ from pau.network import (Activation, Baseline, Conv2d, Dense, Flatten, MaxPool,
                          load_checkpoint, mlp_spec, param_count, save_checkpoint,
                          vgg8_spec)
 from pau.gradcheck import network_fd_gradients
-from pau.rational import eval_pau_batch, sample_noisy_coeffs
 from pau.train import nll_loss
 
 
@@ -67,8 +66,6 @@ class TestBuild:
     def test_unit_settings_checked(self):
         with pytest.raises(ValueError, match="noise_alpha must be >= 0"):
             build_network(mlp_spec((4, 3, 2)), noise_alpha=-1)
-        with pytest.raises(ValueError, match="noise_granularity"):
-            build_network(mlp_spec((4, 3, 2)), noise_granularity="pixel")
 
     def test_softmax_must_be_terminal(self):
         with pytest.raises(ValueError, match="terminal"):
@@ -313,41 +310,6 @@ class TestBackward:
             worst = max(worst, abs(fd - gs[("layer", 0, "W")][idx])
                         / max(abs(fd), 1e-8))
         assert worst < 1e-4
-
-    def test_batch_granularity_noise(self):
-        # one drawn vector serves the whole batch: the forward equals the
-        # shared path at that vector, and backward differentiates at it
-        net = build_network([Dense(4, 3), Activation(), Dense(3, 2), Softmax()],
-                            seed=20, noise_alpha=0.05, noise_granularity="batch")
-        rng = np.random.default_rng(20)
-        batch = rng.normal(size=(6, 4))
-        labels = rng.integers(0, 2, 6)
-        out, trace = pau.forward(net, batch, training=True, seed=21)
-        gs = pau.backward(net, trace, nll_loss(out, labels)[1])
-        noisy = sample_noisy_coeffs(net.pau_units[0].coefficients, 0.05,
-                                    np.random.default_rng(21))
-        assert noisy != net.pau_units[0].coefficients
-        assert np.array_equal(trace.caches[2]["x"],
-                              eval_pau_batch(trace.caches[1]["x"], noisy))
-
-        fixed = net.copy()
-        fixed.pau_units[0].coefficients = noisy
-        fixed.pau_units[0].noise_alpha = 0.0
-        h = 1e-6
-        for arr, analytic in ((fixed.weights[0]["W"], gs[("layer", 0, "W")]),
-                              (noisy.numerator, gs[("unit", 0, "num")]),
-                              (noisy.denominator, gs[("unit", 0, "den")])):
-            flat = arr.reshape(-1)
-            fd = []
-            for j in range(flat.size):
-                old = flat[j]
-                flat[j] = old + h
-                up = nll_loss(pau.forward(fixed, batch)[0], labels)[0]
-                flat[j] = old - h
-                down = nll_loss(pau.forward(fixed, batch)[0], labels)[0]
-                flat[j] = old
-                fd.append((up - down) / (2 * h))
-            assert analytic.reshape(-1) == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
     @pytest.mark.parametrize("specs,input_shape,trainable", [
         ([MaxPool(2), Conv2d(1, 2, 3), Activation(), Flatten(),

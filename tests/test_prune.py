@@ -156,6 +156,29 @@ class TestApply:
         # 4 hidden units gone: their 20 in-weights + bias + 4 out-weights
         assert full - masked == 4 * (20 + 1 + 4)
 
+    @pytest.mark.parametrize("specs,input_shape,masks,want", [
+        # conv -> conv: conv0 keeps 3 units of 1*3*3 + 1; conv2 keeps 4 units of
+        # 3 channels * 3*3 + 1; the dense layer sees 4 kept channels of 4x4
+        ([Conv2d(1, 4, 3), Activation(), Conv2d(4, 6, 3), Activation(), Flatten(),
+          Dense(6 * 4 * 4, 3), Softmax()], (1, 8, 8),
+         {0: [1, 0, 1, 1], 2: [1, 1, 0, 1, 0, 1]},
+         3 * 10 + 4 * (3 * 9 + 1) + (4 * 16 * 3 + 3) + 20),
+        # conv -> Flatten -> dense: 3 kept channels of 2x2 feed 4 kept units
+        ([Conv2d(2, 5, 3), Activation(), Flatten(), Dense(5 * 2 * 2, 6), Activation(),
+          Dense(6, 3), Softmax()], (2, 4, 4),
+         {0: [0, 1, 1, 0, 1], 3: [1, 0, 1, 1, 0, 1]},
+         3 * (2 * 9 + 1) + (3 * 4 * 4 + 4) + (4 * 3 + 3) + 20),
+    ], ids=["conv-conv", "conv-flatten-dense"])
+    def test_param_count_masked_conv(self, specs, input_shape, masks, want):
+        net = build_network(specs, input_shape=input_shape)
+        net.masks = {i: np.array(m, dtype=bool) for i, m in masks.items()}
+        assert param_count(net) == (want, 20)
+        # the count is what survives masking once every weight is nonzero
+        for key, arr in net.params():
+            arr[...] = 1.0
+        net.enforce_masks()
+        assert sum(np.count_nonzero(a) for _, a in net.params()) == want
+
     def test_p_bounds(self):
         net = small_mlp(10)
         with pytest.raises(ValueError):

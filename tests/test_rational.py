@@ -458,11 +458,6 @@ class TestThreadCap:
 
 
 class TestNoise:
-    def test_alpha_zero_identity(self):
-        c = random_coeffs(np.random.default_rng(14))
-        out = sample_noisy_coeffs(c, 0.0, rng=0)
-        assert out == c
-
     def test_zero_coefficient_stays_zero(self):
         c = RationalCoefficients([0.0, 1.0, 0.0], [0.0, 0.5])
         num, den = sample_noisy_coeffs(c, 0.5, rng=0, size=1000)
@@ -482,9 +477,9 @@ class TestNoise:
 
     def test_deterministic_given_seed(self):
         c = random_coeffs(np.random.default_rng(15))
-        a = sample_noisy_coeffs(c, 0.05, rng=42)
-        b = sample_noisy_coeffs(c, 0.05, rng=42)
-        assert a == b
+        a = sample_noisy_coeffs(c, 0.05, rng=42, size=7)
+        b = sample_noisy_coeffs(c, 0.05, rng=42, size=7)
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_mean_converges_to_clean(self):
         c = builtin_coefficients("tanh")
@@ -523,7 +518,7 @@ class TestNoise:
             assert stack.shape == (5, vec.size) and (stack == vec).all()
             assert all(stack[:, j].flags.c_contiguous for j in range(vec.size))
 
-    @pytest.mark.parametrize("size", [None, 10])
+    @pytest.mark.parametrize("size", [0, 10])   # checked before anything is drawn
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_overflowing_range_rejected(self, size):
         c = RationalCoefficients([1e308], [])
@@ -533,7 +528,7 @@ class TestNoise:
     def test_negative_alpha_rejected(self):
         c = random_coeffs(np.random.default_rng(16))
         with pytest.raises(ValueError):
-            sample_noisy_coeffs(c, -0.1, rng=0)
+            sample_noisy_coeffs(c, -0.1, rng=0, size=10)
 
 
 class TestProperties:

@@ -133,6 +133,19 @@ class TestTrainModel:
         for i in n1.parametric_indices():
             assert np.array_equal(n1.weights[i]["W"], n2.weights[i]["W"])
 
+    def test_loss_looked_up_every_step(self, monkeypatch):
+        # a wrapper set on train.nll_loss after import sees every step
+        calls = []
+
+        def counting(logp, labels):
+            calls.append(labels.size)
+            return nll_loss(logp, labels)
+
+        monkeypatch.setattr(pau.train, "nll_loss", counting)
+        data = tiny_data(n=40, seed=9)
+        train_model(tiny_net(9), data, data, TrainConfig(epochs=2, batch_size=16))
+        assert calls == [16, 16, 8] * 2
+
     def test_loss_finite_every_epoch(self, synth_sets):
         train, test = synth_sets
         net = build_network(mlp_spec((784, 128, 10)), seed=0)
