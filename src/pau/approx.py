@@ -2,12 +2,13 @@
 
 Two routes produce starting coefficients:
 
-* classical [m/n] approximants derived from exact Maclaurin series
-  (sigmoid, tanh, swish), solved in rational arithmetic;
+* classical [m/n] approximants of the exact Maclaurin series (a tuple
+  of fractions) of sigmoid, tanh or swish, solved in rational arithmetic
+  and rounded once to float64;
 * iteratively reweighted linear least squares on a grid (the
-  Sanathanan-Koerner linearization) followed by a damped Gauss-Newton
-  polish of the true quotient residual, for kinked targets such as the
-  ReLU family.
+  Sanathanan-Koerner linearization, to SK_TOLERANCE) followed by at
+  most GN_MAX_ITERATIONS damped Gauss-Newton steps on the true quotient
+  residual, for kinked targets such as the ReLU family.
 
 The module also embeds the standard initialization table for order
 [5/4]: exact fractions for the smooth targets and fitted constants for
@@ -24,9 +25,11 @@ import numpy as np
 
 from .rational import (RationalCoefficients, _expand_gradients, _grad_parts,
                        _pau_parts, eval_pau_batch)
-from .targets import TargetActivation, parse_target
+from .targets import TargetActivation, _series_divide, parse_target
 
 DEFAULT_ORDERS = (5, 4)
+SK_TOLERANCE = 1e-10    # largest coefficient change, relative, that ends the SK stage
+GN_MAX_ITERATIONS = 80  # Gauss-Newton steps of the polish stage
 
 
 class DegenerateOrdersError(np.linalg.LinAlgError):
@@ -39,26 +42,9 @@ class FitNonConvergenceError(RuntimeError):
         self.last_residual = last_residual
 
 
-@dataclass
-class TaylorSeries:
-    """Maclaurin coefficients c_0..c_d, optionally with exact fractions."""
-
-    coefficients: np.ndarray
-    exact: tuple | None = None
-
-    def __post_init__(self):
-        self.coefficients = np.asarray(self.coefficients, dtype=np.float64)
-
-    @property
-    def degree(self) -> int:
-        return self.coefficients.size - 1
-
-
-def taylor_of(target: TargetActivation, degree: int) -> TaylorSeries:
-    """Exact-rational Maclaurin series of a smooth target, as 64-bit floats
-    plus the underlying fractions."""
-    exact = target.taylor(degree)
-    return TaylorSeries(np.array([float(c) for c in exact]), tuple(exact))
+def taylor_of(target: TargetActivation, degree: int) -> tuple:
+    """Exact-rational Maclaurin coefficients c_0..c_degree of a smooth target."""
+    return tuple(target.taylor(degree))
 
 
 def _solve_fraction_system(A, rhs):
@@ -86,8 +72,6 @@ def pade_exact(series, m: int, n: int):
     c = [Fraction(v) for v in series]
     if len(c) < m + n + 1:
         raise ValueError(f"series degree {len(c) - 1} < m+n = {m + n}")
-    if n == 0:
-        return tuple(c[:m + 1]), ()
     A = [[(c[k - j] if k - j >= 0 else Fraction(0)) for j in range(1, n + 1)]
          for k in range(m + 1, m + n + 1)]
     rhs = [-c[k] for k in range(m + 1, m + n + 1)]
@@ -101,27 +85,22 @@ def pade_exact(series, m: int, n: int):
     return tuple(a), tuple(b)
 
 
-def pade_from_taylor(series: TaylorSeries, m: int = DEFAULT_ORDERS[0],
-                     n: int = DEFAULT_ORDERS[1]) -> RationalCoefficients:
-    """[m/n] approximant from a Maclaurin series, solved exactly by
-    pade_exact on the series' fractions, or else on the exact values of
-    its floats, and rounded once to float64."""
-    exact = series.coefficients.tolist() if series.exact is None else series.exact
-    a, b = pade_exact(exact, m, n)
+def _rounded(a, b) -> RationalCoefficients:
+    """Exact coefficients rounded once to float64."""
     return RationalCoefficients([float(v) for v in a], [float(v) for v in b])
+
+
+def pade_from_taylor(series, m: int = DEFAULT_ORDERS[0],
+                     n: int = DEFAULT_ORDERS[1]) -> RationalCoefficients:
+    """[m/n] approximant from Maclaurin coefficients c_0..c_d, fractions or
+    floats (taken at their exact values), solved by :func:`pade_exact` and
+    rounded once to float64."""
+    return _rounded(*pade_exact(series, m, n))
 
 
 def rational_taylor(coeffs: RationalCoefficients, degree: int) -> np.ndarray:
     """Maclaurin expansion of P/Q by power-series division (Q_0 = 1)."""
-    p = coeffs.numerator
-    b = coeffs.denominator
-    out = np.zeros(degree + 1)
-    for k in range(degree + 1):
-        s = p[k] if k <= coeffs.m else 0.0
-        for i in range(1, min(k, coeffs.n) + 1):
-            s -= b[i - 1] * out[k - i]
-        out[k] = s
-    return out
+    return np.array(_series_divide(coeffs.numerator, [1.0, *coeffs.denominator], degree))
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +113,6 @@ class FitConfig:
     hi: float = 3.0
     grid_step: float = 1e-4
     max_sk_iterations: int = 25
-    convergence_tol: float = 1e-10
 
     def __post_init__(self):
         if not self.lo < self.hi:
@@ -156,7 +134,7 @@ def _residual(theta, xs, y, m, safe):
     return r, float(r @ r)
 
 
-def _gauss_newton_polish(theta, xs, y, m, n, safe, max_iter=80):
+def _gauss_newton_polish(theta, xs, y, m, n, safe):
     """Damped Gauss-Newton on the true residual P/Q - y.
 
     The Jacobian is the coefficient gradient of the unit, from the
@@ -166,13 +144,12 @@ def _gauss_newton_polish(theta, xs, y, m, n, safe, max_iter=80):
     """
     lam = 1e-10
     r, sse = _residual(theta, xs, y, m, safe)
-    for _ in range(max_iter):
+    for _ in range(GN_MAX_ITERATIONS):
         _, w, v = _grad_parts(xs, theta[:m + 1], theta[m + 1:], safe)
         J = _expand_gradients(xs, w, v, m, n)
         g = J.T @ r
         H = J.T @ J
         del J   # else the next Jacobian is built while this one is still held
-        stepped = False
         for _ in range(15):
             try:
                 step = np.linalg.solve(H + lam * np.eye(H.shape[0]), -g)
@@ -182,14 +159,14 @@ def _gauss_newton_polish(theta, xs, y, m, n, safe, max_iter=80):
             cand = theta + step
             r2, sse2 = _residual(cand, xs, y, m, safe)
             if np.isfinite(sse2) and sse2 < sse:
-                theta, r = cand, r2
-                improvement = sse - sse2
-                sse = sse2
-                lam = max(lam / 3.0, 1e-14)
-                stepped = True
                 break
             lam *= 10
-        if not stepped or improvement <= 1e-15 * sse:
+        else:
+            break   # no damping gave a descent step
+        improvement = sse - sse2
+        theta, r, sse = cand, r2, sse2
+        lam = max(lam / 3.0, 1e-14)
+        if improvement <= 1e-15 * sse:
             break
     return theta
 
@@ -204,9 +181,10 @@ def least_squares_fit(target, m: int = DEFAULT_ORDERS[0],
     Sanathanan-Koerner stage multiplies through by Q, weights each pass
     by 1/Q_previous, and iterates to a fixed point; the polish stage then
     descends the true objective (with the |A| kink handled via sign(A)
-    when ``safe``).  Raises FitNonConvergenceError when the SK stage does
-    not reach ``convergence_tol`` within ``max_sk_iterations``, and
-    OverflowError when the target is not finite on the grid.
+    when ``safe``).  Raises FitNonConvergenceError when no SK pass within
+    ``max_sk_iterations`` changes every coefficient by at most
+    SK_TOLERANCE relative to the largest, and OverflowError when the
+    target is not finite on the grid.
     """
     cfg = config or FitConfig()
     xs = cfg.grid()
@@ -223,8 +201,6 @@ def least_squares_fit(target, m: int = DEFAULT_ORDERS[0],
 
     Q = np.ones_like(xs)
     theta_prev = None
-    converged = False
-    theta = None
     n_params = m + 1 + n
     for _ in range(cfg.max_sk_iterations):
         w = 1.0 / np.maximum(np.abs(Q), 1e-6)
@@ -240,17 +216,15 @@ def least_squares_fit(target, m: int = DEFAULT_ORDERS[0],
             theta_n = np.linalg.solve(G, Dn.T @ (y * w))
         theta = theta_n / scale
         _, _, Q = _pau_parts(xs, theta[:m + 1], theta[m + 1:], safe=False)
-        if theta_prev is not None:
-            delta = np.max(np.abs(theta - theta_prev))
-            if delta <= cfg.convergence_tol * max(1.0, np.max(np.abs(theta))):
-                converged = True
-                break
+        if theta_prev is not None and np.max(np.abs(theta - theta_prev)) \
+                <= SK_TOLERANCE * max(1.0, np.max(np.abs(theta))):
+            break
         theta_prev = theta
-    if not converged:
-        P, _, Qf = _pau_parts(xs, theta[:m + 1], theta[m + 1:], safe)
+    else:
+        r, _ = _residual(theta, xs, y, m, safe)
         raise FitNonConvergenceError(
             f"no convergence within {cfg.max_sk_iterations} iterations",
-            last_residual=float(np.max(np.abs(P / Qf - y))))
+            last_residual=float(np.max(np.abs(r))))
 
     theta = _gauss_newton_polish(theta, xs, y, m, n, safe)
     return RationalCoefficients(theta[:m + 1], theta[m + 1:])
@@ -311,23 +285,17 @@ def builtin_coefficients(name: str) -> RationalCoefficients:
     beta-parameterized closed forms, and the ReLU family the fitted
     constants.  Raises ValueError for names outside the table.
     """
-    key = name.strip().lower()
     try:
-        t = parse_target(key)
-        key = t.name
-        kind, param = t.kind, t.param
+        t = parse_target(name)
     except ValueError:
-        raise ValueError(f"unknown builtin {name!r}; available: {BUILTIN_NAMES}")
-    if kind == "swish":
+        raise ValueError(f"unknown builtin {name!r}; available: {BUILTIN_NAMES}") from None
+    if t.kind == "swish":
         try:
-            a, b = _swish_column(param)
-            return RationalCoefficients([float(v) for v in a], [float(v) for v in b])
+            return _rounded(*_swish_column(t.param))
         except OverflowError:
-            raise ValueError(f"swish beta {param!r} is out of range") from None
-    if key in _EXACT_COLUMNS:
-        a, b = _EXACT_COLUMNS[key]
-        return RationalCoefficients([float(v) for v in a], [float(v) for v in b])
-    if key in _FITTED_COLUMNS:
-        a, b = _FITTED_COLUMNS[key]
-        return RationalCoefficients(a, b)
+            raise ValueError(f"swish beta {t.param!r} is out of range") from None
+    if t.name in _EXACT_COLUMNS:
+        return _rounded(*_EXACT_COLUMNS[t.name])
+    if t.name in _FITTED_COLUMNS:
+        return RationalCoefficients(*_FITTED_COLUMNS[t.name])
     raise ValueError(f"unknown builtin {name!r}; available: {BUILTIN_NAMES}")

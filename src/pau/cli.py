@@ -333,6 +333,8 @@ def _load_preset_data(settings):
             if (settings[key] or 0) > len(data):
                 raise ValueError(f"{key} {settings[key]} exceeds the {len(data)} "
                                  f"{data.split} samples in {settings['data_dir']}")
+        train = train.subset(settings["train_subset"] or len(train))
+        test = test.subset(settings["test_subset"] or len(test))
     pad = _ARCHS[settings["arch"]][2]
     if pad:
         train, test = pad_images(train, pad), pad_images(test, pad)
@@ -341,9 +343,10 @@ def _load_preset_data(settings):
 
 def _prologue(args):
     """The start of train, eval and prune: the run settings, eval's
-    checkpoint, then the preset's data, checked against the input shape
-    of the network that will run.  Returns (settings, TrainConfig, the
-    checkpoint's network or None, train, test)."""
+    checkpoint, then the preset's data cut to its train and test subsets,
+    checked against the input shape of the network that will run.
+    Returns (settings, TrainConfig, the checkpoint's network or None,
+    train, test)."""
     settings, cfg = _run_settings(args)
     net, runs, takes = None, f"the {args.preset} network", _ARCHS[settings["arch"]][1]
     if getattr(args, "checkpoint", None):
@@ -390,12 +393,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    _, cfg, net, train, test = _prologue(args)
-    data = test if args.split == "test" else train
-    if args.split == "test" and cfg.test_subset:
-        data = data.subset(cfg.test_subset)
+    _, _, net, train, test = _prologue(args)
     try:
-        accuracy = evaluate(net, data)
+        accuracy = evaluate(net, test if args.split == "test" else train)
     except PoleError as exc:
         raise _Fail(EXIT_INPUT, f"checkpoint {args.checkpoint}: {exc}")
     except NonFiniteLossError as exc:

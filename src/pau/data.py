@@ -20,6 +20,7 @@ import numpy as np
 IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
 _MAX_ELEMENTS = 1 << 33  # refuse dimension products past 8G entries
+SYNTH_PIXEL_NOISE = 0.25  # standard deviation of synth_digits' pixel noise
 
 STANDARD_FILES = {
     "train": ("train-images-idx3-ubyte", "train-labels-idx1-ubyte"),
@@ -228,13 +229,13 @@ def _draw_glyph(digit, thickness):
     return canvas
 
 
-def synth_digits(n: int, seed: int = 0, noise: float = 0.25) -> DatasetHandle:
+def synth_digits(n: int, seed: int = 0) -> DatasetHandle:
     """Deterministic glyph-based stand-in for a handwritten-digit set.
 
-    Renders jittered seven-segment digits with pixel noise onto 28x28 u8
-    images.  Useful for exercising the full training pipeline where no
-    real data is available; it is not MNIST and results on it are not
-    comparable to published digit benchmarks.
+    Renders jittered seven-segment digits with SYNTH_PIXEL_NOISE pixel
+    noise onto 28x28 u8 images.  Useful for exercising the full training
+    pipeline where no real data is available; it is not MNIST and results
+    on it are not comparable to published digit benchmarks.
     """
     rng = np.random.default_rng(seed)
     images = np.zeros((n, 28, 28), dtype=np.uint8)
@@ -247,7 +248,7 @@ def synth_digits(n: int, seed: int = 0, noise: float = 0.25) -> DatasetHandle:
         dy = int(rng.integers(2, 7))
         dx = int(rng.integers(4, 13))
         img[dy:dy + 20, dx:dx + 12] = glyph * brightness
-        img += rng.normal(0.0, noise, (28, 28))
+        img += rng.normal(0.0, SYNTH_PIXEL_NOISE, (28, 28))
         np.clip(img, 0.0, 1.0, out=img)
         images[i] = np.round(img * 255.0).astype(np.uint8)
     return DatasetHandle(images / 255.0, labels, "train")

@@ -125,11 +125,10 @@ def network_fd_gradients(net, batch, labels):
     scale = max(1.0, abs(loss))
 
     worst = 0.0
-
-    def fd_for(arr, analytic):
-        nonlocal worst
+    for key, arr in net.params():
         flat = arr.reshape(-1)
-        ga = np.asarray(analytic).reshape(-1)
+        # an unreferenced unit has no entry: zero
+        ga = np.asarray(grads.get(key, np.zeros_like(arr))).reshape(-1)
         for idx in range(flat.size):
             old = flat[idx]
             flat[idx] = old + FD_STEP
@@ -139,9 +138,6 @@ def network_fd_gradients(net, batch, labels):
             flat[idx] = old
             fd = (up - down) / (2 * FD_STEP)
             worst = max(worst, float(_rel(ga[idx], fd, scale)))
-
-    for key, arr in net.params():   # an unreferenced unit has no entry: zero
-        fd_for(arr, grads.get(key, np.zeros_like(arr)))
     return worst
 
 

@@ -32,9 +32,11 @@ coefficients for every element of the layer.
 ``Network.params()``, which the optimizers also keep their state under.
 It returns parameter gradients only, so it stops at the first layer with
 parameters (a Dense, a Conv2d or an Activation with a trainable unit),
-and that layer skips its own input gradient.  Whole-network results
-repeat bit for bit at a fixed BLAS thread count: the Dense and Conv2d
-matrix products may round differently when the thread count changes.
+and that layer skips its own input gradient.  ``first_non_finite``
+reruns the layers through the loop of ``forward``, with its noise.
+Whole-network results repeat bit for bit at a fixed BLAS thread count:
+the Dense and Conv2d matrix products may round differently when the
+thread count changes.
 """
 
 from __future__ import annotations
@@ -300,6 +302,11 @@ class Flatten(_Layer):
 class Softmax(_Layer):
     """Terminal layer; outputs log-probabilities."""
 
+    def check(self, net, i):
+        super().check(net, i)
+        if i != len(net.specs) - 1:
+            raise ValueError(f"layer {i} (Softmax) must be the terminal layer")
+
     def forward(self, net, i, x, noise_rng):
         z = x - np.max(x, axis=1, keepdims=True)
         logp = z - np.log(np.sum(np.exp(z), axis=1, keepdims=True))
@@ -407,9 +414,6 @@ def build_network(specs, init="lrelu(0.01)", seed=0, input_shape=None,
             input_shape = (first.in_dim,)
         else:
             raise ValueError("input_shape is required for convolutional specs")
-    for i, s in enumerate(specs):
-        if isinstance(s, Softmax) and i != len(specs) - 1:
-            raise ValueError("softmax must be the terminal layer")
 
     rng = np.random.default_rng(seed)
     weights = []
@@ -441,20 +445,49 @@ class ForwardTrace:
     caches: list = field(default_factory=list)
 
 
-def forward(net: Network, batch, training=False, seed=0):
-    """Run the network; returns (outputs, trace).  When training, units
+def _run_layers(net: Network, batch, training, seed):
+    """Yield (output, cache) of each layer in turn.  When training, units
     with noise_alpha > 0 draw their noise in layer order from one
     generator seeded with ``seed``; inference uses clean coefficients."""
     x = np.asarray(batch, dtype=np.float64)
     if x.shape[1:] != net.input_shape:
         raise ValueError(f"batch shape {x.shape[1:]} != input shape {net.input_shape}")
-    trace = ForwardTrace(version=net.version)
     noisy = training and any(u.noise_alpha > 0 for u in net.pau_units)
     noise_rng = np.random.default_rng(seed) if noisy else None
     for i, spec in enumerate(net.specs):
         x, cache = spec.forward(net, i, x, noise_rng)
+        yield x, cache
+
+
+def forward(net: Network, batch, training=False, seed=0):
+    """Run the network; returns (outputs, trace).  Noise is drawn as in
+    :func:`_run_layers`."""
+    out = np.asarray(batch, dtype=np.float64)
+    trace = ForwardTrace(version=net.version)
+    for out, cache in _run_layers(net, out, training, seed):
         trace.caches.append(cache)
-    return x, trace
+    return out, trace
+
+
+def first_non_finite(net: Network, batch, training=False, seed=0) -> str:
+    """Where a non-finite value first shows when ``forward`` runs ``batch``
+    with these arguments: a unit's coefficients, a layer's weights, the
+    input batch, or else the first layer output.  The layers run again,
+    with the same noise, so call this only once a result is found bad."""
+    for u, unit in enumerate(net.pau_units):
+        c = unit.coefficients
+        if not (np.isfinite(c.numerator).all() and np.isfinite(c.denominator).all()):
+            return f"unit {u}'s coefficients"
+    for i in net.parametric_indices():
+        for k, v in net.weights[i].items():
+            if not np.isfinite(v).all():
+                return f"layer {i} ({type(net.specs[i]).__name__}) weights {k}"
+    if not np.isfinite(batch).all():
+        return "the input batch"
+    for i, (y, _) in enumerate(_run_layers(net, batch, training, seed)):
+        if not np.isfinite(y).all():
+            return f"the output of layer {i} ({type(net.specs[i]).__name__})"
+    return "none of the units, weights or layer outputs"
 
 
 def backward(net: Network, trace: ForwardTrace, loss_grad) -> dict:

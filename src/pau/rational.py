@@ -28,6 +28,7 @@ gives every element its own perturbed coefficients, as stacks that
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -64,7 +65,7 @@ class RationalCoefficients:
         if self.numerator.ndim != 1 or self.numerator.size == 0:
             raise ValueError("numerator must be a non-empty 1-D vector")
         if not np.all(np.isfinite(self.numerator)) or not np.all(np.isfinite(self.denominator)):
-            raise ValueError("coefficients must be finite")
+            raise ValueError("non-finite coefficient")
 
     @property
     def m(self) -> int:
@@ -181,15 +182,14 @@ def eval_pau_batch(xs, coeffs: RationalCoefficients, safe: bool = True) -> np.nd
 
     A pole raises with the index of the first offending element.
     """
-    return _eval(np.asarray(xs, dtype=np.float64), coeffs.numerator,
-                 coeffs.denominator, safe)
+    return _eval(xs, coeffs.numerator, coeffs.denominator, safe)
 
 
 def eval_pau_stacked(xs, num_stack, den_stack, safe: bool = True) -> np.ndarray:
     """Evaluate with one coefficient vector per element (noise-perturbed
     units); stacks have shape (len(xs), m+1) and (len(xs), n).  Poles
     raise as in :func:`eval_pau_batch`."""
-    return _eval(np.asarray(xs, dtype=np.float64), num_stack, den_stack, safe)
+    return _eval(xs, num_stack, den_stack, safe)
 
 
 @dataclass
@@ -227,33 +227,35 @@ def _grad_parts(x, numerator, denominator, safe, pole_offset=None, upstream=1.0)
     return d_input, upstream / Q, -upstream * s * PQ2
 
 
-def _power_terms(factor, x, count):
+def _power_terms(factor, x, count, out=None):
     """Yield factor * x**j for j = 0, ..., count - 1.
 
     Each term is one running-product step from the previous one, so no
-    table of powers is ever built.
+    table of powers is ever built.  With ``out``, term j is computed into
+    ``out[..., j]``, so no temporary is made either.
     """
     for j in range(count):
         if j:
-            factor = factor * x
+            factor = np.multiply(factor, x, out=None if out is None else out[..., j])
+        elif out is not None:
+            out[..., 0] = factor
         yield factor
 
 
 def _expand_gradients(x, w, v, m, n):
     """Per-element coefficient gradients from the factors of
     :func:`_grad_parts`, as one array of shape x.shape + (m+1+n,): the
-    columns w x^j for j = 0..m, then v x^k for k = 1..n.
+    columns w x^j for j = 0..m, then v x^k for k = 1..n, the terms that
+    :func:`backward_pau` sums.
 
     The same expansion with w = 1 and v = -y gives the rows of the
     linearized least-squares design matrix.
     """
     out = np.empty(np.broadcast_shapes(np.shape(x), np.shape(w), np.shape(v))
                    + (m + 1 + n,))
-    out[..., 0] = w
-    # each column is the one before times x, written in place to keep
-    # temporaries off the fitting grid; the first denominator column is v x
-    for j in range(1, m + 1 + n):
-        np.multiply(v if j == m + 1 else out[..., j - 1], x, out=out[..., j])
+    for _ in chain(_power_terms(w, x, m + 1, out[..., :m + 1]),
+                   _power_terms(v * x, x, n, out[..., m + 1:])):
+        pass   # each term is written into its column of out
     return out
 
 
@@ -411,8 +413,6 @@ def _parse_document(lines) -> CoefficientDocument:
         denominator = [float(t) for t in fields.get("denominator", "").split()]
     except ValueError as exc:
         raise DocumentFormatError("bad coefficient literal") from exc
-    if not np.all(np.isfinite(numerator + denominator)):
-        raise DocumentFormatError("non-finite coefficient")
     if len(numerator) != m + 1 or len(denominator) != n:
         raise DocumentFormatError(
             f"coefficient counts ({len(numerator)}, {len(denominator)}) "

@@ -33,14 +33,12 @@ def _sigmoid(x):
 
 
 def _series_divide(u, v, degree):
-    # power series u/v through x^degree; v[0] != 0
+    # power series u/v through x^degree; v[0] != 0; q_k subtracts v_1 q_(k-1) first
     q = []
     for k in range(degree + 1):
-        s = u[k] if k < len(u) else Fraction(0)
-        for i in range(k):
-            j = k - i
-            if j < len(v):
-                s -= q[i] * v[j]
+        s = u[k] if k < len(u) else 0
+        for j in range(1, min(k, len(v) - 1) + 1):
+            s -= v[j] * q[k - j]
         q.append(s / v[0])
     return q
 

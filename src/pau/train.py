@@ -13,7 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DatasetHandle
-from .network import Network, backward, forward
+from .network import Network, backward, first_non_finite, forward
+
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # moment decay rates, epsilon
+EVAL_BATCH = 1024  # samples per forward pass in evaluate
 
 
 @dataclass
@@ -64,29 +67,6 @@ class NonFiniteLossError(ArithmeticError):
     unit or layer holding a non-finite value."""
 
 
-def _first_non_finite(net: Network, trace, out) -> str:
-    """Where a non-finite value first shows: a unit's coefficients, a
-    layer's weights, the input batch, or else the first layer output.
-    ``trace.caches[i]`` holds layer i's input (Softmax: its probabilities,
-    finite exactly when its input is), so layer i's output is seen in
-    ``caches[i + 1]`` and the last one in ``out``."""
-    for u, unit in enumerate(net.pau_units):
-        c = unit.coefficients
-        if not (np.isfinite(c.numerator).all() and np.isfinite(c.denominator).all()):
-            return f"unit {u}'s coefficients"
-    for i in net.parametric_indices():
-        for k, v in net.weights[i].items():
-            if not np.isfinite(v).all():
-                return f"layer {i} ({type(net.specs[i]).__name__}) weights {k}"
-    seen = [list(c.values()) for c in trace.caches] + [[out]]
-    for i, arrays in enumerate(seen):
-        if any(isinstance(v, np.ndarray) and not np.isfinite(v).all() for v in arrays):
-            if i == 0:
-                return "the input batch"
-            return f"the output of layer {i - 1} ({type(net.specs[i - 1]).__name__})"
-    return "none of the units, weights or layer outputs"
-
-
 class _Optimizer:
     """The step loop shared by SGD and Adam, with the shape check and the
     layer weight decay; subclasses define ``_update(key, param, g, lr)``."""
@@ -130,12 +110,8 @@ class SGD(_Optimizer):
 class Adam(_Optimizer):
     """Adam with bias-corrected moments."""
 
-    def __init__(self, lr=0.002, beta1=0.9, beta2=0.999, eps=1e-8,
-                 weight_decay=0.0, pau_lr=None):
+    def __init__(self, lr=0.002, weight_decay=0.0, pau_lr=None):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.weight_decay = weight_decay
         self.pau_lr = lr if pau_lr is None else pau_lr
         self.m = {}
@@ -145,13 +121,13 @@ class Adam(_Optimizer):
     def _update(self, key, param, g, lr):
         m = self.m.get(key, 0.0)
         v = self.v.get(key, 0.0)
-        m = self.beta1 * m + (1 - self.beta1) * g
-        v = self.beta2 * v + (1 - self.beta2) * g * g
+        m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * g * g
         self.m[key] = m
         self.v[key] = v
-        m_hat = m / (1 - self.beta1 ** self.t)
-        v_hat = v / (1 - self.beta2 ** self.t)
-        param -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        m_hat = m / (1 - ADAM_BETA1 ** self.t)
+        v_hat = v / (1 - ADAM_BETA2 ** self.t)
+        param -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
     def step(self, net: Network, grads: dict):
         self.t += 1
@@ -187,29 +163,31 @@ def _model_inputs(net: Network, images: np.ndarray) -> np.ndarray:
     return images.reshape((images.shape[0],) + net.input_shape)
 
 
-def evaluate(net: Network, data: DatasetHandle, batch_size: int = 1024) -> float:
-    """Accuracy of argmax predictions; ties resolve to the lowest class.
-    A non-finite output raises NonFiniteLossError; warnings are silenced."""
+def evaluate(net: Network, data: DatasetHandle) -> float:
+    """Accuracy of argmax predictions, over EVAL_BATCH samples at a time;
+    ties resolve to the lowest class.  A non-finite output raises
+    NonFiniteLossError; warnings are silenced."""
     hits = 0
     with np.errstate(all="ignore"):
-        for lo in range(0, len(data), batch_size):
-            xb = _model_inputs(net, data.images[lo:lo + batch_size])
-            out, trace = forward(net, xb, training=False)
+        for lo in range(0, len(data), EVAL_BATCH):
+            xb = _model_inputs(net, data.images[lo:lo + EVAL_BATCH])
+            out, _ = forward(net, xb, training=False)
             if not np.isfinite(out).all():
                 raise NonFiniteLossError(
                     f"samples {lo}-{lo + len(xb) - 1}: output is not finite; first "
-                    f"non-finite value: {_first_non_finite(net, trace, out)}")
-            hits += int(np.sum(np.argmax(out, axis=1) == data.labels[lo:lo + batch_size]))
+                    f"non-finite value: {first_non_finite(net, xb)}")
+            hits += int(np.sum(np.argmax(out, axis=1) == data.labels[lo:lo + EVAL_BATCH]))
     return hits / len(data) if len(data) else 0.0
 
 
 def _step(net: Network, opt, xb, target, loss_fn, seed: int, step: int) -> float:
     """One training step, noise seeded by ``seed`` and ``step``; returns the loss."""
-    out, trace = forward(net, xb, training=True, seed=seed * 1_000_003 + step)
+    noise_seed = seed * 1_000_003 + step
+    out, trace = forward(net, xb, training=True, seed=noise_seed)
     loss, dout = loss_fn(out, target)
     if not math.isfinite(loss):
-        raise NonFiniteLossError(f"step {step}: loss is {loss!r}; first non-finite "
-                                 f"value: {_first_non_finite(net, trace, out)}")
+        raise NonFiniteLossError(f"step {step}: loss is {loss!r}; first non-finite value: "
+                                 f"{first_non_finite(net, xb, True, noise_seed)}")
     opt.step(net, backward(net, trace, dout))
     return loss
 

@@ -331,9 +331,14 @@ class TestTrain:
             "the output of layer 0 (Dense)"),
         (lambda raw: TestTrain._pole(raw), 2, "layer 1 (Activation) unit 0: denominator "
                                               "0.0 below pole floor at index 0 (x=1.0)"),
+        (lambda raw: TestTrain._rewrite_manifest(
+            raw, lambda m: m.update(specs=[m["specs"][0], {"type": "softmax"},
+                                           m["specs"][2]])),
+         2, "layer 1 (Softmax) must be the terminal layer"),
     ], ids=["short-header", "unknown-layer", "missing-key", "short-blob",
             "unit-out-of-range", "transposed-weights", "no-offsets", "short-mask",
-            "negative-noise", "nan-weight", "infinite-bias", "overflowing-output", "pole"])
+            "negative-noise", "nan-weight", "infinite-bias", "overflowing-output", "pole",
+            "inner-softmax"])
     def test_eval_corrupt_checkpoint(self, tmp_path, capsys, damage, code, message):
         good = tmp_path / "good.ckpt"
         pau.save_checkpoint(good, pau.build_network(pau.mlp_spec((784, 16, 10))))
@@ -344,6 +349,21 @@ class TestTrain:
             assert main(["eval", "--preset", "synth-desk", "--checkpoint", str(p)]) == code
         err = capsys.readouterr().err
         assert str(p) in err and message in err
+
+    @pytest.mark.parametrize("split,count", [("train", 10), ("test", 5)])
+    def test_eval_split_takes_its_subset(self, tmp_path, monkeypatch, capsys, split, count):
+        data = pau.synth_digits(50, seed=6)
+        pau.data.write_dataset(data.subset(40), tmp_path)
+        pau.data.write_dataset(
+            pau.DatasetHandle(data.images[40:], data.labels[40:], "test"), tmp_path)
+        ckpt = tmp_path / "mlp.ckpt"
+        pau.save_checkpoint(ckpt, pau.build_network(pau.mlp_spec((784, 16, 10))))
+        seen = []
+        monkeypatch.setattr(cli, "evaluate", lambda net, d: seen.append(len(d)) or 0.5)
+        assert main(["eval", "--preset", "mnist-desk", "--data-dir", str(tmp_path),
+                     "--checkpoint", str(ckpt), "--split", split,
+                     "--train-subset", "10", "--test-subset", "5"]) == 0
+        assert seen == [count]
 
     def test_eval_checkpoint_input_shape_mismatch(self, tmp_path, capsys):
         ckpt = tmp_path / "lenet.ckpt"

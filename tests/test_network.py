@@ -4,7 +4,7 @@ import pytest
 import pau
 from pau import network
 from pau.network import (Activation, Baseline, Conv2d, Dense, Flatten, MaxPool,
-                         Softmax, StaleTraceError, build_network, lenet_spec,
+                         Network, Softmax, StaleTraceError, build_network, lenet_spec,
                          load_checkpoint, mlp_spec, param_count, save_checkpoint,
                          vgg8_spec)
 from pau.gradcheck import network_fd_gradients
@@ -70,6 +70,10 @@ class TestBuild:
     def test_softmax_must_be_terminal(self):
         with pytest.raises(ValueError, match="terminal"):
             build_network([Dense(4, 2), Softmax(), Dense(2, 2)], input_shape=(4,))
+        net = build_network([Dense(4, 2), Dense(2, 2)], input_shape=(4,))
+        with pytest.raises(ValueError, match=r"^layer 1 \(Softmax\) must be the terminal"):
+            Network([Dense(4, 2), Softmax(), Dense(2, 2)], (4,),
+                    [net.weights[0], None, net.weights[1]], [], 0)
 
     def test_explicit_unit_sharing(self):
         net = build_network([Dense(4, 4), Activation(0), Dense(4, 4),

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import pau
-from pau.network import Activation, Baseline, Dense, Softmax, build_network, mlp_spec
+from pau.network import (Activation, Baseline, Conv2d, Dense, Flatten, MaxPool, Softmax,
+                         build_network, mlp_spec)
 from pau.train import (Adam, SGD, NonFiniteLossError, TrainConfig, evaluate,
                        fit_regression, make_optimizer, nll_loss, train_model,
                        write_metrics_csv)
@@ -234,6 +235,30 @@ class TestNonFiniteLoss:
                 pytest.raises(NonFiniteLossError, match=r"^step \d+: loss is nan") as err:
             train_model(net, data, data, cfg)
         assert str(err.value).endswith(f"first non-finite value: {where}")
+
+    @staticmethod
+    def _overflowing_conv_net():
+        # the conv outputs stay finite; the unit overflows on them, and the
+        # MaxPool and Flatten after it cache no input of their own
+        net = build_network([Conv2d(1, 2, 3), Activation(), MaxPool(2), Flatten(),
+                             Dense(2 * 3 * 3, 3), Softmax()], input_shape=(1, 8, 8), seed=4)
+        net.weights[0]["W"][...] = 1e70
+        return net
+
+    def test_train_names_the_unit_before_a_pool(self):
+        data = pau.DatasetHandle(np.random.default_rng(4).uniform(0, 1, (16, 1, 8, 8)),
+                                 np.arange(16) % 3)
+        with pytest.raises(NonFiniteLossError, match=r"^step 0: loss is nan; first "
+                           r"non-finite value: the output of layer 1 \(Activation\)$"):
+            train_model(self._overflowing_conv_net(), data, data,
+                        TrainConfig(epochs=1, batch_size=16))
+
+    def test_evaluate_names_the_unit_before_a_pool(self):
+        data = pau.DatasetHandle(np.random.default_rng(4).uniform(0, 1, (5, 1, 8, 8)),
+                                 np.arange(5) % 3)
+        with pytest.raises(NonFiniteLossError, match=r"^samples 0-4: output is not finite; "
+                           r"first non-finite value: the output of layer 1 \(Activation\)$"):
+            evaluate(self._overflowing_conv_net(), data)
 
     def test_regression_names_layer_output(self):
         xs, ys = pau.synth_regression(pau.parse_target("tanh"), 200, -3, 3, seed=0)
