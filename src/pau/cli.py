@@ -31,7 +31,8 @@ from . import gradcheck
 from .approx import (FitConfig, FitNonConvergenceError, builtin_coefficients,
                      fit_residual, least_squares_fit, pade_from_taylor, taylor_of)
 from .data import DatasetHandle, load_idx, pad_images, synth_digits
-from .network import build_network, lenet_spec, load_checkpoint, mlp_spec, save_checkpoint
+from .network import (DEFAULT_INIT, PauUnit, build_network, lenet_spec, load_checkpoint,
+                      mlp_spec, save_checkpoint)
 from .prune import PruneSchedule, lottery_run
 from .rational import (DocumentFormatError, PoleError, eval_pau_batch, eval_pau_stacked,
                        read_coefficient_document, sample_noisy_coeffs,
@@ -255,9 +256,9 @@ _ARCHS = {
 _SYNTH_DATA_SEED = 555  # dataset content independent of the training seed
 
 # The run settings, each with its parser: the keys of a config file and,
-# with dashes, the flags of train, eval and prune.  Those that are fields
-# of TrainConfig build it; init and noise_alpha go to build_network.
-# Settings left unset take the defaults of TrainConfig and build_network.
+# with dashes, the flags of train, eval and prune.  TrainConfig's fields
+# build it; init and noise_alpha go to build_network, data_dir and the
+# subsets to the data cut (_load_preset_data).  Unset ones take defaults.
 _CONFIG_KEYS = {
     "optimizer": str, "lr": float, "momentum": float, "batch_size": int,
     "epochs": int, "data_dir": str, "train_subset": int, "test_subset": int,
@@ -289,13 +290,14 @@ def _train_config(settings) -> TrainConfig:
     not hold; a value out of range raises ValueError naming its key."""
     cfg = TrainConfig(**{f.name: settings[f.name] for f in fields(TrainConfig)
                          if f.name in settings})
-    if "init" in settings:
-        try:
-            builtin_coefficients(settings["init"])
-        except ValueError as exc:
-            raise ValueError(f"init: {exc}")
-    if not settings.get("noise_alpha", 0.0) >= 0:
-        raise ValueError(f"noise_alpha must be >= 0, got {settings['noise_alpha']!r}")
+    try:
+        init = builtin_coefficients(settings.get("init", DEFAULT_INIT))
+    except ValueError as exc:
+        raise ValueError(f"init: {exc}")
+    PauUnit(init, noise_alpha=settings.get("noise_alpha", 0.0))
+    for key in ("train_subset", "test_subset"):
+        if settings.get(key) is not None and settings[key] < 1:
+            raise ValueError(f"{key} must be >= 1")
     return cfg
 
 
@@ -330,6 +332,9 @@ def _load_preset_data(settings):
         train = load_idx(settings["data_dir"], "train")
         test = load_idx(settings["data_dir"], "test")
         for key, data in (("train_subset", train), ("test_subset", test)):
+            if not len(data):
+                raise ValueError(f"the {data.split} split of {settings['data_dir']} "
+                                 f"holds no samples")
             if (settings[key] or 0) > len(data):
                 raise ValueError(f"{key} {settings[key]} exceeds the {len(data)} "
                                  f"{data.split} samples in {settings['data_dir']}")

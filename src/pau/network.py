@@ -54,6 +54,7 @@ from .rational import (PoleError, RationalCoefficients, backward_pau, eval_pau_b
 from .targets import parse_target
 
 CONV_BLOCK_ELEMENTS = 2 ** 18  # window elements per Conv2d image block, to stay in L2
+DEFAULT_INIT = "lrelu(0.01)"   # the coefficients build_network starts each unit from
 
 
 @dataclass
@@ -106,12 +107,24 @@ class _Layer:
         return self.weight_shape is not None
 
 
+def _check_sizes(spec, low, *names):
+    """ValueError unless each named field of ``spec`` is an integer >= ``low``."""
+    for name in names:
+        value = getattr(spec, name)
+        if not isinstance(value, (int, np.integer)) or value < low:
+            raise ValueError(f"{type(spec).__name__} {name} must be an integer "
+                             f">= {low}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Dense(_Layer):
     in_dim: int
     out_dim: int
 
     out_axis, in_axis = 1, 0
+
+    def __post_init__(self):
+        _check_sizes(self, 1, "in_dim", "out_dim")
 
     @property
     def weight_shape(self):
@@ -139,6 +152,10 @@ class Conv2d(_Layer):
     padding: int = 0
 
     out_axis, in_axis = 0, 1
+
+    def __post_init__(self):
+        _check_sizes(self, 1, "in_channels", "out_channels", "kernel", "stride")
+        _check_sizes(self, 0, "padding")
 
     @property
     def weight_shape(self):
@@ -194,6 +211,9 @@ class Conv2d(_Layer):
 class MaxPool(_Layer):
     window: int
     stride: int | None = None  # None means stride = window
+
+    def __post_init__(self):
+        _check_sizes(self, 1, "window", *(() if self.stride is None else ("stride",)))
 
     def out_shape(self, shape):
         if len(shape) != 3:
@@ -357,9 +377,6 @@ class Network:
         net.masks = {i: m.copy() for i, m in self.masks.items()}
         return net
 
-    def bump_version(self):
-        self.version += 1
-
     def params(self):
         """(key, live array) of every trained array: ("layer", i, "W"/"b")
         of each layer with weights, then ("unit", u, "num"/"den") of each
@@ -372,11 +389,13 @@ class Network:
                 yield ("unit", u, "num"), unit.coefficients.numerator
                 yield ("unit", u, "den"), unit.coefficients.denominator
 
-    def enforce_masks(self):
-        """Zero masked rows/biases and the consumer columns they feed.
-        Called after pruning and after every optimizer step so masked
-        units can never drift away from zero."""
+    def params_changed(self):
+        """Call after changing parameters in place (an optimizer step,
+        pruning, a rewind): re-zero the masked rows, biases and the
+        consumer columns they feed, so that masked units never drift from
+        zero, and make every earlier trace stale."""
         _apply_masks(self, dict(self.params()))
+        self.version += 1
 
     def parametric_indices(self):
         return [i for i, s in enumerate(self.specs) if s.weight_shape is not None]
@@ -399,13 +418,14 @@ def resolve_units(specs):
     return out, next_idx
 
 
-def build_network(specs, init="lrelu(0.01)", seed=0, input_shape=None,
-                  safe=True, noise_alpha=0.0, trainable_units=True) -> Network:
+def build_network(specs, init=DEFAULT_INIT, seed=0, input_shape=None,
+                  noise_alpha=0.0, trainable_units=True) -> Network:
     """Compile a spec list into a Network.
 
     ``init`` is a builtin coefficient name or a RationalCoefficients used
-    for every unit.  Weights are uniform on [-s, s] with s = sqrt(1/fan_in),
-    biases start at zero; everything is deterministic given ``seed``.
+    for every unit, in safe mode.  Weights are uniform on [-s, s] with
+    s = sqrt(1/fan_in), biases start at zero; everything is deterministic
+    given ``seed``.
     """
     specs, n_units = resolve_units(list(specs))
     if input_shape is None:
@@ -425,12 +445,8 @@ def build_network(specs, init="lrelu(0.01)", seed=0, input_shape=None,
         weights.append({"W": rng.uniform(-s, s, spec.weight_shape),
                         "b": np.zeros(spec.weight_shape[spec.out_axis])})
 
-    if isinstance(init, RationalCoefficients):
-        base = init
-    else:
-        base = builtin_coefficients(init)
-    units = [PauUnit(base.copy(), safe=safe, noise_alpha=noise_alpha,
-                     trainable=trainable_units)
+    base = init if isinstance(init, RationalCoefficients) else builtin_coefficients(init)
+    units = [PauUnit(base.copy(), noise_alpha=noise_alpha, trainable=trainable_units)
              for _ in range(n_units)]
     return Network(specs, input_shape, weights, units, seed)
 
@@ -566,12 +582,14 @@ class CheckpointFormatError(ValueError):
     network."""
 
 
-def _spec_from_dict(d):
+def _spec_from_dict(i, d):
     cls = _SPEC_TYPES.get(d["type"])
     if cls is None:
-        raise ValueError(f"unknown layer type {d['type']!r}")
-    kwargs = {k: v for k, v in d.items() if k != "type"}
-    return cls(**kwargs)
+        raise ValueError(f"layer {i}: unknown layer type {d['type']!r}")
+    try:
+        return cls(**{k: v for k, v in d.items() if k != "type"})
+    except ValueError as exc:
+        raise ValueError(f"layer {i}: {exc}") from None
 
 
 def save_checkpoint(path, net: Network) -> None:
@@ -627,7 +645,7 @@ def load_checkpoint(path) -> Network:
 
 
 def _network_from_manifest(manifest, blob) -> Network:
-    specs = [_spec_from_dict(d) for d in manifest["specs"]]
+    specs = [_spec_from_dict(i, d) for i, d in enumerate(manifest["specs"])]
     units = [PauUnit(RationalCoefficients([float(v) for v in u["numerator"]],
                                           [float(v) for v in u["denominator"]]),
                      **{k: u[k] for k in _UNIT_SETTINGS})

@@ -101,8 +101,7 @@ def apply_prune(net: Network, p: float, method: str = "sum"):
         keep = np.ones(units, dtype=bool)
         keep[order[:k]] = False
         net.masks[i] = keep
-    net.enforce_masks()
-    net.bump_version()
+    net.params_changed()
     return {i: m.copy() for i, m in net.masks.items()}
 
 
@@ -113,17 +112,16 @@ def rewind(net: Network, reference: Network):
     ref = dict(reference.params())
     for key, arr in net.params():
         arr[...] = ref[key]
-    net.enforce_masks()
-    net.bump_version()
+    net.params_changed()
 
 
 def lottery_run(build_fn, train_data, test_data, schedule: PruneSchedule,
                 method: str = "sum") -> PruneReport:
     """For each fraction p: train a copy of the original initialization,
     mask the lowest-sum units at p, rewind survivors to their original
-    values, retrain, and record the remaining parameters and accuracy.
-    Each fraction starts over from the same initialization (fresh mask
-    per p, no compounding)."""
+    values, retrain, and record the remaining parameters and the accuracy
+    on all of ``test_data``.  Each fraction starts over from the same
+    initialization (fresh mask per p, no compounding)."""
     net0 = build_fn()
     cfg = schedule.retrain
     rows = []
@@ -133,6 +131,5 @@ def lottery_run(build_fn, train_data, test_data, schedule: PruneSchedule,
         apply_prune(net, p, method)
         rewind(net, net0)
         train_model(net, train_data, test_data, cfg)
-        test = test_data.subset(cfg.test_subset) if cfg.test_subset else test_data
-        rows.append(PruneRow(p, param_count(net)[0], evaluate(net, test)))
+        rows.append(PruneRow(p, param_count(net)[0], evaluate(net, test_data)))
     return PruneReport(rows)

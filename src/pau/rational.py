@@ -253,8 +253,12 @@ def _expand_gradients(x, w, v, m, n):
     """
     out = np.empty(np.broadcast_shapes(np.shape(x), np.shape(w), np.shape(v))
                    + (m + 1 + n,))
+    den = out[..., m + 1:]
+    # v x goes straight into the first denominator column, which then
+    # starts that column's running product (a copy onto itself is skipped)
+    vx = np.multiply(v, x, out=den[..., 0]) if n else None
     for _ in chain(_power_terms(w, x, m + 1, out[..., :m + 1]),
-                   _power_terms(v * x, x, n, out[..., m + 1:])):
+                   _power_terms(vx, x, n, den)):
         pass   # each term is written into its column of out
     return out
 

@@ -1,7 +1,10 @@
 """Optimizers, losses, evaluation and the training loop.
 
-Coefficient parameters of activation units get their own learning rate
-(defaulting to the global one) and never receive weight decay.
+The optimizers take their rates from a TrainConfig: coefficient
+parameters of activation units get their own learning rate (``pau_lr``,
+following ``lr`` when unset), which ``lr_decay`` leaves constant.
+``train_model`` trains and evaluates on all of the data it is given;
+cutting a data set to a subset is the caller's job.
 """
 
 from __future__ import annotations
@@ -26,12 +29,9 @@ class TrainConfig:
     optimizer: str = "adam"          # "adam" or "sgd"
     lr: float = 0.002
     momentum: float = 0.5            # sgd only
-    weight_decay: float = 0.0        # never applied to unit coefficients
     pau_lr: float | None = None      # None: follow lr; stays constant
     lr_decay: float = 1.0            # per-epoch factor on the layer lr
     seed: int = 0
-    train_subset: int | None = None
-    test_subset: int | None = None
 
     def __post_init__(self):
         if self.epochs < 0:
@@ -48,9 +48,6 @@ class TrainConfig:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        for name in ("train_subset", "test_subset"):
-            if getattr(self, name) is not None and getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
 
 
 @dataclass
@@ -68,8 +65,13 @@ class NonFiniteLossError(ArithmeticError):
 
 
 class _Optimizer:
-    """The step loop shared by SGD and Adam, with the shape check and the
-    layer weight decay; subclasses define ``_update(key, param, g, lr)``."""
+    """The step loop shared by SGD and Adam, with the shape check; subclasses
+    define ``_update(key, param, g, lr)``.  Layer weights and biases step at
+    ``lr``, unit coefficients at ``pau_lr``."""
+
+    def __init__(self, cfg: TrainConfig):
+        self.lr = cfg.lr
+        self.pau_lr = cfg.lr if cfg.pau_lr is None else cfg.pau_lr
 
     def step(self, net: Network, grads: dict):
         """``grads`` and the optimizer state are keyed like ``net.params()``."""
@@ -79,23 +81,16 @@ class _Optimizer:
             if param.shape != np.shape(g):
                 raise ValueError(f"gradient shape {np.shape(g)} != parameter shape "
                                  f"{param.shape} for {key}")
-            if key[0] == "unit":
-                self._update(key, param, g, self.pau_lr)
-            else:
-                decay = self.weight_decay
-                self._update(key, param, g + decay * param if decay else g, self.lr)
-        net.enforce_masks()
-        net.bump_version()
+            self._update(key, param, g, self.pau_lr if key[0] == "unit" else self.lr)
+        net.params_changed()
 
 
 class SGD(_Optimizer):
-    """Momentum SGD; weight decay only on layer weights and biases."""
+    """Momentum SGD."""
 
-    def __init__(self, lr=0.01, momentum=0.5, weight_decay=0.0, pau_lr=None):
-        self.lr = lr
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self.pau_lr = lr if pau_lr is None else pau_lr
+    def __init__(self, cfg: TrainConfig):
+        super().__init__(cfg)
+        self.momentum = cfg.momentum
         self.velocity = {}
 
     def _update(self, key, param, g, lr):
@@ -110,10 +105,8 @@ class SGD(_Optimizer):
 class Adam(_Optimizer):
     """Adam with bias-corrected moments."""
 
-    def __init__(self, lr=0.002, weight_decay=0.0, pau_lr=None):
-        self.lr = lr
-        self.weight_decay = weight_decay
-        self.pau_lr = lr if pau_lr is None else pau_lr
+    def __init__(self, cfg: TrainConfig):
+        super().__init__(cfg)
         self.m = {}
         self.v = {}
         self.t = 0
@@ -135,9 +128,7 @@ class Adam(_Optimizer):
 
 
 def make_optimizer(cfg: TrainConfig):
-    if cfg.optimizer == "sgd":
-        return SGD(cfg.lr, cfg.momentum, cfg.weight_decay, cfg.pau_lr)
-    return Adam(cfg.lr, weight_decay=cfg.weight_decay, pau_lr=cfg.pau_lr)
+    return {"adam": Adam, "sgd": SGD}[cfg.optimizer](cfg)
 
 
 def nll_loss(logp, labels):
@@ -199,10 +190,6 @@ def train_model(net: Network, train: DatasetHandle, test: DatasetHandle,
     non-finite loss raises NonFiniteLossError.  The step loop silences
     numpy's floating-point warnings: a diverging step overflows before its
     loss is checked, and the error names the first non-finite value."""
-    if cfg.train_subset is not None:
-        train = train.subset(cfg.train_subset)
-    if cfg.test_subset is not None:
-        test = test.subset(cfg.test_subset)
     opt = make_optimizer(cfg)
     shuffle_rng = np.random.default_rng(cfg.seed)
     history = []

@@ -49,12 +49,14 @@ def desk_protocol(train, test, seed=DESK_SEED, trainable=True, noise_alpha=0.0):
     net = pau.build_network(pau.mlp_spec((784, 128, 10)), init="lrelu(0.01)",
                             seed=seed, trainable_units=trainable,
                             noise_alpha=noise_alpha)
-    cfg = pau.TrainConfig(epochs=5, batch_size=256, optimizer="adam", lr=0.002,
-                          seed=seed, train_subset=10000, test_subset=2000)
-    return pau.train_model(net, train, test, cfg)
+    return pau.train_model(net, *desk_sets(train, test), desk_config(seed))
+
+
+def desk_sets(train, test):
+    """The desk protocol's data: the first 10k train and 2k test samples."""
+    return train.subset(10000), test.subset(2000)
 
 
 def desk_config(seed=DESK_SEED, epochs=5):
     return pau.TrainConfig(epochs=epochs, batch_size=256, optimizer="adam",
-                           lr=0.002, seed=seed, train_subset=10000,
-                           test_subset=2000)
+                           lr=0.002, seed=seed)

@@ -18,7 +18,7 @@ import pau
 from pau.gradcheck import compare_batch
 from pau.rational import _pau_parts, eval_pau_stacked, sample_noisy_coeffs
 from pau.prune import PruneSchedule, apply_prune, lottery_run, rewind
-from conftest import DESK_SEED, desk_config, desk_protocol
+from conftest import DESK_SEED, desk_config, desk_protocol, desk_sets
 
 
 def _report(number, detail):
@@ -148,9 +148,8 @@ def test_criterion_07_rpau_consistency(synth_sets):
     for noise in (0.0, 0.0):
         net = pau.build_network(pau.mlp_spec((784, 128, 10)), seed=3,
                                 noise_alpha=noise)
-        cfg = pau.TrainConfig(epochs=2, batch_size=256, seed=3,
-                              train_subset=2000, test_subset=500)
-        pau.train_model(net, train, test, cfg)
+        cfg = pau.TrainConfig(epochs=2, batch_size=256, seed=3)
+        pau.train_model(net, train.subset(2000), test.subset(500), cfg)
         nets.append(net)
     for i in nets[0].parametric_indices():
         assert np.array_equal(nets[0].weights[i]["W"], nets[1].weights[i]["W"])
@@ -176,6 +175,7 @@ def test_criterion_07_rpau_consistency(synth_sets):
 
 
 def _pruning_ledger_run(train, test, tag):
+    train, test = desk_sets(train, test)
     build = lambda: pau.build_network(pau.mlp_spec((784, 128, 10)),
                                       init="lrelu(0.01)", seed=DESK_SEED)
     cfg = desk_config()

@@ -1,3 +1,4 @@
+import dataclasses
 import gzip
 import json
 import struct
@@ -350,6 +351,57 @@ class TestTrain:
         err = capsys.readouterr().err
         assert str(p) in err and message in err
 
+    @pytest.mark.parametrize("command", [["train"], ["prune", "--schedule", "0.1"]],
+                             ids=["train", "prune"])
+    def test_train_and_prune_evaluate_the_test_subset(self, tmp_path, monkeypatch,
+                                                      command):
+        data = pau.synth_digits(50, seed=6)
+        pau.data.write_dataset(data.subset(40), tmp_path)
+        pau.data.write_dataset(
+            pau.DatasetHandle(data.images[40:], data.labels[40:], "test"), tmp_path)
+        seen = []
+        record = lambda net, d: seen.append(len(d)) or 0.5
+        monkeypatch.setattr(pau.train, "evaluate", record)
+        monkeypatch.setattr(pau.prune, "evaluate", record)
+        assert main([*command, "--preset", "mnist-desk", "--data-dir", str(tmp_path),
+                     "--epochs", "1", "--train-subset", "10", "--test-subset", "5"]) == 0
+        # prune: the first training, the retraining, then the report's row
+        assert seen == [5] * (1 if command == ["train"] else 3)
+
+    @pytest.mark.parametrize("split", ["train", "test"])
+    @pytest.mark.parametrize("command", [["train"], ["prune", "--schedule", "0.1"]],
+                             ids=["train", "prune"])
+    def test_empty_idx_split_exits_2(self, tmp_path, capsys, command, split):
+        data = pau.synth_digits(40, seed=6)
+        sizes = {"train": 32, "test": 8, split: 0}
+        pau.data.write_dataset(data.subset(sizes["train"]), tmp_path)
+        pau.data.write_dataset(pau.DatasetHandle(
+            data.images[32:32 + sizes["test"]], data.labels[32:32 + sizes["test"]],
+            "test"), tmp_path)
+        assert main([*command, "--preset", "mnist-paper", "--data-dir", str(tmp_path),
+                     "--epochs", "1"]) == 2
+        err = capsys.readouterr().err
+        assert f"error: the {split} split of {tmp_path} holds no samples" in err
+
+    @pytest.mark.parametrize("layer,edit,message", [
+        (2, dict(window=0), "layer 2: MaxPool window must be an integer >= 1, got 0"),
+        (2, dict(stride=0), "layer 2: MaxPool stride must be an integer >= 1, got 0"),
+        (0, dict(stride=0), "layer 0: Conv2d stride must be an integer >= 1, got 0"),
+    ], ids=["pool-window-0", "pool-stride-0", "conv-stride-0"])
+    def test_eval_corrupt_conv_checkpoint(self, tmp_path, capsys, layer, edit, message):
+        # a zero window or stride divides by zero in out_shape, or (a MaxPool
+        # stride) falls back to the window, unless the spec refuses it
+        good = tmp_path / "conv.ckpt"
+        pau.save_checkpoint(good, pau.build_network(
+            [pau.Conv2d(1, 2, 3), pau.Activation(), pau.MaxPool(2), pau.Flatten(),
+             pau.Dense(2 * 13 * 13, 10), pau.Softmax()], input_shape=(1, 28, 28)))
+        p = tmp_path / "bad.ckpt"
+        p.write_bytes(self._rewrite_manifest(good.read_bytes(),
+                                             lambda m: m["specs"][layer].update(edit)))
+        assert main(["eval", "--preset", "synth-desk", "--checkpoint", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert str(p) in err and message in err
+
     @pytest.mark.parametrize("split,count", [("train", 10), ("test", 5)])
     def test_eval_split_takes_its_subset(self, tmp_path, monkeypatch, capsys, split, count):
         data = pau.synth_digits(50, seed=6)
@@ -442,6 +494,7 @@ _BAD_FLAGS = [
     (["--pau-lr", "-1"], "pau_lr must be > 0"),
     (["--seed", "-1"], "seed must be >= 0"),
     (["--train-subset", "0"], "train_subset must be >= 1"),
+    (["--test-subset", "0"], "test_subset must be >= 1"),
 ]
 _BAD_CONFIG_LINES = [
     ("optimizer bogus", "unknown optimizer 'bogus'"),
@@ -452,6 +505,11 @@ _BAD_CONFIG_LINES = [
 # short runs, so that a check that lets a bad value through ends quickly
 _SHORT_RUN = ["--preset", "synth-desk", "--epochs", "1", "--train-subset", "300",
               "--test-subset", "100"]
+
+
+def test_every_train_config_field_is_a_run_setting():
+    # a TrainConfig option that no flag or config file can set is dead code
+    assert {f.name for f in dataclasses.fields(pau.TrainConfig)} <= set(cli._CONFIG_KEYS)
 
 
 class TestBadSettings:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,17 @@ class TestBuild:
             build_network([Dense(4, 3), Dense(4, 2)], input_shape=(4,))
         with pytest.raises(ValueError, match="Conv2d expects"):
             build_network([Conv2d(3, 8, 3)], input_shape=(1, 8, 8))
+
+    @pytest.mark.parametrize("make,message", [
+        (lambda: Dense(0, 3), "Dense in_dim must be an integer >= 1, got 0"),
+        (lambda: Conv2d(1, 2, 2.5), "Conv2d kernel must be an integer >= 1, got 2.5"),
+        (lambda: Conv2d(1, 2, 3, padding=-1), "Conv2d padding must be an integer >= 0, got -1"),
+        (lambda: MaxPool(0), "MaxPool window must be an integer >= 1, got 0"),
+        (lambda: MaxPool(2, stride=0), "MaxPool stride must be an integer >= 1, got 0"),
+    ], ids=["dense-dim", "conv-kernel", "conv-padding", "pool-window", "pool-stride"])
+    def test_layer_sizes_checked(self, make, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make()
 
     def test_unit_settings_checked(self):
         with pytest.raises(ValueError, match="noise_alpha must be >= 0"):
@@ -149,7 +162,7 @@ class TestForward:
         base, trace = pau.forward(net, x)
         hidden_before = trace.caches[1]["x"]
         net.pau_units[0].coefficients.numerator[0] += 0.5
-        net.bump_version()
+        net.params_changed()
         _, trace2 = pau.forward(net, x)
         act_before = pau.eval_pau_batch(hidden_before, net.pau_units[0].coefficients)
         # every element of the first activation layer shifted together
@@ -351,7 +364,7 @@ class TestBackward:
         net = toy_net(15)
         x = np.random.default_rng(15).normal(size=(4, 4))
         out, trace = pau.forward(net, x)
-        net.bump_version()
+        net.params_changed()
         with pytest.raises(StaleTraceError):
             pau.backward(net, trace, np.zeros_like(out))
 
@@ -405,8 +418,8 @@ class TestParams:
             assert np.array_equal(g_shared[("unit", 0, name)],
                                   g_split[("unit", 1, name)] + g_split[("unit", 0, name)])
 
-    @pytest.mark.parametrize("make", [lambda: pau.Adam(lr=0.1),
-                                      lambda: pau.SGD(lr=0.1, momentum=0.5)],
+    @pytest.mark.parametrize("make", [lambda: pau.Adam(pau.TrainConfig(lr=0.1)),
+                                      lambda: pau.SGD(pau.TrainConfig(lr=0.1, momentum=0.5))],
                              ids=["adam", "sgd"])
     def test_frozen_and_unreferenced_units_get_no_key(self, make):
         # units 0 and 2 are referenced by no layer; unit 3 is frozen
@@ -433,7 +446,7 @@ class TestParams:
         rng = np.random.default_rng(33)
         out, trace = pau.forward(net, rng.normal(size=(6, 4)))
         grads = pau.backward(net, trace, nll_loss(out, rng.integers(0, 2, 6))[1])
-        opt = pau.Adam()
+        opt = pau.Adam(pau.TrainConfig())
         opt.step(net, grads)
         assert set(opt.m) == set(opt.v) == set(grads) == {k for k, _ in net.params()}
 

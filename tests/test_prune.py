@@ -176,7 +176,7 @@ class TestApply:
         # the count is what survives masking once every weight is nonzero
         for key, arr in net.params():
             arr[...] = 1.0
-        net.enforce_masks()
+        net.params_changed()
         assert sum(np.count_nonzero(a) for _, a in net.params()) == want
 
     def test_p_bounds(self):
@@ -193,7 +193,7 @@ class TestMidTrainingPrune:
         # must stay exactly zero through further steps
         net = small_mlp(20)
         rng = np.random.default_rng(20)
-        opt = pau.train.Adam(lr=0.05)
+        opt = pau.train.Adam(TrainConfig(lr=0.05))
         for _ in range(5):
             x = rng.normal(size=(16, 20))
             y = rng.integers(0, 4, 16)
@@ -223,7 +223,7 @@ class TestRewind:
         y = data_rng.integers(0, 4, 32)
         out, trace = pau.forward(net, x)
         _, dout = nll_loss(out, y)
-        pau.train.Adam(lr=0.01).step(net, pau.backward(net, trace, dout))
+        pau.train.Adam(TrainConfig(lr=0.01)).step(net, pau.backward(net, trace, dout))
         apply_prune(net, 0.5)
         rewind(net, net0)
         keep = net.masks[0]
@@ -238,22 +238,21 @@ class TestRewind:
 class TestLottery:
     def test_p_zero_schedule_equals_unpruned_run(self, synth_sets):
         train, test = synth_sets
-        cfg = TrainConfig(epochs=1, seed=3, train_subset=1000, test_subset=400)
+        train, test = train.subset(1000), test.subset(400)
+        cfg = TrainConfig(epochs=1, seed=3)
         build = lambda: build_network(mlp_spec((784, 32, 10)), seed=3)
         report = lottery_run(build, train, test, PruneSchedule((0.0,), cfg))
         net = build()
-        pau.train_model(net, train, test, TrainConfig(epochs=1, seed=3,
-                                                      train_subset=1000,
-                                                      test_subset=400))
-        acc = pau.evaluate(net, test.subset(400))
+        pau.train_model(net, train, test, TrainConfig(epochs=1, seed=3))
+        acc = pau.evaluate(net, test)
         assert report.rows[0].params_remaining == param_count(net)[0]
         assert report.rows[0].test_acc == acc
 
     def test_params_strictly_decrease(self, synth_sets):
         train, test = synth_sets
-        cfg = TrainConfig(epochs=1, seed=4, train_subset=1000, test_subset=400)
+        cfg = TrainConfig(epochs=1, seed=4)
         build = lambda: build_network(mlp_spec((784, 32, 10)), seed=4)
-        report = lottery_run(build, train, test,
+        report = lottery_run(build, train.subset(1000), test.subset(400),
                              PruneSchedule((0.1, 0.3, 0.5), cfg))
         params = [r.params_remaining for r in report.rows]
         assert params == sorted(params, reverse=True)
@@ -261,9 +260,10 @@ class TestLottery:
 
     def test_report_csv(self, tmp_path, synth_sets):
         train, test = synth_sets
-        cfg = TrainConfig(epochs=1, seed=5, train_subset=500, test_subset=200)
+        cfg = TrainConfig(epochs=1, seed=5)
         build = lambda: build_network(mlp_spec((784, 16, 10)), seed=5)
-        report = lottery_run(build, train, test, PruneSchedule((0.2, 0.4), cfg))
+        report = lottery_run(build, train.subset(500), test.subset(200),
+                             PruneSchedule((0.2, 0.4), cfg))
         path = tmp_path / "prune.csv"
         report.write_csv(path)
         lines = path.read_text().splitlines()

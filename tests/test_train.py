@@ -23,7 +23,8 @@ def tiny_data(n=64, seed=0, dim=6, classes=3):
 
 class TestOptimizers:
     def test_zero_gradients_leave_parameters(self):
-        for make in (lambda: SGD(lr=0.1, momentum=0.5), lambda: Adam(lr=0.1)):
+        for make in (lambda: SGD(TrainConfig(lr=0.1, momentum=0.5)),
+                     lambda: Adam(TrainConfig(lr=0.1))):
             net = tiny_net(1)
             before = [net.weights[i]["W"].copy() for i in net.parametric_indices()]
             out, trace = pau.forward(net, np.zeros((2, 6)))
@@ -37,14 +38,14 @@ class TestOptimizers:
         net = build_network([Dense(1, 1)], input_shape=(1,), seed=0)
         net.weights[0]["W"][...] = 1.0
         gs = {("layer", 0, "W"): np.array([[0.5]]), ("layer", 0, "b"): np.zeros(1)}
-        SGD(lr=0.1, momentum=0.0).step(net, gs)
+        SGD(TrainConfig(lr=0.1, momentum=0.0)).step(net, gs)
         assert net.weights[0]["W"][0, 0] == pytest.approx(0.95, abs=1e-15)
 
     def test_adam_first_step_magnitude(self):
         net = build_network([Dense(1, 1)], input_shape=(1,), seed=0)
         net.weights[0]["W"][...] = 1.0
         gs = {("layer", 0, "W"): np.array([[1.0]]), ("layer", 0, "b"): np.zeros(1)}
-        Adam(lr=0.002).step(net, gs)
+        Adam(TrainConfig(lr=0.002)).step(net, gs)
         update = 1.0 - net.weights[0]["W"][0, 0]
         assert update == pytest.approx(0.002, rel=1e-6)
 
@@ -52,18 +53,7 @@ class TestOptimizers:
         net = tiny_net(2)
         gs = {("layer", 0, "W"): np.zeros((2, 2)), ("layer", 0, "b"): np.zeros(4)}
         with pytest.raises(ValueError, match="shape"):
-            Adam().step(net, gs)
-
-    def test_weight_decay_skips_units(self):
-        net = tiny_net(3)
-        coeff_before = net.pau_units[0].coefficients.copy()
-        out, trace = pau.forward(net, np.zeros((2, 6)))
-        gs = pau.backward(net, trace, np.zeros_like(out))
-        SGD(lr=0.5, momentum=0.0, weight_decay=0.1).step(net, gs)
-        # weights decayed, unit coefficients untouched by decay
-        assert net.pau_units[0].coefficients == coeff_before
-        assert not np.array_equal(net.weights[0]["W"],
-                                  build_network(mlp_spec((6, 4, 3)), seed=3).weights[0]["W"])
+            Adam(TrainConfig()).step(net, gs)
 
     def test_separate_pau_lr(self):
         net = tiny_net(4)
@@ -72,7 +62,7 @@ class TestOptimizers:
         _, dout = nll_loss(out, np.zeros(8, dtype=int))
         gs = pau.backward(net, trace, dout)
         frozen_lr = net.pau_units[0].coefficients.copy()
-        SGD(lr=0.1, momentum=0.0, pau_lr=0.0 + 1e-300).step(net, gs)
+        SGD(TrainConfig(lr=0.1, momentum=0.0, pau_lr=0.0 + 1e-300)).step(net, gs)
         moved = np.max(np.abs(net.pau_units[0].coefficients.numerator
                               - frozen_lr.numerator))
         assert moved < 1e-250  # effectively zero: the split rate was honored
@@ -150,17 +140,20 @@ class TestTrainModel:
     def test_loss_finite_every_epoch(self, synth_sets):
         train, test = synth_sets
         net = build_network(mlp_spec((784, 128, 10)), seed=0)
-        cfg = TrainConfig(epochs=2, seed=0, train_subset=2000, test_subset=500)
-        _, hist = train_model(net, train, test, cfg)
+        cfg = TrainConfig(epochs=2, seed=0)
+        _, hist = train_model(net, train.subset(2000), test.subset(500), cfg)
         assert all(np.isfinite(m.train_loss) for m in hist)
         assert all(0.0 <= m.test_acc <= 1.0 for m in hist)
 
-    def test_subset_sizes_respected(self, synth_sets):
+    def test_subset_sizes_respected(self, synth_sets, monkeypatch):
+        # train_model steps over, and evaluates, exactly the data it is given
         train, test = synth_sets
         net = build_network(mlp_spec((784, 128, 10)), seed=1)
-        cfg = TrainConfig(epochs=1, seed=1, train_subset=512, test_subset=256)
-        _, hist = train_model(net, train, test, cfg)
-        assert len(hist) == 1
+        seen = []
+        monkeypatch.setattr(pau.train, "evaluate", lambda net, d: seen.append(len(d)) or 0.5)
+        cfg = TrainConfig(epochs=1, seed=1)
+        _, hist = train_model(net, train.subset(512), test.subset(256), cfg)
+        assert len(hist) == 1 and seen == [256]
 
     def test_frozen_units_tracks_baseline_reference(self, synth_sets):
         # frozen lrelu(0.01)-coefficient units vs a true LeakyReLU net
@@ -168,8 +161,7 @@ class TestTrainModel:
         _, hist_frozen = desk_protocol(train, test, seed=7, trainable=False)
         spec = [Dense(784, 128), Baseline("lrelu(0.01)"), Dense(128, 10), Softmax()]
         net = build_network(spec, seed=7)
-        cfg = TrainConfig(epochs=5, batch_size=256, optimizer="adam", lr=0.002,
-                          seed=7, train_subset=10000, test_subset=2000)
+        cfg = TrainConfig(epochs=5, batch_size=256, optimizer="adam", lr=0.002, seed=7)
         _, hist_ref = train_model(net, train, test, cfg)
         gap = abs(hist_frozen[-1].test_acc - hist_ref[-1].test_acc)
         assert gap <= 0.015
@@ -310,6 +302,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             TrainConfig(lr_decay=1.5)
         for bad in (dict(epochs=-1), dict(lr=float("nan")), dict(pau_lr=0.0),
-                    dict(seed=-1), dict(train_subset=0), dict(test_subset=0)):
+                    dict(seed=-1)):
             with pytest.raises(ValueError, match=next(iter(bad))):
                 TrainConfig(**bad)
