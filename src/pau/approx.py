@@ -267,8 +267,7 @@ _FITTED_COLUMNS = {
                     (13.70648993, 6.07781733, 12.32535229, 0.54006880)),
 }
 
-BUILTIN_NAMES = ("sigmoid", "tanh", "swish", "relu", "lrelu(0.01)",
-                 "lrelu(0.2)", "lrelu(0.25)", "lrelu(0.3)", "lrelu(-0.5)")
+BUILTIN_NAMES = (*_EXACT_COLUMNS, "swish", *_FITTED_COLUMNS)
 
 
 def _swish_column(beta: float):

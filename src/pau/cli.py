@@ -149,7 +149,7 @@ def cmd_fit(args) -> int:
         raise _Fail(EXIT_NONCONVERGENCE, f"{exc} (last residual {exc.last_residual!r})")
     except ArithmeticError as exc:   # a pole of the target, or an overflow
         raise _Fail(EXIT_INPUT, f"target {label}: {exc}")
-    except ValueError as exc:        # a grid too coarse for the orders
+    except (ValueError, MemoryError) as exc:   # a grid too coarse or too fine
         raise _Fail(EXIT_USAGE, f"--step {args.step!r}: {exc}")
     mx, rms = fit_residual(coeffs, target, cfg, safe=safe)
     print(f"max_abs_residual = {mx!r}")
@@ -166,7 +166,10 @@ def cmd_export_curve(args) -> int:
         doc = read_coefficient_document(args.coeffs)
     except (OSError, DocumentFormatError) as exc:
         raise _Fail(EXIT_INPUT, f"cannot read coefficient document: {exc}")
-    xs = np.linspace(*args.range, args.points)
+    try:
+        xs = np.linspace(*args.range, args.points)
+    except MemoryError as exc:
+        raise _Fail(EXIT_USAGE, f"--points {args.points}: {exc}")
     header, columns = "x,f", [xs]
     try:
         with np.errstate(all="ignore"):   # an overflow is reported below
@@ -209,7 +212,10 @@ def cmd_gradcheck(args) -> int:
     # [-1, 1], then x on [-3, 3], from one stream
     rng = np.random.default_rng(args.seed)
     lo = np.array([-1.0] * 10 + [-3.0])
-    draws = rng.uniform(lo, -lo, (args.trials, lo.size))
+    try:
+        draws = rng.uniform(lo, -lo, (args.trials, lo.size))
+    except MemoryError as exc:
+        raise _Fail(EXIT_USAGE, f"--trials {args.trials}: {exc}")
     nums, dens, xs = draws[:, :6], draws[:, 6:10], draws[:, 10]
     trial_worst, labels, _ = gradcheck.compare_trials(
         xs, nums, dens, safe=True, flip_denominator=args.inject_fault)

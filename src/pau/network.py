@@ -209,6 +209,11 @@ class Conv2d(_Layer):
 
 @dataclass(frozen=True)
 class MaxPool(_Layer):
+    """Max over each window.  The forward caches ``at``, the flat index into
+    its input of each window's first maximum; the backward is one scatter
+    of the output gradient to those indices, which sums the gradients of
+    every window that an input wins, in window order."""
+
     window: int
     stride: int | None = None  # None means stride = window
 
@@ -227,26 +232,22 @@ class MaxPool(_Layer):
         return (c, oh, ow)
 
     def forward(self, net, i, x, noise_rng):
-        s = self.stride or self.window
-        win = _conv_windows(x, self.window, s)
-        b_, c_, oh, ow = win.shape[:4]
-        flat = win.reshape(b_, c_, oh, ow, -1)
-        idx = np.argmax(flat, axis=-1)
-        y = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
-        return y, {"in_shape": x.shape, "idx": idx}
+        w, s = self.window, self.stride or self.window
+        b_, c_, h, w_ = x.shape
+        win = _conv_windows(x, w, s)
+        oh, ow = win.shape[2:4]
+        at = np.argmax(win.reshape(b_, c_, oh, ow, w * w), axis=-1)
+        # in place: the winner's offset within its window (mode "clip" takes
+        # no buffered copy; every index is in range), then the window's corner
+        np.take((np.arange(w)[:, None] * w_ + np.arange(w)).ravel(), at, out=at, mode="clip")
+        at += np.arange(b_ * c_).reshape(b_, c_, 1, 1) * (h * w_)
+        at += np.arange(oh)[:, None] * (s * w_) + np.arange(ow) * s
+        return x.reshape(-1)[at], {"in_shape": x.shape, "at": at}
 
     def backward(self, net, i, g, cache, need_dx):
-        idx = cache["idx"]
-        w, s = self.window, self.stride or self.window
-        oh, ow = idx.shape[2:]
-        # one strided add per window offset; where windows overlap an
-        # element sums the values of every window whose max it holds
-        dx = np.zeros(cache["in_shape"])
-        for a in range(w):
-            for c in range(w):
-                dx[:, :, a:a + s * oh:s, c:c + s * ow:s] += \
-                    np.where(idx == a * w + c, g, 0.0)
-        return dx, None
+        at, in_shape = cache["at"], cache["in_shape"]
+        dx = np.bincount(at.ravel(), g.ravel(), minlength=np.prod(in_shape))
+        return dx.reshape(in_shape), None
 
 
 @dataclass(frozen=True)

@@ -157,7 +157,10 @@ def _model_inputs(net: Network, images: np.ndarray) -> np.ndarray:
 def evaluate(net: Network, data: DatasetHandle) -> float:
     """Accuracy of argmax predictions, over EVAL_BATCH samples at a time;
     ties resolve to the lowest class.  A non-finite output raises
-    NonFiniteLossError; warnings are silenced."""
+    NonFiniteLossError; warnings are silenced.  An empty set raises
+    ValueError: it has no accuracy."""
+    if not len(data):
+        raise ValueError(f"cannot evaluate on an empty {data.split!r} set")
     hits = 0
     with np.errstate(all="ignore"):
         for lo in range(0, len(data), EVAL_BATCH):
@@ -168,7 +171,7 @@ def evaluate(net: Network, data: DatasetHandle) -> float:
                     f"samples {lo}-{lo + len(xb) - 1}: output is not finite; first "
                     f"non-finite value: {first_non_finite(net, xb)}")
             hits += int(np.sum(np.argmax(out, axis=1) == data.labels[lo:lo + EVAL_BATCH]))
-    return hits / len(data) if len(data) else 0.0
+    return hits / len(data)
 
 
 def _step(net: Network, opt, xb, target, loss_fn, seed: int, step: int) -> float:
@@ -186,10 +189,14 @@ def _step(net: Network, opt, xb, target, loss_fn, seed: int, step: int) -> float
 def train_model(net: Network, train: DatasetHandle, test: DatasetHandle,
                 cfg: TrainConfig):
     """Epoch loop: seeded shuffle, minibatch forward/backward/step, then a
-    test evaluation per epoch.  Returns (net, history); a step with a
+    test evaluation per epoch.  Returns (net, history); an empty training
+    or test set raises ValueError before any step, and a step with a
     non-finite loss raises NonFiniteLossError.  The step loop silences
     numpy's floating-point warnings: a diverging step overflows before its
     loss is checked, and the error names the first non-finite value."""
+    for role, data in (("training", train), ("test", test)):
+        if not len(data):
+            raise ValueError(f"the {role} set is empty")
     opt = make_optimizer(cfg)
     shuffle_rng = np.random.default_rng(cfg.seed)
     history = []

@@ -28,6 +28,14 @@ class TestTaylor:
         with pytest.raises(TaylorUnsupportedError):
             taylor_of(parse_target("relu"), 5)
 
+    def test_relu6_values_derivative_and_no_series(self):
+        relu6 = parse_target("relu6")
+        x = np.array([-1.0, 0.0, 3.0, 6.0, 7.0])
+        assert np.array_equal(relu6(x), [0.0, 0.0, 3.0, 6.0, 6.0])
+        assert np.array_equal(relu6.derivative(x), [0.0, 0.0, 1.0, 0.0, 0.0])
+        with pytest.raises(TaylorUnsupportedError):
+            relu6.taylor(5)
+
     def test_swish_is_shifted_scaled_sigmoid(self):
         s = taylor_of(parse_target("swish"), 4)
         assert s == (F(0), F(1, 2), F(1, 4), F(0), F(-1, 48))

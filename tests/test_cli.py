@@ -124,6 +124,10 @@ _BAD_TOOL_INPUTS = [
     (["fit", "--target", "relu", "--max-iter", "0"], 1, "--max-iter"),
     (["fit", "--target", "relu", "--step", "nan"], 1, "--step"),
     (["fit", "--target", "relu", "--step", "10"], 1, "--step"),   # 2 grid points
+    # arrays of petabytes: the allocation fails before a page is touched
+    (["fit", "--target", "relu", "--step", "1e-14"], 1, "--step"),
+    (_CURVE + ["--points", "1000000000000000"], 1, "--points"),
+    (["gradcheck", "--trials", "1000000000000000"], 1, "--trials"),
     (["gradcheck", "--trials", "-1"], 1, "--trials"),
     (["gradcheck", "--seed", "-1"], 1, "--seed"),
     (["pade", "--target", "swish(0)"], 2, "swish(0)"),            # singular system

@@ -210,6 +210,64 @@ class TestConv:
                         assert out[bi, c, i, j] == np.max(
                             x[bi, c, 2 * i:2 * i + 2, 2 * j:2 * j + 2])
 
+    @staticmethod
+    def pool_input_gradient(x, window, stride=None):
+        pool = build_network([MaxPool(window, stride)], input_shape=x.shape[1:], seed=0)
+        out, trace = pau.forward(pool, x, training=True)
+        g = np.random.default_rng(window).normal(size=out.shape)
+        g.flat[::5] = -0.0
+        dx, _ = pool.specs[0].backward(pool, 0, g, trace.caches[0], True)
+        return g, dx
+
+    @staticmethod
+    def brute_pool_backward(x, g, window, stride):
+        # each window, in row-major order, adds its value to its first maximum
+        dx = np.zeros_like(x)
+        for b, c, i, j in np.ndindex(g.shape):
+            r, q = i * stride, j * stride
+            a, d = divmod(int(np.argmax(x[b, c, r:r + window, q:q + window])), window)
+            dx[b, c, r + a, q + d] += g[b, c, i, j]
+        return dx
+
+    def test_maxpool_backward_skips_the_uncovered_edge(self):
+        x = np.random.default_rng(11).normal(size=(2, 3, 7, 7))
+        g, dx = self.pool_input_gradient(x, 2)
+        assert np.array_equal(dx, self.brute_pool_backward(x, g, 2, 2))
+        edge = np.concatenate([dx[:, :, 6, :], dx[:, :, :, 6]])
+        assert np.all(edge == 0.0) and not np.signbit(edge).any()
+
+    def test_maxpool_backward_sums_an_input_that_wins_several_windows(self):
+        x = np.random.default_rng(12).normal(size=(2, 2, 6, 6))
+        x[:, :, 2, 3] = 50.0   # the maximum of the nine windows that hold it
+        g, dx = self.pool_input_gradient(x, 3, stride=1)
+        assert np.array_equal(dx, self.brute_pool_backward(x, g, 3, 1))
+        for b, c in np.ndindex(2, 2):
+            assert dx[b, c, 2, 3] == sum(g[b, c, i, j] for i in range(3) for j in range(1, 4))
+
+    @pytest.mark.parametrize("window,stride", [(2, None), (2, 1), (3, 1), (3, 2)])
+    def test_maxpool_backward_ties_go_to_the_first_maximum(self, window, stride):
+        x = np.random.default_rng(13).integers(0, 3, (2, 2, 7, 7)).astype(float)
+        g, dx = self.pool_input_gradient(x, window, stride)
+        assert np.array_equal(dx, self.brute_pool_backward(x, g, window, stride or window))
+
+    @pytest.mark.parametrize("shape,window", [((2, 3, 7, 7), 2), ((2, 2, 9, 9), 3),
+                                              ((3, 2, 8, 8), 2)])
+    def test_maxpool_backward_keeps_the_offset_loop_values(self, shape, window):
+        # the former backward, one masked strided add per window offset, gave
+        # these values, signed zeros included, when stride = window
+        x = np.random.default_rng(14).integers(0, 4, shape).astype(float)
+        g, dx = self.pool_input_gradient(x, window)
+        b_, c_, oh, ow = g.shape
+        win = np.lib.stride_tricks.sliding_window_view(x, (window, window), axis=(2, 3))
+        idx = np.argmax(win[:, :, ::window, ::window].reshape(b_, c_, oh, ow, -1), axis=-1)
+        ref = np.zeros(shape)
+        for a in range(window):
+            for c in range(window):
+                ref[:, :, a:a + window * oh:window, c:c + window * ow:window] += \
+                    np.where(idx == a * window + c, g, 0.0)
+        assert np.array_equal(dx, ref)
+        assert np.array_equal(np.signbit(dx), np.signbit(ref))
+
     def test_lenet_forward_shapes(self):
         net = build_network(lenet_spec(), input_shape=(1, 32, 32), seed=9)
         out, _ = pau.forward(net, np.zeros((2, 1, 32, 32)))

@@ -99,6 +99,11 @@ class TestEvaluate:
         acc = evaluate(net, data)
         assert 0.07 <= acc <= 0.13
 
+    def test_empty_set_raises(self):
+        empty = pau.DatasetHandle(np.zeros((0, 6, 1)), np.zeros(0, int), "test")
+        with pytest.raises(ValueError, match=r"^cannot evaluate on an empty 'test' set$"):
+            evaluate(tiny_net(), empty)
+
 
 class TestTrainModel:
     def test_zero_epochs(self):
@@ -107,6 +112,16 @@ class TestTrainModel:
         data = tiny_data(seed=7)
         _, history = train_model(net, data, data, TrainConfig(epochs=0))
         assert history == []
+        assert np.array_equal(net.weights[0]["W"], before)
+
+    @pytest.mark.parametrize("role", ["training", "test"])
+    def test_empty_set_raises_before_any_step(self, role):
+        data, empty = tiny_data(seed=10), tiny_data(n=0, seed=10)
+        net = tiny_net(10)
+        before = net.weights[0]["W"].copy()
+        sets = (empty, data) if role == "training" else (data, empty)
+        with pytest.raises(ValueError, match=rf"^the {role} set is empty$"):
+            train_model(net, *sets, TrainConfig(epochs=1))
         assert np.array_equal(net.weights[0]["W"], before)
 
     def test_determinism_bit_for_bit(self):
