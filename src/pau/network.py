@@ -14,7 +14,8 @@ the ``_Layer`` protocol:
   ``cache`` back from ``trace.caches[i]``;
 * ``backward(net, i, g, cache, need_dx) -> (g, grads)``: the input
   gradient and a dict of the layer's gradients under their
-  ``Network.params()`` keys, or None;
+  ``Network.params()`` keys, or None.  A MaxPool right after an
+  Activation gives its input gradient as ``Winners``; all else is dense;
 * ``has_params(net)``: whether backward has gradients to report.
 
 Kinds with weights (Dense, Conv2d) also give ``weight_shape`` and the
@@ -24,10 +25,12 @@ and parameter counts count what the mask applier leaves, so a new layer
 kind is added in its class alone.
 
 Each Activation layer references a PauUnit whose coefficient gradients
-are summed over the layer's elements in fixed ``BLOCK_ELEMENTS`` blocks,
-block sums combined in block order, independent of thread count.  A
-unit with ``noise_alpha > 0`` draws, in training only, its own perturbed
-coefficients for every element of the layer.
+are summed over the layer's elements, or, when a MaxPool follows, over
+its winners only (its other inputs get no gradient), in fixed
+``BLOCK_ELEMENTS`` blocks, block sums combined in block order,
+independent of thread count.  A unit with ``noise_alpha > 0`` draws, in
+training only, its own perturbed coefficients for every element of the
+layer.
 ``backward`` returns a dict of gradients under the keys of
 ``Network.params()``, which the optimizers also keep their state under.
 It returns parameter gradients only, so it stops at the first layer with
@@ -44,13 +47,14 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass, field, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .approx import builtin_coefficients
-from .rational import (PoleError, RationalCoefficients, backward_pau, eval_pau_batch,
-                       eval_pau_stacked, sample_noisy_coeffs)
+from .rational import (BLOCK_ELEMENTS, PoleError, RationalCoefficients, backward_pau,
+                       eval_pau_batch, eval_pau_stacked, sample_noisy_coeffs)
 from .targets import parse_target
 
 CONV_BLOCK_ELEMENTS = 2 ** 18  # window elements per Conv2d image block, to stay in L2
@@ -210,9 +214,11 @@ class Conv2d(_Layer):
 @dataclass(frozen=True)
 class MaxPool(_Layer):
     """Max over each window.  The forward caches ``at``, the flat index into
-    its input of each window's first maximum; the backward is one scatter
-    of the output gradient to those indices, which sums the gradients of
-    every window that an input wins, in window order."""
+    its input of each window's first maximum.  The backward scatters the
+    output gradient to those indices, summing the gradients of every window
+    that an input wins, in window order.  Under an Activation it returns
+    the compact ``Winners`` instead, which lets the Activation's backward
+    run the rational kernel on the winning inputs only."""
 
     window: int
     stride: int | None = None  # None means stride = window
@@ -245,9 +251,31 @@ class MaxPool(_Layer):
         return x.reshape(-1)[at], {"in_shape": x.shape, "at": at}
 
     def backward(self, net, i, g, cache, need_dx):
-        at, in_shape = cache["at"], cache["in_shape"]
-        dx = np.bincount(at.ravel(), g.ravel(), minlength=np.prod(in_shape))
-        return dx.reshape(in_shape), None
+        at, in_shape, g = cache["at"].reshape(-1), cache["in_shape"], g.reshape(-1)
+        # i > 0: a one-layer network's specs[i - 1] is the pool itself
+        if not (i > 0 and isinstance(net.specs[i - 1], Activation)):
+            return _scatter(at, g, in_shape), None
+        if (self.stride or self.window) < self.window:
+            # overlapping windows: each winning input once, with the sum of
+            # its windows' gradients, the values the dense scatter holds
+            size = int(np.prod(in_shape))
+            won = np.flatnonzero(np.bincount(at, minlength=size))
+            at, g = won, np.bincount(at, g, minlength=size)[won]
+        return Winners(at, g), None
+
+
+class Winners(NamedTuple):
+    """A MaxPool's input gradient in compact form: ``g[k]`` at the flat
+    index ``at[k]`` of the pool's input (each index once), 0 elsewhere."""
+
+    at: np.ndarray
+    g: np.ndarray
+
+
+def _scatter(at, values, shape):
+    """The array of ``shape`` whose flat index ``at[k]`` holds the sum of
+    the ``values`` sent to it, added in order, and +0.0 elsewhere."""
+    return np.bincount(at, values, minlength=int(np.prod(shape))).reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -266,7 +294,8 @@ class Activation(_Layer):
     def forward(self, net, i, x, noise_rng):
         """Noisy coefficients, one set per element, are cached so that
         backward differentiates at the sampled values.  A pole raises
-        PoleError naming the layer and the unit."""
+        PoleError naming the layer, the unit and the element's C-order
+        index in the layer's input."""
         unit = net.pau_units[self.unit]
         stacks = None
         try:
@@ -283,13 +312,28 @@ class Activation(_Layer):
         return y, {"x": x, "stacks": stacks}
 
     def backward(self, net, i, g, cache, need_dx):
+        """``g`` is dense or a MaxPool's ``Winners``, whose losers get +0.0.
+        The kernel runs per BLOCK_ELEMENTS chunk of the elements that have
+        a gradient, on their x and noise rows, and the chunk sums are added
+        in chunk order, as backward_pau adds its block sums.  Its unsafe
+        pole check cannot fire: forward computed the same Q from the same
+        x and coefficients, and raised first."""
         unit = net.pau_units[self.unit]
-        x = cache["x"]
-        d_in, d_coeffs = backward_pau(
-            x.reshape(-1), g.reshape(-1), unit.coefficients,
-            safe=unit.safe, coefficient_stacks=cache["stacks"])
+        x, stacks = cache["x"].reshape(-1), cache["stacks"]
+        at, up = (g.at, g.g) if isinstance(g, Winners) else (None, g.reshape(-1))
+        d_in = np.empty(up.size)
+        sums = None
+        for start in range(0, max(up.size, 1), BLOCK_ELEMENTS):
+            chunk = slice(start, start + BLOCK_ELEMENTS)
+            rows = chunk if at is None else at[chunk]
+            d_in[chunk], part = backward_pau(
+                x[rows], up[chunk], unit.coefficients, safe=unit.safe,
+                coefficient_stacks=stacks and tuple(s.T[:, rows].T for s in stacks))
+            sums = part if sums is None else [a + b for a, b in zip(sums, part)]
+        shape = cache["x"].shape
+        d_in = d_in.reshape(shape) if at is None else _scatter(at, d_in, shape)
         keys = (("unit", self.unit, "num"), ("unit", self.unit, "den"))
-        return d_in.reshape(x.shape), dict(zip(keys, d_coeffs)) if unit.trainable else None
+        return d_in, dict(zip(keys, sums)) if unit.trainable else None
 
 
 @dataclass(frozen=True)

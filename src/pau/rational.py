@@ -284,10 +284,13 @@ def backward_pau(xs, upstream, coeffs: RationalCoefficients, safe: bool = True,
 
     ``coefficient_stacks``, when given as ``(num_stack, den_stack)`` with
     one coefficient vector per element, evaluates the gradients at those
-    (e.g. noise-perturbed) coefficients instead of the shared ones.  Any
-    layout works; the column-major stacks of :func:`sample_noisy_coeffs`
-    (drawn in ``gen.uniform``'s row order) are read fastest, one
-    contiguous column per Horner step, and no derivative stack is built.
+    (e.g. noise-perturbed) coefficients instead of the shared ones.  Row i
+    of each stack belongs to xs[i] and upstream[i].  Any layout works; the
+    column-major stacks of :func:`sample_noisy_coeffs` (drawn in
+    ``gen.uniform``'s row order) are read fastest, one contiguous column
+    per Horner step, and so are rows gathered from them column by column
+    (``stack.T[:, rows].T``), as an Activation gathers a MaxPool's winners.
+    No derivative stack is built.
     """
     xa = np.asarray(xs, dtype=np.float64).reshape(-1)
     up = np.asarray(upstream, dtype=np.float64).reshape(-1)

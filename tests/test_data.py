@@ -129,6 +129,28 @@ class TestSynth:
         assert np.array_equal(a.images, b.images)
         assert np.array_equal(a.labels, b.labels)
 
+    @pytest.mark.parametrize("seed", [4, 9])
+    @pytest.mark.parametrize("n", [0, 1, 257, 1000])
+    def test_blocks_keep_the_per_image_loop_bytes(self, n, seed):
+        # the former body: one canvas, glyph and rounding per image
+        rng = np.random.default_rng(seed)
+        images = np.zeros((n, 28, 28), dtype=np.uint8)
+        labels = rng.integers(0, 10, size=n)
+        for i in range(n):
+            thickness = int(rng.integers(2, 4))
+            glyph = pau.data._draw_glyph(int(labels[i]), thickness)
+            brightness = rng.uniform(0.55, 1.0)
+            img = np.zeros((28, 28))
+            dy = int(rng.integers(2, 7))
+            dx = int(rng.integers(4, 13))
+            img[dy:dy + 20, dx:dx + 12] = glyph * brightness
+            img += rng.normal(0.0, pau.data.SYNTH_PIXEL_NOISE, (28, 28))
+            np.clip(img, 0.0, 1.0, out=img)
+            images[i] = np.round(img * 255.0).astype(np.uint8)
+        h = synth_digits(n, seed=seed)
+        assert h.images.tobytes() == (images / 255.0).tobytes()
+        assert h.labels.tobytes() == labels.tobytes()
+
     def test_empty(self):
         h = synth_digits(0)
         assert len(h) == 0

@@ -6,9 +6,10 @@ import pytest
 import pau
 from pau import network
 from pau.network import (Activation, Baseline, Conv2d, Dense, Flatten, MaxPool,
-                         Network, Softmax, StaleTraceError, build_network, lenet_spec,
-                         load_checkpoint, mlp_spec, param_count, save_checkpoint,
-                         vgg8_spec)
+                         Network, Softmax, StaleTraceError, Winners, build_network,
+                         lenet_spec, load_checkpoint, mlp_spec, param_count,
+                         save_checkpoint, vgg8_spec)
+from pau.rational import backward_pau
 from pau.gradcheck import network_fd_gradients
 from pau.train import nll_loss
 
@@ -443,6 +444,139 @@ class TestBackward:
         assert set(g1) == set(g2)
         for key in g1:
             assert np.max(np.abs(g1[key] - g2[key])) < 1e-12
+
+
+def backward_each_layer(net, trace, g, dense):
+    """The input gradient of every layer and the unit gradients, with every
+    layer's backward asked for its input gradient.  ``dense`` runs the
+    backward that every MaxPool and Activation had before the compact
+    form: the pool scatters to a dense array, and the unit's kernel runs
+    over all of its elements in one call.  A Winners form is recorded as
+    the dense array it stands for."""
+    inputs, units = {}, {}
+    for i in range(len(net.specs) - 1, -1, -1):
+        spec, cache = net.specs[i], trace.caches[i]
+        if dense and isinstance(spec, MaxPool):
+            g = network._scatter(cache["at"].reshape(-1), g.reshape(-1), cache["in_shape"])
+        elif dense and isinstance(spec, Activation):
+            unit = net.pau_units[spec.unit]
+            d, sums = backward_pau(cache["x"], g, unit.coefficients, safe=unit.safe,
+                                   coefficient_stacks=cache["stacks"])
+            g = d.reshape(cache["x"].shape)
+            units[spec.unit] = sums
+        else:
+            g, part = spec.backward(net, i, g, cache, True)
+            if isinstance(spec, Activation):
+                units[spec.unit] = (part[("unit", spec.unit, "num")],
+                                    part[("unit", spec.unit, "den")])
+        inputs[i] = network._scatter(g.at, g.g, cache["in_shape"]) \
+            if isinstance(g, Winners) else g
+    return inputs, units
+
+
+class TestPoolWinners:
+    """Under an Activation, a MaxPool's backward hands on its winners only,
+    and the unit differentiates those alone."""
+
+    # (pool, conv output side): each pool but the stride-1 one leaves its
+    # last row and column uncovered
+    POOLS = [(MaxPool(2), 7), (MaxPool(3, stride=2), 8), (MaxPool(2, stride=1), 7)]
+
+    @staticmethod
+    def pool_net(pool, side, alpha, safe):
+        _, oh, ow = pool.out_shape((2, side, side))
+        net = build_network([Conv2d(1, 2, 3), Activation(), pool, Flatten(),
+                             Dense(2 * oh * ow, 3), Softmax()],
+                            input_shape=(1, side + 2, side + 2), seed=40, noise_alpha=alpha)
+        net.pau_units[0].safe = safe
+        return net
+
+    @pytest.mark.parametrize("chunk", [None, 7], ids=["one-chunk", "chunks-of-7"])
+    @pytest.mark.parametrize("safe", [True, False], ids=["safe", "unsafe"])
+    @pytest.mark.parametrize("alpha", [0.0, 0.05])
+    @pytest.mark.parametrize("pool,side", POOLS, ids=["pool2", "pool3-stride2", "pool2-stride1"])
+    def test_matches_the_dense_backward(self, monkeypatch, pool, side, alpha, safe, chunk):
+        if chunk:
+            monkeypatch.setattr(network, "BLOCK_ELEMENTS", chunk)
+        net = self.pool_net(pool, side, alpha, safe)
+        rng = np.random.default_rng(41)
+        batch = rng.normal(size=(3, 1, side + 2, side + 2))
+        out, trace = pau.forward(net, batch, training=True, seed=42)
+        _, dout = nll_loss(out, rng.integers(0, 3, 3))
+        compact, units = backward_each_layer(net, trace, dout, dense=False)
+        dense, dense_units = backward_each_layer(net, trace, dout, dense=True)
+        for i in range(len(net.specs)):
+            a, b = compact[i], dense[i]
+            assert np.array_equal(a, b), f"layer {i}"
+            # every bit of every non-zero value; the unit's input gradient
+            # holds +0.0 where the dense kernel gave 0 times a negative slope
+            assert np.array_equal(a[a != 0].view(np.uint64), b[b != 0].view(np.uint64))
+            if i != 1:
+                assert np.array_equal(np.signbit(a), np.signbit(b)), f"layer {i}"
+        d_act = compact[1]
+        assert not np.signbit(d_act[d_act == 0]).any()
+        covered = (pool.out_shape((2, side, side))[1] - 1) * (pool.stride or pool.window) \
+            + pool.window
+        assert not d_act[:, :, covered:, :].any() and not d_act[:, :, :, covered:].any()
+        for got, want in zip(units[0], dense_units[0]):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        grads = pau.backward(net, trace, dout)
+        assert np.array_equal(grads[("unit", 0, "num")], units[0][0])
+        assert np.array_equal(grads[("unit", 0, "den")], units[0][1])
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.05])
+    @pytest.mark.parametrize("above", [MaxPool(2), Flatten()], ids=["pool", "flatten"])
+    def test_chunk_sums_equal_one_kernel_call(self, monkeypatch, above, alpha):
+        # chunks of 7 elements, each one kernel block: their sums, added in
+        # chunk order, are those of one call over the same elements
+        monkeypatch.setattr(network, "BLOCK_ELEMENTS", 7)
+        monkeypatch.setattr(pau.rational, "BLOCK_ELEMENTS", 7)
+        net = build_network([Conv2d(1, 2, 3), Activation(), above],
+                            input_shape=(1, 6, 6), seed=45, noise_alpha=alpha)
+        rng = np.random.default_rng(45)
+        out, trace = pau.forward(net, rng.normal(size=(3, 1, 6, 6)), training=True, seed=46)
+        g, _ = net.specs[2].backward(net, 2, rng.normal(size=out.shape), trace.caches[2], True)
+        cache = trace.caches[1]
+        x, stacks = cache["x"].reshape(-1), cache["stacks"]
+        at, up = (g.at, g.g) if isinstance(g, Winners) else (np.arange(x.size), g.reshape(-1))
+        assert isinstance(g, Winners) == isinstance(above, MaxPool) and up.size > 7 * 3
+        unit = net.pau_units[0]
+        _, sums = backward_pau(x[at], up, unit.coefficients,
+                               coefficient_stacks=stacks and tuple(s[at] for s in stacks))
+        _, grads = net.specs[1].backward(net, 1, g, cache, True)
+        assert grads[("unit", 0, "num")].tobytes() == sums[0].tobytes()
+        assert grads[("unit", 0, "den")].tobytes() == sums[1].tobytes()
+
+    @pytest.mark.parametrize("below,dense", [
+        ([], True), ([Conv2d(2, 2, 1)], True), ([Baseline("lrelu(0.01)")], True),
+        ([Activation()], False)], ids=["pool-alone", "conv", "baseline", "activation"])
+    def test_only_an_activation_takes_the_winners(self, below, dense):
+        net = build_network(below + [MaxPool(2), Flatten(), Dense(8, 2), Softmax()],
+                            input_shape=(2, 4, 4), seed=43)
+        rng = np.random.default_rng(43)
+        out, trace = pau.forward(net, rng.normal(size=(2, 2, 4, 4)))
+        i = len(below)
+        g = rng.normal(size=(2,) + net.shapes[i])
+        dx, _ = net.specs[i].backward(net, i, g, trace.caches[i], True)
+        assert isinstance(dx, np.ndarray) == dense
+        want = network._scatter(trace.caches[i]["at"].reshape(-1), g.reshape(-1),
+                                trace.caches[i]["in_shape"])
+        got = dx if dense else network._scatter(dx.at, dx.g, trace.caches[i]["in_shape"])
+        assert np.array_equal(got, want)
+
+    def test_pole_in_front_of_a_pool_raises_in_forward(self):
+        # Q = 1 - x/2 vanishes at x = 2.  The forward computes the Q that the
+        # backward would, from the same x and coefficients, so it raises
+        # first, naming the layer, the unit and the element's C-order index
+        net = build_network([Baseline("lrelu(0.01)"), Activation(), MaxPool(2), Flatten(),
+                             Dense(8, 2), Softmax()], input_shape=(2, 4, 4), seed=44,
+                            init=pau.RationalCoefficients([0.0, 1.0], [-0.5]))
+        net.pau_units[0].safe = False
+        batch = np.zeros((2, 2, 4, 4))
+        batch[1, 0, 2, 3] = 2.0
+        with pytest.raises(pau.PoleError, match=r"layer 1 \(Activation\) unit 0") as exc:
+            pau.forward(net, batch, training=True)
+        assert exc.value.index == 16 * 2 + 2 * 4 + 3 and exc.value.x == 2.0
 
 
 class TestParams:

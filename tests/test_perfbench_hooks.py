@@ -51,3 +51,24 @@ def test_traced_noisy_step_reaches_kernels(child):
     assert {"rational.backward_pau", "rational.eval_pau_stacked",
             "rational.sample_noisy_coeffs", "network.forward",
             "network.backward"} <= names
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.05])
+def test_sampled_backward_rows_line_up(child, alpha):
+    # the benchmark samples the same rows of xs, upstream and the noise
+    # stacks of every backward_pau call and checks each sampled element's
+    # d_input against central differences; rows that do not line up fail
+    # it, here and on every sample of a benchmark run
+    rec = child.tracing.Recorder()
+    rec.sample_backward(network, "backward_pau", 0, child.GRAD_SAMPLES)
+    try:
+        net = network.build_network(network.lenet_spec(), input_shape=(1, 32, 32),
+                                    seed=1, noise_alpha=alpha)
+        rng = np.random.default_rng(1)
+        batch = data.DatasetHandle(rng.uniform(0, 1, (16, 32, 32)), rng.integers(0, 10, 16))
+        train.train_model(net, batch, batch, train.TrainConfig(epochs=1, batch_size=16))
+    finally:
+        rec.restore()
+    assert len(rec.backward_samples) >= 4   # the LeNet's four activation layers
+    checked, wrong = child.backward_mismatches(rec.backward_samples)
+    assert checked > 0 and wrong == 0
