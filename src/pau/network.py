@@ -14,8 +14,8 @@ the ``_Layer`` protocol:
   ``cache`` back from ``trace.caches[i]``;
 * ``backward(net, i, g, cache, need_dx) -> (g, grads)``: the input
   gradient and a dict of the layer's gradients under their
-  ``Network.params()`` keys, or None.  A MaxPool right after an
-  Activation gives its input gradient as ``Winners``; all else is dense;
+  ``Network.params()`` keys, or None.  A MaxPool above an Activation in
+  ``Network.pooled`` gives the pair ``(at, g)`` instead; all else is dense;
 * ``has_params(net)``: whether backward has gradients to report.
 
 Kinds with weights (Dense, Conv2d) also give ``weight_shape`` and the
@@ -25,12 +25,12 @@ and parameter counts count what the mask applier leaves, so a new layer
 kind is added in its class alone.
 
 Each Activation layer references a PauUnit whose coefficient gradients
-are summed over the layer's elements, or, when a MaxPool follows, over
-its winners only (its other inputs get no gradient), in fixed
-``BLOCK_ELEMENTS`` blocks, block sums combined in block order,
-independent of thread count.  A unit with ``noise_alpha > 0`` draws, in
-training only, its own perturbed coefficients for every element of the
-layer.
+are summed over the layer's elements, or, when in ``Network.pooled``,
+over the winners of the MaxPool above only (its other inputs get no
+gradient), in fixed ``BLOCK_ELEMENTS`` blocks, block sums combined in
+block order, independent of thread count.  A unit with
+``noise_alpha > 0`` draws, in training only, its own perturbed
+coefficients for every element of the layer.
 ``backward`` returns a dict of gradients under the keys of
 ``Network.params()``, which the optimizers also keep their state under.
 It returns parameter gradients only, so it stops at the first layer with
@@ -47,14 +47,13 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass, field, fields, replace
-from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .approx import builtin_coefficients
 from .rational import (BLOCK_ELEMENTS, PoleError, RationalCoefficients, backward_pau,
-                       eval_pau_batch, eval_pau_stacked, sample_noisy_coeffs)
+                       eval_pau_batch, eval_pau_stacked, noise_range, sample_noisy_coeffs)
 from .targets import parse_target
 
 CONV_BLOCK_ELEMENTS = 2 ** 18  # window elements per Conv2d image block, to stay in L2
@@ -69,8 +68,18 @@ class PauUnit:
     trainable: bool = True
 
     def __post_init__(self):
-        if not self.noise_alpha >= 0:
-            raise ValueError(f"noise_alpha must be >= 0, got {self.noise_alpha!r}")
+        for name in ("safe", "trainable"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r}")
+        a, c = self.noise_alpha, self.coefficients
+        if isinstance(a, bool):
+            raise ValueError(f"noise_alpha must be a number, got {a!r}")
+        if not a >= 0:
+            raise ValueError(f"noise_alpha must be >= 0, got {a!r}")
+        try:   # the range that sample_noisy_coeffs draws from
+            noise_range(np.concatenate([c.numerator, c.denominator]), a)
+        except OverflowError as exc:
+            raise ValueError(f"noise_alpha {a!r}: the unit's {exc}") from None
 
 
 # the settings of a unit besides its coefficients, as checkpoints store them
@@ -115,7 +124,7 @@ def _check_sizes(spec, low, *names):
     """ValueError unless each named field of ``spec`` is an integer >= ``low``."""
     for name in names:
         value = getattr(spec, name)
-        if not isinstance(value, (int, np.integer)) or value < low:
+        if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < low:
             raise ValueError(f"{type(spec).__name__} {name} must be an integer "
                              f">= {low}, got {value!r}")
 
@@ -216,9 +225,9 @@ class MaxPool(_Layer):
     """Max over each window.  The forward caches ``at``, the flat index into
     its input of each window's first maximum.  The backward scatters the
     output gradient to those indices, summing the gradients of every window
-    that an input wins, in window order.  Under an Activation it returns
-    the compact ``Winners`` instead, which lets the Activation's backward
-    run the rational kernel on the winning inputs only."""
+    that an input wins, in window order.  Above an Activation in ``net.pooled``
+    (disjoint windows: each input wins at most one) it returns the pair
+    ``(at, g)``, so that the Activation's backward runs on the winners only."""
 
     window: int
     stride: int | None = None  # None means stride = window
@@ -251,25 +260,8 @@ class MaxPool(_Layer):
         return x.reshape(-1)[at], {"in_shape": x.shape, "at": at}
 
     def backward(self, net, i, g, cache, need_dx):
-        at, in_shape, g = cache["at"].reshape(-1), cache["in_shape"], g.reshape(-1)
-        # i > 0: a one-layer network's specs[i - 1] is the pool itself
-        if not (i > 0 and isinstance(net.specs[i - 1], Activation)):
-            return _scatter(at, g, in_shape), None
-        if (self.stride or self.window) < self.window:
-            # overlapping windows: each winning input once, with the sum of
-            # its windows' gradients, the values the dense scatter holds
-            size = int(np.prod(in_shape))
-            won = np.flatnonzero(np.bincount(at, minlength=size))
-            at, g = won, np.bincount(at, g, minlength=size)[won]
-        return Winners(at, g), None
-
-
-class Winners(NamedTuple):
-    """A MaxPool's input gradient in compact form: ``g[k]`` at the flat
-    index ``at[k]`` of the pool's input (each index once), 0 elsewhere."""
-
-    at: np.ndarray
-    g: np.ndarray
+        at, g = cache["at"].reshape(-1), g.reshape(-1)
+        return ((at, g) if i - 1 in net.pooled else _scatter(at, g, cache["in_shape"])), None
 
 
 def _scatter(at, values, shape):
@@ -284,7 +276,7 @@ class Activation(_Layer):
 
     def check(self, net, i):
         super().check(net, i)
-        if not isinstance(self.unit, int) or not 0 <= self.unit < len(net.pau_units):
+        if type(self.unit) is not int or not 0 <= self.unit < len(net.pau_units):
             raise ValueError(f"activation layer {i} references unit {self.unit!r} "
                              f"of {len(net.pau_units)}")
 
@@ -312,7 +304,8 @@ class Activation(_Layer):
         return y, {"x": x, "stacks": stacks}
 
     def backward(self, net, i, g, cache, need_dx):
-        """``g`` is dense or a MaxPool's ``Winners``, whose losers get +0.0.
+        """``g`` is dense, or the MaxPool's pair ``(at, g)`` when this layer is
+        in ``net.pooled``; the pool's losers get +0.0.
         The kernel runs per BLOCK_ELEMENTS chunk of the elements that have
         a gradient, on their x and noise rows, and the chunk sums are added
         in chunk order, as backward_pau adds its block sums.  Its unsafe
@@ -320,7 +313,7 @@ class Activation(_Layer):
         x and coefficients, and raised first."""
         unit = net.pau_units[self.unit]
         x, stacks = cache["x"].reshape(-1), cache["stacks"]
-        at, up = (g.at, g.g) if isinstance(g, Winners) else (None, g.reshape(-1))
+        at, up = g if i in net.pooled else (None, g.reshape(-1))
         d_in = np.empty(up.size)
         sums = None
         for start in range(0, max(up.size, 1), BLOCK_ELEMENTS):
@@ -413,6 +406,10 @@ class Network:
             shape = spec.out_shape(shape)
             spec.check(self, i)
             self.shapes.append(shape)
+        # Activations feeding a MaxPool with disjoint windows: see MaxPool.backward
+        self.pooled = frozenset(i for i, (a, b) in enumerate(zip(self.specs, self.specs[1:]))
+                                if isinstance(a, Activation) and isinstance(b, MaxPool)
+                                and (b.stride or b.window) >= b.window)
 
     def copy(self) -> "Network":
         weights = [None if w is None else {k: v.copy() for k, v in w.items()}
@@ -451,16 +448,14 @@ def resolve_units(specs):
 
     Returns the resolved specs and the unit count, the highest index + 1.
     """
-    explicit = [s.unit for s in specs if isinstance(s, Activation) and s.unit is not None]
-    next_idx = (max(explicit) + 1) if explicit else 0
+    n = max((s.unit + 1 for s in specs if isinstance(s, Activation) and s.unit is not None),
+            default=0)
     out = []
     for s in specs:
         if isinstance(s, Activation) and s.unit is None:
-            out.append(Activation(next_idx))
-            next_idx += 1
-        else:
-            out.append(s)
-    return out, next_idx
+            s, n = Activation(n), n + 1
+        out.append(s)
+    return out, n
 
 
 def build_network(specs, init=DEFAULT_INIT, seed=0, input_shape=None,

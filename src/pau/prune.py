@@ -57,9 +57,7 @@ def prunable_layer_indices(net: Network):
     """Conv layers when any exist, otherwise hidden dense layers."""
     params = net.parametric_indices()
     convs = [i for i in params if isinstance(net.specs[i], Conv2d)]
-    if convs:
-        return convs
-    return params[:-1]  # dense: never prune the output layer
+    return convs or params[:-1]  # dense: never prune the output layer
 
 
 def score_units(net: Network, method: str = "sum"):
@@ -117,17 +115,17 @@ def rewind(net: Network, reference: Network):
 
 def lottery_run(build_fn, train_data, test_data, schedule: PruneSchedule,
                 method: str = "sum") -> PruneReport:
-    """For each fraction p: train a copy of the original initialization,
-    mask the lowest-sum units at p, rewind survivors to their original
-    values, retrain, and record the remaining parameters and the accuracy
-    on all of ``test_data``.  Each fraction starts over from the same
-    initialization (fresh mask per p, no compounding)."""
-    net0 = build_fn()
-    cfg = schedule.retrain
+    """Train a copy of the original initialization once; then, for each
+    fraction p, mask the lowest-sum units of a copy of it at p, rewind
+    survivors to their original values, retrain, and record the remaining
+    parameters and the accuracy on all of ``test_data``.  Every fraction
+    starts from that one trained network (fresh mask per p, no compounding),
+    as fresh runs would: training depends only on the config and the init."""
+    net0, cfg = build_fn(), schedule.retrain
+    trained, _ = train_model(net0.copy(), train_data, test_data, cfg)
     rows = []
     for p in schedule.fractions:
-        net = net0.copy()
-        train_model(net, train_data, test_data, cfg)
+        net = trained.copy()
         apply_prune(net, p, method)
         rewind(net, net0)
         train_model(net, train_data, test_data, cfg)

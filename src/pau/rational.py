@@ -328,8 +328,17 @@ def sample_noisy_coeffs(coeffs: RationalCoefficients, alpha: float, rng, size: i
     if alpha == 0.0:
         return tuple(np.repeat(c[:, None], size, axis=1).T for c in vectors)
     gen = np.random.default_rng(rng)
-    return tuple(_uniform_stack(gen, c - alpha * np.abs(c), c + alpha * np.abs(c), size)
-                 for c in vectors)
+    return tuple(_uniform_stack(gen, *noise_range(c, alpha), size) for c in vectors)
+
+
+def noise_range(c, alpha):
+    """The bounds (c - alpha|c|, c + alpha|c|) that noise draws each of ``c``
+    from; OverflowError when the span between them is not finite."""
+    with np.errstate(all="ignore"):   # inf * 0 is nan, refused below
+        lo, hi = c - alpha * np.abs(c), c + alpha * np.abs(c)
+        if not np.isfinite(hi - lo).all():
+            raise OverflowError("noise range exceeds valid bounds")
+    return lo, hi
 
 
 def _uniform_stack(gen, lo, hi, size):
@@ -340,8 +349,6 @@ def _uniform_stack(gen, lo, hi, size):
     arithmetic on ``gen.random`` blocks gives the same bits.
     """
     span = hi - lo
-    if not np.all(np.isfinite(span)):
-        raise OverflowError("noise range exceeds valid bounds")
     out = np.empty((lo.size, size))
     for start in range(0, size, NOISE_BLOCK_ROWS):
         u = gen.random((min(NOISE_BLOCK_ROWS, size - start), lo.size))

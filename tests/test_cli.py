@@ -327,6 +327,26 @@ class TestTrain:
         (lambda raw: TestTrain._rewrite_manifest(
             raw, lambda m: m["pau_units"][0].update(noise_alpha=-0.5)),
          2, "noise_alpha must be >= 0, got -0.5"),
+        (lambda raw: TestTrain._rewrite_manifest(
+            raw, lambda m: m["pau_units"][0].update(noise_alpha=1e308)),
+         2, "noise_alpha 1e+308: the unit's noise range exceeds valid bounds"),
+        (lambda raw: TestTrain._rewrite_manifest(
+            raw, lambda m: m["pau_units"][0].update(noise_alpha=True)),
+         2, "noise_alpha must be a number, got True"),
+        (lambda raw: TestTrain._rewrite_manifest(
+            raw, lambda m: m["pau_units"][0].update(safe="false")),
+         2, "safe must be true or false, got 'false'"),
+        (lambda raw: TestTrain._rewrite_manifest(
+            raw, lambda m: m["pau_units"][0].update(safe=None)),
+         2, "safe must be true or false, got None"),
+        (lambda raw: TestTrain._rewrite_manifest(
+            raw, lambda m: m["pau_units"][0].update(trainable="no")),
+         2, "trainable must be true or false, got 'no'"),
+        (lambda raw: TestTrain._rewrite_manifest(
+            raw, lambda m: m["specs"][0].update(out_dim=True)),
+         2, "layer 0: Dense out_dim must be an integer >= 1, got True"),
+        (lambda raw: TestTrain._rewrite_manifest(
+            raw, lambda m: m["specs"][1].update(unit=False)), 2, "references unit False of 1"),
         (lambda raw: TestTrain._fill_blob(raw, 0, "W", float("nan"), 1),
          2, "W of layer 0 holds nan at index (0, 0)"),
         (lambda raw: TestTrain._fill_blob(raw, 2, "b", float("-inf"), 10),
@@ -342,7 +362,8 @@ class TestTrain:
          2, "layer 1 (Softmax) must be the terminal layer"),
     ], ids=["short-header", "unknown-layer", "missing-key", "short-blob",
             "unit-out-of-range", "transposed-weights", "no-offsets", "short-mask",
-            "negative-noise", "nan-weight", "infinite-bias", "overflowing-output", "pole",
+            "negative-noise", "huge-noise", "boolean-noise", "string-safe", "null-safe",
+            "string-trainable", "boolean-out-dim", "boolean-unit", "nan-weight", "infinite-bias", "overflowing-output", "pole",
             "inner-softmax"])
     def test_eval_corrupt_checkpoint(self, tmp_path, capsys, damage, code, message):
         good = tmp_path / "good.ckpt"
@@ -390,8 +411,9 @@ class TestTrain:
     @pytest.mark.parametrize("layer,edit,message", [
         (2, dict(window=0), "layer 2: MaxPool window must be an integer >= 1, got 0"),
         (2, dict(stride=0), "layer 2: MaxPool stride must be an integer >= 1, got 0"),
+        (2, dict(window=True), "layer 2: MaxPool window must be an integer >= 1, got True"),
         (0, dict(stride=0), "layer 0: Conv2d stride must be an integer >= 1, got 0"),
-    ], ids=["pool-window-0", "pool-stride-0", "conv-stride-0"])
+    ], ids=["pool-window-0", "pool-stride-0", "pool-window-true", "conv-stride-0"])
     def test_eval_corrupt_conv_checkpoint(self, tmp_path, capsys, layer, edit, message):
         # a zero window or stride divides by zero in out_shape, or (a MaxPool
         # stride) falls back to the window, unless the spec refuses it
@@ -495,6 +517,7 @@ _BAD_FLAGS = [
     (["--init", "bogus"], "init: unknown builtin 'bogus'"),
     (["--init", "swish(1e400)"], "init: swish beta inf is out of range"),
     (["--noise-alpha", "-1"], "noise_alpha must be >= 0"),
+    (["--noise-alpha", "inf"], "noise_alpha inf: the unit's noise range exceeds valid bounds"),
     (["--pau-lr", "-1"], "pau_lr must be > 0"),
     (["--seed", "-1"], "seed must be >= 0"),
     (["--train-subset", "0"], "train_subset must be >= 1"),
@@ -504,6 +527,7 @@ _BAD_CONFIG_LINES = [
     ("optimizer bogus", "unknown optimizer 'bogus'"),
     ("lr -1", "lr must be > 0"),
     ("init bogus", "init: unknown builtin 'bogus'"),
+    ("noise_alpha 1e308", "noise_alpha 1e+308: the unit's noise range exceeds valid bounds"),
     (None, "Is a directory"),   # --config names a directory
 ]
 # short runs, so that a check that lets a bad value through ends quickly

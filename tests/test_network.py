@@ -6,7 +6,7 @@ import pytest
 import pau
 from pau import network
 from pau.network import (Activation, Baseline, Conv2d, Dense, Flatten, MaxPool,
-                         Network, Softmax, StaleTraceError, Winners, build_network,
+                         Network, Softmax, StaleTraceError, build_network,
                          lenet_spec, load_checkpoint, mlp_spec, param_count,
                          save_checkpoint, vgg8_spec)
 from pau.rational import backward_pau
@@ -451,8 +451,8 @@ def backward_each_layer(net, trace, g, dense):
     layer's backward asked for its input gradient.  ``dense`` runs the
     backward that every MaxPool and Activation had before the compact
     form: the pool scatters to a dense array, and the unit's kernel runs
-    over all of its elements in one call.  A Winners form is recorded as
-    the dense array it stands for."""
+    over all of its elements in one call.  A pool's pair ``(at, g)`` is
+    recorded as the dense array it stands for."""
     inputs, units = {}, {}
     for i in range(len(net.specs) - 1, -1, -1):
         spec, cache = net.specs[i], trace.caches[i]
@@ -469,17 +469,17 @@ def backward_each_layer(net, trace, g, dense):
             if isinstance(spec, Activation):
                 units[spec.unit] = (part[("unit", spec.unit, "num")],
                                     part[("unit", spec.unit, "den")])
-        inputs[i] = network._scatter(g.at, g.g, cache["in_shape"]) \
-            if isinstance(g, Winners) else g
+        inputs[i] = network._scatter(*g, cache["in_shape"]) if isinstance(g, tuple) else g
     return inputs, units
 
 
 class TestPoolWinners:
-    """Under an Activation, a MaxPool's backward hands on its winners only,
-    and the unit differentiates those alone."""
+    """Under an Activation in ``net.pooled``, a MaxPool's backward hands on
+    its winners only, and the unit differentiates those alone.  Over a pool
+    whose windows overlap, both take the dense path."""
 
     # (pool, conv output side): each pool but the stride-1 one leaves its
-    # last row and column uncovered
+    # last row and column uncovered; the last two have overlapping windows
     POOLS = [(MaxPool(2), 7), (MaxPool(3, stride=2), 8), (MaxPool(2, stride=1), 7)]
 
     @staticmethod
@@ -497,8 +497,12 @@ class TestPoolWinners:
     @pytest.mark.parametrize("pool,side", POOLS, ids=["pool2", "pool3-stride2", "pool2-stride1"])
     def test_matches_the_dense_backward(self, monkeypatch, pool, side, alpha, safe, chunk):
         if chunk:
+            # the dense kernel call then sums the blocks the chunks hold
             monkeypatch.setattr(network, "BLOCK_ELEMENTS", chunk)
+            monkeypatch.setattr(pau.rational, "BLOCK_ELEMENTS", chunk)
         net = self.pool_net(pool, side, alpha, safe)
+        paired = pool.stride is None
+        assert net.pooled == ({1} if paired else frozenset())
         rng = np.random.default_rng(41)
         batch = rng.normal(size=(3, 1, side + 2, side + 2))
         out, trace = pau.forward(net, batch, training=True, seed=42)
@@ -508,18 +512,22 @@ class TestPoolWinners:
         for i in range(len(net.specs)):
             a, b = compact[i], dense[i]
             assert np.array_equal(a, b), f"layer {i}"
-            # every bit of every non-zero value; the unit's input gradient
+            # every bit of every non-zero value; a paired unit's input gradient
             # holds +0.0 where the dense kernel gave 0 times a negative slope
             assert np.array_equal(a[a != 0].view(np.uint64), b[b != 0].view(np.uint64))
-            if i != 1:
+            if i != 1 or not paired:
                 assert np.array_equal(np.signbit(a), np.signbit(b)), f"layer {i}"
         d_act = compact[1]
-        assert not np.signbit(d_act[d_act == 0]).any()
+        if paired:
+            assert not np.signbit(d_act[d_act == 0]).any()
         covered = (pool.out_shape((2, side, side))[1] - 1) * (pool.stride or pool.window) \
             + pool.window
         assert not d_act[:, :, covered:, :].any() and not d_act[:, :, :, covered:].any()
         for got, want in zip(units[0], dense_units[0]):
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+            if paired:
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+            else:
+                assert np.array_equal(got, want)
         grads = pau.backward(net, trace, dout)
         assert np.array_equal(grads[("unit", 0, "num")], units[0][0])
         assert np.array_equal(grads[("unit", 0, "den")], units[0][1])
@@ -538,8 +546,8 @@ class TestPoolWinners:
         g, _ = net.specs[2].backward(net, 2, rng.normal(size=out.shape), trace.caches[2], True)
         cache = trace.caches[1]
         x, stacks = cache["x"].reshape(-1), cache["stacks"]
-        at, up = (g.at, g.g) if isinstance(g, Winners) else (np.arange(x.size), g.reshape(-1))
-        assert isinstance(g, Winners) == isinstance(above, MaxPool) and up.size > 7 * 3
+        at, up = g if isinstance(g, tuple) else (np.arange(x.size), g.reshape(-1))
+        assert isinstance(g, tuple) == isinstance(above, MaxPool) and up.size > 7 * 3
         unit = net.pau_units[0]
         _, sums = backward_pau(x[at], up, unit.coefficients,
                                coefficient_stacks=stacks and tuple(s[at] for s in stacks))
@@ -561,7 +569,7 @@ class TestPoolWinners:
         assert isinstance(dx, np.ndarray) == dense
         want = network._scatter(trace.caches[i]["at"].reshape(-1), g.reshape(-1),
                                 trace.caches[i]["in_shape"])
-        got = dx if dense else network._scatter(dx.at, dx.g, trace.caches[i]["in_shape"])
+        got = dx if dense else network._scatter(*dx, trace.caches[i]["in_shape"])
         assert np.array_equal(got, want)
 
     def test_pole_in_front_of_a_pool_raises_in_forward(self):
@@ -577,6 +585,38 @@ class TestPoolWinners:
         with pytest.raises(pau.PoleError, match=r"layer 1 \(Activation\) unit 0") as exc:
             pau.forward(net, batch, training=True)
         assert exc.value.index == 16 * 2 + 2 * 4 + 3 and exc.value.x == 2.0
+
+
+class TestPooled:
+    """``Network.pooled``: the Activations whose output goes straight into
+    a MaxPool with disjoint windows, decided when the network is built."""
+
+    @pytest.mark.parametrize("specs,input_shape,pooled", [
+        (lenet_spec(), (1, 32, 32), {1, 4}),
+        (vgg8_spec(), (1, 32, 32), {1, 4, 8, 12, 16}),
+        (mlp_spec(), None, set()),
+        ([MaxPool(2)], (2, 4, 4), set()),
+        ([Activation()], (3,), set()),
+        ([Conv2d(1, 2, 3), Activation(), MaxPool(3, stride=2)], (1, 9, 9), set()),
+    ], ids=["lenet", "vgg8", "mlp", "pool-alone", "activation-alone", "overlapping-pool"])
+    def test_pairs(self, tmp_path, specs, input_shape, pooled):
+        net = build_network(specs, input_shape=input_shape)
+        assert net.pooled == pooled
+        assert net.copy().pooled == pooled
+        save_checkpoint(tmp_path / "net.ckpt", net)
+        assert load_checkpoint(tmp_path / "net.ckpt").pooled == pooled
+
+    def test_first_layer_is_not_paired_with_the_last(self):
+        net = build_network([MaxPool(2), Flatten(), Dense(8, 4), Activation()],
+                            input_shape=(2, 4, 4), seed=47)
+        assert net.pooled == set()
+        rng = np.random.default_rng(47)
+        _, trace = pau.forward(net, rng.normal(size=(2, 2, 4, 4)))
+        g = rng.normal(size=(2, 2, 2, 2))
+        dx, _ = net.specs[0].backward(net, 0, g, trace.caches[0], True)
+        assert isinstance(dx, np.ndarray) and dx.shape == (2, 2, 4, 4)
+        assert np.array_equal(dx, network._scatter(trace.caches[0]["at"].reshape(-1),
+                                                   g.reshape(-1), (2, 2, 4, 4)))
 
 
 class TestParams:

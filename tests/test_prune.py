@@ -248,6 +248,25 @@ class TestLottery:
         assert report.rows[0].params_remaining == param_count(net)[0]
         assert report.rows[0].test_acc == acc
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.05])
+    def test_equals_training_a_fresh_copy_per_fraction(self, synth_sets, alpha):
+        train, test = synth_sets
+        train, test = train.subset(500), test.subset(200)
+        cfg = TrainConfig(epochs=1, seed=6)
+        build = lambda: build_network(mlp_spec((784, 16, 10)), seed=6, noise_alpha=alpha)
+        schedule = PruneSchedule((0.0, 0.2, 0.5), cfg)
+        report = lottery_run(build, train, test, schedule)
+        net0 = build()
+        want = []
+        for p in schedule.fractions:
+            net = net0.copy()
+            pau.train_model(net, train, test, cfg)
+            apply_prune(net, p)
+            rewind(net, net0)
+            pau.train_model(net, train, test, cfg)
+            want.append((p, param_count(net)[0], repr(pau.evaluate(net, test))))
+        assert [(r.p, r.params_remaining, repr(r.test_acc)) for r in report.rows] == want
+
     def test_params_strictly_decrease(self, synth_sets):
         train, test = synth_sets
         cfg = TrainConfig(epochs=1, seed=4)
