@@ -21,6 +21,7 @@ fit the network exit 2.  A non-finite training loss or eval output exits
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
 from dataclasses import fields
@@ -373,7 +374,7 @@ def _prologue(args):
     source = settings["data_dir"] if settings["source"] == "idx" else "the preset"
     for data in (train, test):
         images = data.images.shape[1:]
-        if np.prod(takes) != np.prod(images):
+        if math.prod(takes) != math.prod(images):
             raise _Fail(EXIT_INPUT, f"{runs} takes inputs of shape {takes}; the "
                                     f"{data.split} images of {source} are {images}")
     return settings, cfg, net, train, test

@@ -20,8 +20,9 @@ the ``_Layer`` protocol:
 
 Kinds with weights (Dense, Conv2d) also give ``weight_shape`` and the
 axes of ``W`` that hold output units (``out_axis``) and inputs
-(``in_axis``).  Weight init, masks and pruning scores read only those,
-and parameter counts count what the mask applier leaves, so a new layer
+(``in_axis``).  Weight init, ``check`` and checkpoints (through
+``array_shapes``), masks and pruning scores read only those, and
+parameter counts count what the mask applier leaves, so a new layer
 kind is added in its class alone.
 
 Each Activation layer references a PauUnit whose coefficient gradients
@@ -45,6 +46,7 @@ thread count changes.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field, fields, replace
 
@@ -107,11 +109,15 @@ class _Layer:
     def out_shape(self, shape):
         return shape
 
+    def array_shapes(self):
+        """The shapes of W and b, in checkpoint order; None without weights."""
+        w = self.weight_shape
+        return None if w is None else {"W": w, "b": (w[self.out_axis],)}
+
     def check(self, net, i):
         w = net.weights[i]
         got = None if w is None else {k: np.shape(v) for k, v in w.items()}
-        want = None if self.weight_shape is None else \
-            {"W": self.weight_shape, "b": (self.weight_shape[self.out_axis],)}
+        want = self.array_shapes()
         if got != want:
             raise ValueError(f"layer {i} ({type(self).__name__}) has weights {got}, "
                              f"its spec needs {want}")
@@ -120,11 +126,16 @@ class _Layer:
         return self.weight_shape is not None
 
 
+def _int_at_least(value, low):
+    """Whether ``value`` is an integer >= ``low``; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= low
+
+
 def _check_sizes(spec, low, *names):
     """ValueError unless each named field of ``spec`` is an integer >= ``low``."""
     for name in names:
         value = getattr(spec, name)
-        if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < low:
+        if not _int_at_least(value, low):
             raise ValueError(f"{type(spec).__name__} {name} must be an integer "
                              f">= {low}, got {value!r}")
 
@@ -347,7 +358,7 @@ class Baseline(_Layer):
 @dataclass(frozen=True)
 class Flatten(_Layer):
     def out_shape(self, shape):
-        return (int(np.prod(shape)),)
+        return (math.prod(shape),)
 
     def forward(self, net, i, x, noise_rng):
         return x.reshape(x.shape[0], -1), {"shape": x.shape}
@@ -478,12 +489,12 @@ def build_network(specs, init=DEFAULT_INIT, seed=0, input_shape=None,
     rng = np.random.default_rng(seed)
     weights = []
     for spec in specs:
-        if spec.weight_shape is None:
+        shapes = spec.array_shapes()
+        if shapes is None:
             weights.append(None)
             continue
         s = np.sqrt(1.0 / spec.fan_in)
-        weights.append({"W": rng.uniform(-s, s, spec.weight_shape),
-                        "b": np.zeros(spec.weight_shape[spec.out_axis])})
+        weights.append({"W": rng.uniform(-s, s, shapes["W"]), "b": np.zeros(shapes["b"])})
 
     base = init if isinstance(init, RationalCoefficients) else builtin_coefficients(init)
     units = [PauUnit(base.copy(), noise_alpha=noise_alpha, trainable=trainable_units)
@@ -602,7 +613,7 @@ def param_count(net: Network):
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints: JSON manifest + little-endian float64 blob with offset table
+# Checkpoints: JSON manifest + little-endian float64 arrays in spec order
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"PAUNET01"
@@ -633,14 +644,10 @@ def _spec_from_dict(i, d):
 
 
 def save_checkpoint(path, net: Network) -> None:
-    offsets = []
-    blob = bytearray()
-    for i in net.parametric_indices():
-        for name in ("W", "b"):
-            arr = np.ascontiguousarray(net.weights[i][name], dtype="<f8")
-            offsets.append({"layer": i, "name": name,
-                            "offset": len(blob), "shape": list(arr.shape)})
-            blob += arr.tobytes()
+    """Write ``net`` to ``path``: the magic, the manifest's byte length (u64,
+    little-endian), the UTF-8 JSON manifest (``specs``, ``input_shape``,
+    ``seed``, ``masks``, ``pau_units``), then the little-endian float64
+    arrays of the layers with weights, in layer order, W then b."""
     manifest = {
         "specs": [_spec_to_dict(s) for s in net.specs],
         "input_shape": list(net.input_shape),
@@ -651,19 +658,21 @@ def save_checkpoint(path, net: Network) -> None:
             "denominator": [repr(float(v)) for v in u.coefficients.denominator],
             **{k: getattr(u, k) for k in _UNIT_SETTINGS},
         } for u in net.pau_units],
-        "offsets": offsets,
     }
     payload = json.dumps(manifest).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<Q", len(payload)))
         fh.write(payload)
-        fh.write(bytes(blob))
+        for i in net.parametric_indices():
+            for name in net.specs[i].array_shapes():
+                fh.write(np.ascontiguousarray(net.weights[i][name], dtype="<f8").tobytes())
 
 
 def load_checkpoint(path) -> Network:
-    """Read a checkpoint written by save_checkpoint.  Every malformed file
-    raises CheckpointFormatError naming ``path``."""
+    """Read a checkpoint written by save_checkpoint; the specs give each
+    array's shape, and an older file's ``offsets`` key is ignored.  Every
+    malformed file raises CheckpointFormatError naming ``path``."""
     with open(path, "rb") as fh:
         raw = fh.read()
     header = len(_MAGIC) + 8
@@ -676,7 +685,10 @@ def load_checkpoint(path) -> Network:
         if len(raw) < header + length:
             raise ValueError(f"manifest of {length} bytes at byte {header} "
                              f"ends past the file's {len(raw)} bytes")
-        manifest = json.loads(raw[header:header + length].decode("utf-8"))
+        try:
+            manifest = json.loads(raw[header:header + length].decode("utf-8"))
+        except RecursionError:
+            raise ValueError("the manifest nests too deeply to parse") from None
         return _network_from_manifest(manifest, raw[header + length:])
     except KeyError as exc:
         raise CheckpointFormatError(f"{path}: manifest lacks key {exc.args[0]!r}") from exc
@@ -684,41 +696,49 @@ def load_checkpoint(path) -> Network:
         raise CheckpointFormatError(f"{path}: {exc}") from exc
 
 
+def _unit_from_dict(u, d):
+    for key in ("numerator", "denominator"):
+        if not isinstance(d[key], list) or not all(isinstance(v, str) for v in d[key]):
+            raise ValueError(f"unit {u}: {key} must be a list of strings, got {d[key]!r}")
+    return PauUnit(RationalCoefficients([float(v) for v in d["numerator"]],
+                                        [float(v) for v in d["denominator"]]),
+                   **{k: d[k] for k in _UNIT_SETTINGS})
+
+
 def _network_from_manifest(manifest, blob) -> Network:
     specs = [_spec_from_dict(i, d) for i, d in enumerate(manifest["specs"])]
-    units = [PauUnit(RationalCoefficients([float(v) for v in u["numerator"]],
-                                          [float(v) for v in u["denominator"]]),
-                     **{k: u[k] for k in _UNIT_SETTINGS})
-             for u in manifest["pau_units"]]
-    weights = [None] * len(specs)
-    for entry in manifest["offsets"]:
-        i, name = entry["layer"], entry["name"]
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start, stop = entry["offset"], entry["offset"] + 8 * count
-        if start < 0 or stop > len(blob):
-            raise ValueError(f"{name} of layer {i} needs blob bytes {start}-{stop}, "
-                             f"the blob holds {len(blob)}")
-        arr = np.frombuffer(blob, dtype="<f8", count=count,
-                            offset=start).reshape(shape).copy()
+    units = [_unit_from_dict(u, d) for u, d in enumerate(manifest["pau_units"])]
+    input_shape, seed = manifest["input_shape"], manifest["seed"]
+    if not isinstance(input_shape, list) or not all(_int_at_least(v, 1) for v in input_shape):
+        raise ValueError(f"input_shape must be a list of integers >= 1, got {input_shape!r}")
+    if not _int_at_least(seed, 0):
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    layout = [(i, name, shape) for i, spec in enumerate(specs)
+              for name, shape in (spec.array_shapes() or {}).items()]
+    need = 8 * sum(math.prod(shape) for _, _, shape in layout)
+    if len(blob) != need:
+        raise ValueError(f"the blob holds {len(blob)} bytes, the specs' arrays need {need}")
+    weights = [None if spec.weight_shape is None else {} for spec in specs]
+    values, start = np.frombuffer(blob, dtype="<f8"), 0
+    for i, name, shape in layout:
+        arr = values[start:start + math.prod(shape)].reshape(shape).copy()
+        start += arr.size
         if not np.isfinite(arr).all():
             bad = np.unravel_index(np.argmin(np.isfinite(arr)), shape)
             raise ValueError(f"{name} of layer {i} holds {float(arr[bad])!r} "
                              f"at index {tuple(map(int, bad))}")
-        if weights[i] is None:
-            weights[i] = {}
         weights[i][name] = arr
-    net = Network(specs, tuple(manifest["input_shape"]), weights, units,
-                  manifest["seed"])
-    net.masks = {int(k): np.array(v, dtype=bool)
-                 for k, v in manifest["masks"].items()}
-    units = {i: net.weights[i]["b"].size for i in net.parametric_indices()}
-    for i, keep in net.masks.items():
-        if i not in units:
-            raise ValueError(f"mask for layer {i}, which has no weights")
-        if keep.shape != (units[i],):
-            raise ValueError(f"mask of layer {i} has shape {keep.shape}, "
-                             f"the layer has {units[i]} units")
+    net = Network(specs, input_shape, weights, units, seed)
+    units = {str(i): net.weights[i]["b"].size for i in net.parametric_indices()}
+    for k, keep in manifest["masks"].items():
+        if k not in units:
+            raise ValueError(f"mask key {k!r} names no layer with weights")
+        if not isinstance(keep, list) or not all(type(v) is int and v in (0, 1) for v in keep):
+            raise ValueError(f"mask of layer {k} must be a list of 0 and 1, got {keep!r}")
+        if len(keep) != units[k]:
+            raise ValueError(f"mask of layer {k} has shape ({len(keep)},), "
+                             f"the layer has {units[k]} units")
+        net.masks[int(k)] = np.array(keep, dtype=bool)
     return net
 
 

@@ -118,9 +118,10 @@ def lottery_run(build_fn, train_data, test_data, schedule: PruneSchedule,
     """Train a copy of the original initialization once; then, for each
     fraction p, mask the lowest-sum units of a copy of it at p, rewind
     survivors to their original values, retrain, and record the remaining
-    parameters and the accuracy on all of ``test_data``.  Every fraction
-    starts from that one trained network (fresh mask per p, no compounding),
-    as fresh runs would: training depends only on the config and the init."""
+    parameters and the accuracy on all of ``test_data`` (the retraining's
+    last epoch has scored it).  Every fraction starts from that one trained
+    network (fresh mask per p, no compounding), as fresh runs would:
+    training depends only on the config and the init."""
     net0, cfg = build_fn(), schedule.retrain
     trained, _ = train_model(net0.copy(), train_data, test_data, cfg)
     rows = []
@@ -128,6 +129,7 @@ def lottery_run(build_fn, train_data, test_data, schedule: PruneSchedule,
         net = trained.copy()
         apply_prune(net, p, method)
         rewind(net, net0)
-        train_model(net, train_data, test_data, cfg)
-        rows.append(PruneRow(p, param_count(net)[0], evaluate(net, test_data)))
+        _, history = train_model(net, train_data, test_data, cfg)
+        acc = history[-1].test_acc if history else evaluate(net, test_data)
+        rows.append(PruneRow(p, param_count(net)[0], acc))
     return PruneReport(rows)

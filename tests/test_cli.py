@@ -282,21 +282,26 @@ class TestTrain:
         return raw[:8] + struct.pack("<Q", len(payload)) + payload + raw[16 + length:]
 
     @staticmethod
-    def _edit_offsets(layer, name, edit):
-        def apply(m):
-            for entry in m["offsets"]:
-                if (entry["layer"], entry["name"]) == (layer, name):
-                    edit(entry)
-        return apply
+    def _fill_blob(raw, layer, name, value, count):
+        """Overwrite the first ``count`` values of a Dense layer's array.  The
+        blob holds each Dense's W, then its b, in layer order."""
+        (length,) = struct.unpack_from("<Q", raw, 8)
+        start = 16 + length
+        for i, d in enumerate(json.loads(raw[16:16 + length])["specs"]):
+            if d["type"] == "dense":
+                for n, size in (("W", d["in_dim"] * d["out_dim"]), ("b", d["out_dim"])):
+                    if (i, n) == (layer, name):
+                        return (raw[:start] + struct.pack(f"<{count}d", *[value] * count)
+                                + raw[start + 8 * count:])
+                    start += 8 * size
+        raise LookupError(f"no array {name} of layer {layer}")
 
     @staticmethod
-    def _fill_blob(raw, layer, name, value, count):
-        """Overwrite the first ``count`` values of a layer's array."""
+    def _nest(raw, depth):
+        """The manifest {"specs": [[...]]}, its lists nested ``depth`` deep."""
         (length,) = struct.unpack_from("<Q", raw, 8)
-        entry = next(e for e in json.loads(raw[16:16 + length])["offsets"]
-                     if (e["layer"], e["name"]) == (layer, name))
-        start = 16 + length + entry["offset"]
-        return raw[:start] + struct.pack(f"<{count}d", *[value] * count) + raw[start + 8 * count:]
+        payload = b'{"specs": ' + b"[" * depth + b"]" * depth + b"}"
+        return raw[:8] + struct.pack("<Q", len(payload)) + payload + raw[16 + length:]
 
     @staticmethod
     def _pole(raw):
@@ -306,21 +311,59 @@ class TestTrain:
         return TestTrain._fill_blob(TestTrain._fill_blob(raw, 0, "W", 0.0, 784 * 16),
                                     0, "b", 1.0, 16)
 
+    # the blob of mlp_spec((784, 16, 10)) holds 8 * (784 * 16 + 16 + 16 * 10 + 10) = 101840 bytes
     @pytest.mark.parametrize("damage,code,message", [
         (lambda raw: raw[:12], 2, "header"),
         (lambda raw: TestTrain._rewrite_manifest(
             raw, lambda m: m["specs"][0].update(type="bogus")), 2, "unknown layer type"),
         (lambda raw: TestTrain._rewrite_manifest(
-            raw, lambda m: m.pop("offsets")), 2, "offsets"),
-        (lambda raw: raw[:-8], 2, "blob"),
+            raw, lambda m: m.pop("seed")), 2, "manifest lacks key 'seed'"),
+        (lambda raw: raw[:-8], 2, "the blob holds 101832 bytes, the specs' arrays need 101840"),
+        (lambda raw: raw + bytes(8), 2,
+         "the blob holds 101848 bytes, the specs' arrays need 101840"),
         (lambda raw: TestTrain._rewrite_manifest(
             raw, lambda m: m["specs"][1].update(unit=5)), 2, "references unit 5 of 1"),
         (lambda raw: TestTrain._rewrite_manifest(
-            raw, TestTrain._edit_offsets(0, "W", lambda e: e.update(shape=[16, 784]))),
-         2, "layer 0 (Dense) has weights"),
+            raw, lambda m: m["specs"][0].update(in_dim=16, out_dim=784)),
+         2, "the blob holds 101840 bytes, the specs' arrays need 107984"),
+        (lambda raw: raw[:-8 * (16 * 10 + 10)],
+         2, "the blob holds 100480 bytes, the specs' arrays need 101840"),
         (lambda raw: TestTrain._rewrite_manifest(
-            raw, lambda m: m.update(offsets=[e for e in m["offsets"] if e["layer"] != 2])),
-         2, "layer 2 (Dense) has weights None"),
+            raw, lambda m: m["specs"][0].update(in_dim=10 ** 10, out_dim=10 ** 10)),
+         2, f"the blob holds 101840 bytes, the specs' arrays need "
+            f"{8 * (10 ** 20 + 10 ** 10 + 16 * 10 + 10)}"),
+        (lambda raw: TestTrain._nest(raw, 100_000), 2, "the manifest nests too deeply to parse"),
+        (lambda raw: TestTrain._rewrite_manifest(
+            raw, lambda m: m.update(input_shape=[True])),
+         2, "input_shape must be a list of integers >= 1, got [True]"),
+        (lambda raw: TestTrain._rewrite_manifest(
+            raw, lambda m: m.update(input_shape=[784.0])),
+         2, "input_shape must be a list of integers >= 1, got [784.0]"),
+        (lambda raw: TestTrain._rewrite_manifest(raw, lambda m: m.update(seed="abc")),
+         2, "seed must be an integer >= 0, got 'abc'"),
+        (lambda raw: TestTrain._rewrite_manifest(raw, lambda m: m.update(seed=-1)),
+         2, "seed must be an integer >= 0, got -1"),
+        (lambda raw: TestTrain._rewrite_manifest(
+            raw, lambda m: m["masks"].update({"00": [1] * 16})),
+         2, "mask key '00' names no layer with weights"),
+        (lambda raw: TestTrain._rewrite_manifest(
+            raw, lambda m: m["masks"].update({"0": [None] * 16})),
+         2, "mask of layer 0 must be a list of 0 and 1, got [None, None,"),
+        (lambda raw: TestTrain._rewrite_manifest(
+            raw, lambda m: m["masks"].update({"0": [True] * 16})),
+         2, "mask of layer 0 must be a list of 0 and 1, got [True, True,"),
+        (lambda raw: TestTrain._rewrite_manifest(raw, lambda m: m["masks"].update({"0": 2})),
+         2, "mask of layer 0 must be a list of 0 and 1, got 2"),
+        (lambda raw: TestTrain._rewrite_manifest(raw, lambda m: m["masks"].update({"0": "x"})),
+         2, "mask of layer 0 must be a list of 0 and 1, got 'x'"),
+        (lambda raw: TestTrain._rewrite_manifest(raw, lambda m: m["masks"].update({"0": {}})),
+         2, "mask of layer 0 must be a list of 0 and 1, got {}"),
+        (lambda raw: TestTrain._rewrite_manifest(
+            raw, lambda m: m["pau_units"][0].update(denominator="")),
+         2, "unit 0: denominator must be a list of strings, got ''"),
+        (lambda raw: TestTrain._rewrite_manifest(
+            raw, lambda m: m["pau_units"][0].update(numerator=[True])),
+         2, "unit 0: numerator must be a list of strings, got [True]"),
         (lambda raw: TestTrain._rewrite_manifest(
             raw, lambda m: m["masks"].update({"0": [1, 0, 1]})),
          2, "mask of layer 0 has shape (3,), the layer has 16 units"),
@@ -360,8 +403,12 @@ class TestTrain:
             raw, lambda m: m.update(specs=[m["specs"][0], {"type": "softmax"},
                                            m["specs"][2]])),
          2, "layer 1 (Softmax) must be the terminal layer"),
-    ], ids=["short-header", "unknown-layer", "missing-key", "short-blob",
-            "unit-out-of-range", "transposed-weights", "no-offsets", "short-mask",
+    ], ids=["short-header", "unknown-layer", "missing-key", "short-blob", "long-blob",
+            "unit-out-of-range", "transposed-weights", "missing-layer-arrays",
+            "huge-spec", "deep-nesting", "boolean-input-shape", "float-input-shape",
+            "string-seed", "negative-seed", "padded-mask-key", "null-mask",
+            "boolean-mask", "number-mask", "string-mask", "object-mask",
+            "string-denominator", "boolean-numerator", "short-mask",
             "negative-noise", "huge-noise", "boolean-noise", "string-safe", "null-safe",
             "string-trainable", "boolean-out-dim", "boolean-unit", "nan-weight", "infinite-bias", "overflowing-output", "pole",
             "inner-softmax"])
@@ -390,8 +437,9 @@ class TestTrain:
         monkeypatch.setattr(pau.prune, "evaluate", record)
         assert main([*command, "--preset", "mnist-desk", "--data-dir", str(tmp_path),
                      "--epochs", "1", "--train-subset", "10", "--test-subset", "5"]) == 0
-        # prune: the first training, the retraining, then the report's row
-        assert seen == [5] * (1 if command == ["train"] else 3)
+        # prune: the first training, then the retraining, whose last epoch
+        # gives the report's row
+        assert seen == [5] * (1 if command == ["train"] else 2)
 
     @pytest.mark.parametrize("split", ["train", "test"])
     @pytest.mark.parametrize("command", [["train"], ["prune", "--schedule", "0.1"]],
@@ -424,6 +472,22 @@ class TestTrain:
         p = tmp_path / "bad.ckpt"
         p.write_bytes(self._rewrite_manifest(good.read_bytes(),
                                              lambda m: m["specs"][layer].update(edit)))
+        assert main(["eval", "--preset", "synth-desk", "--checkpoint", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert str(p) in err and message in err
+
+    @pytest.mark.parametrize("specs,message", [
+        ([pau.Flatten(), pau.Dense(784, 10), pau.Softmax()],
+         f"Dense expects (784,), got ({16 * (2 ** 60 + 49)},)"),
+        ([pau.Activation()], f"takes inputs of shape (16, {2 ** 60 + 49}); the train images"),
+    ], ids=["flatten", "activation"])
+    def test_eval_input_shape_whose_size_wraps_in_int64(self, tmp_path, capsys, specs, message):
+        # 16 * (2**60 + 49) = 2**64 + 784: in int64 the size wraps to the
+        # preset's 28 * 28 pixels, so it must be taken on Python ints
+        p = tmp_path / "wrap.ckpt"
+        pau.save_checkpoint(p, pau.build_network(specs, input_shape=(784,)))
+        p.write_bytes(self._rewrite_manifest(
+            p.read_bytes(), lambda m: m.update(input_shape=[16, 2 ** 60 + 49])))
         assert main(["eval", "--preset", "synth-desk", "--checkpoint", str(p)]) == 2
         err = capsys.readouterr().err
         assert str(p) in err and message in err
@@ -655,6 +719,59 @@ def test_mutated_checkpoint(tmp_path_factory, data):
     path = tmp / "fuzzed.ckpt"
     # edits land in the header and manifest; a changed weight still evaluates
     path.write_bytes(_mutate(raw, data.draw(_edits(manifest_end, header=16))))
+    assert main(["eval", "--preset", "synth-desk", "--checkpoint", str(path),
+                 "--train-subset", "50", "--test-subset", "20"]) in (0, 2, 3)
+
+
+# any JSON value, NaN and the infinities included (json reads them back)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=4),
+    max_leaves=8)
+
+
+def _paths(value, path=()):
+    """The key paths of every value nested in ``value``'s dicts and lists."""
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, inner in items:
+        yield path + (key,)
+        yield from _paths(inner, path + (key,))
+
+
+_PRUNED = {
+    "mlp": lambda: pau.build_network(pau.mlp_spec((784, 8, 10)), seed=3),
+    "conv": lambda: pau.build_network(
+        [pau.Conv2d(1, 2, 3, padding=1), pau.Activation(), pau.MaxPool(2), pau.Conv2d(2, 4, 3),
+         pau.Activation(), pau.Baseline("tanh"), pau.Flatten(), pau.Dense(4 * 12 * 12, 10),
+         pau.Softmax()], seed=3, input_shape=(1, 28, 28), noise_alpha=0.05),
+}
+
+
+@_FUZZED
+@given(name=st.sampled_from(sorted(_PRUNED)), data=st.data())
+def test_edited_checkpoint_manifest(tmp_path_factory, name, data):
+    # one value of a pruned network's manifest replaced by any JSON value,
+    # or its key deleted: the file loads and runs, or exits 2 or 3
+    tmp = tmp_path_factory.getbasetemp()
+    net = _PRUNED[name]()
+    pau.apply_prune(net, 0.25)
+    pau.save_checkpoint(tmp / "pruned.ckpt", net)
+    raw = (tmp / "pruned.ckpt").read_bytes()
+    (length,) = struct.unpack_from("<Q", raw, 8)
+    manifest = json.loads(raw[16:16 + length])
+    *parents, key = data.draw(st.sampled_from(list(_paths(manifest))))
+    container = manifest
+    for k in parents:
+        container = container[k]
+    if data.draw(st.booleans()):
+        del container[key]
+    else:
+        container[key] = data.draw(_JSON)
+    payload = json.dumps(manifest).encode()
+    path = tmp / "edited.ckpt"
+    path.write_bytes(raw[:8] + struct.pack("<Q", len(payload)) + payload + raw[16 + length:])
     assert main(["eval", "--preset", "synth-desk", "--checkpoint", str(path),
                  "--train-subset", "50", "--test-subset", "20"]) in (0, 2, 3)
 

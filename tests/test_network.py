@@ -1,4 +1,7 @@
+import json
 import re
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -683,6 +686,28 @@ class TestParams:
         assert set(opt.m) == set(opt.v) == set(grads) == {k for k, _ in net.params()}
 
 
+def _assert_same_network(loaded, net, seed):
+    """Equal specs, arrays, units and masks, and equal forward outputs,
+    with and without noise."""
+    assert loaded.specs == net.specs
+    assert loaded.input_shape == net.input_shape
+    for i in net.parametric_indices():
+        assert np.array_equal(loaded.weights[i]["W"], net.weights[i]["W"])
+        assert np.array_equal(loaded.weights[i]["b"], net.weights[i]["b"])
+    for a, b in zip(loaded.pau_units, net.pau_units, strict=True):
+        assert a.coefficients == b.coefficients
+        assert (a.safe, a.noise_alpha, a.trainable) == \
+               (b.safe, b.noise_alpha, b.trainable)
+    assert set(loaded.masks) == set(net.masks)
+    for i in net.masks:
+        assert np.array_equal(loaded.masks[i], net.masks[i])
+    x = np.random.default_rng(seed).normal(size=(5,) + net.input_shape)
+    for training in (False, True):
+        a, _ = pau.forward(loaded, x, training=training, seed=seed)
+        b, _ = pau.forward(net, x, training=training, seed=seed)
+        assert np.array_equal(a, b)
+
+
 class TestCheckpoint:
     @pytest.mark.parametrize("specs,input_shape", [
         (mlp_spec((20, 8, 4)), (20,)),
@@ -696,23 +721,56 @@ class TestCheckpoint:
         pau.apply_prune(net, 0.25)
         path = tmp_path / "net.ckpt"
         save_checkpoint(path, net)
-        loaded = load_checkpoint(path)
-        assert loaded.specs == net.specs
-        assert loaded.input_shape == net.input_shape
+        _assert_same_network(load_checkpoint(path), net, 17)
+
+    @pytest.mark.parametrize("specs,input_shape", [
+        (mlp_spec((20, 8, 4)), (20,)), (lenet_spec(), (1, 32, 32)),
+    ], ids=["mlp", "lenet"])
+    def test_loads_the_offset_table_of_older_files(self, tmp_path, specs, input_shape):
+        net = build_network(specs, seed=19, noise_alpha=0.05, input_shape=input_shape)
+        net.pau_units[-1].trainable = False
+        pau.apply_prune(net, 0.25)
+        save_checkpoint(tmp_path / "new.ckpt", net)
+        raw = (tmp_path / "new.ckpt").read_bytes()
+        (length,) = struct.unpack_from("<Q", raw, 8)
+        manifest, blob = json.loads(raw[16:16 + length]), raw[16 + length:]
+        # the arrays back to back in layer order, W then b, and no table
+        assert list(manifest) == ["specs", "input_shape", "seed", "masks", "pau_units"]
+        arrays = [net.weights[i][name] for i in net.parametric_indices() for name in "Wb"]
+        assert blob == b"".join(a.astype("<f8").tobytes() for a in arrays)
+        # older writers put each array's layer, name, blob offset and shape last
+        manifest["offsets"], at = [], 0
         for i in net.parametric_indices():
-            assert np.array_equal(loaded.weights[i]["W"], net.weights[i]["W"])
-            assert np.array_equal(loaded.weights[i]["b"], net.weights[i]["b"])
-        for a, b in zip(loaded.pau_units, net.pau_units):
-            assert a.coefficients == b.coefficients
-            assert (a.safe, a.noise_alpha, a.trainable) == \
-                   (b.safe, b.noise_alpha, b.trainable)
-        assert set(loaded.masks) == set(net.masks)
-        for i in net.masks:
-            assert np.array_equal(loaded.masks[i], net.masks[i])
-        x = np.random.default_rng(17).normal(size=(5,) + input_shape)
-        a, _ = pau.forward(loaded, x)
-        b, _ = pau.forward(net, x)
-        assert np.array_equal(a, b)
+            for name in "Wb":
+                shape = net.weights[i][name].shape
+                manifest["offsets"].append(
+                    {"layer": i, "name": name, "offset": at, "shape": list(shape)})
+                at += 8 * int(np.prod(shape))
+        payload = json.dumps(manifest).encode("utf-8")
+        (tmp_path / "old.ckpt").write_bytes(
+            b"PAUNET01" + struct.pack("<Q", len(payload)) + payload + blob)
+        _assert_same_network(load_checkpoint(tmp_path / "old.ckpt"), net, 19)
+
+    def test_refuses_a_short_blob_before_allocating(self, tmp_path):
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(path, build_network([Dense(4, 2), Softmax()]))
+        raw = path.read_bytes()
+        (length,) = struct.unpack_from("<Q", raw, 8)
+        manifest = json.loads(raw[16:16 + length])
+        manifest["specs"][0].update(in_dim=3000, out_dim=3000)   # 72 MB of weights
+        payload = json.dumps(manifest).encode("utf-8")
+        path.write_bytes(raw[:8] + struct.pack("<Q", len(payload)) + payload
+                         + raw[16 + length:])
+        tracemalloc.start()
+        try:
+            with pytest.raises(network.CheckpointFormatError,
+                               match="the blob holds 80 bytes, the specs' arrays need "
+                                     f"{8 * (3000 * 3000 + 3000)}"):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "junk"

@@ -267,6 +267,18 @@ class TestLottery:
             want.append((p, param_count(net)[0], repr(pau.evaluate(net, test))))
         assert [(r.p, r.params_remaining, repr(r.test_acc)) for r in report.rows] == want
 
+    def test_no_epochs_scores_the_pruned_initialization(self, synth_sets):
+        # with no epochs there is no last epoch's score: the row evaluates
+        train, test = synth_sets
+        train, test = train.subset(200), test.subset(100)
+        build = lambda: build_network(mlp_spec((784, 16, 10)), seed=8)
+        report = lottery_run(build, train, test,
+                             PruneSchedule((0.0, 0.5), TrainConfig(epochs=0, seed=8)))
+        for row in report.rows:
+            net = build()
+            apply_prune(net, row.p)
+            assert row.test_acc == pau.evaluate(net, test)
+
     def test_params_strictly_decrease(self, synth_sets):
         train, test = synth_sets
         cfg = TrainConfig(epochs=1, seed=4)
