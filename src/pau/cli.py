@@ -6,22 +6,27 @@ non-convergence, 4 verification failure.  PAU_THREADS caps the BLAS
 worker threads.
 
 Every flag is checked before its command runs: one that does not parse
-or is out of range exits 1 naming the flag or key.  train, eval and
-prune take their run settings from a preset, then a --config file of
-"key value" lines, then flags of the same names, all checked before any
-data is made; a config file that cannot be read, or that holds an
-unknown key or a bad value, exits 2 naming the file.  A Pade system that
-is singular or overflows, a pole or overflow in fit's target, unreadable
-coefficient documents, data files and checkpoints (non-finite weights
-among them), a pole of an eval checkpoint's unit, and images that do not
-fit the network exit 2.  A non-finite training loss or eval output exits
-3 naming the first non-finite unit, weight or layer output.
+or is out of range exits 1 naming the flag or key.  train and prune take
+their run settings from a preset, then a --config file of "key value"
+lines, then flags of the same names, all checked before any data is
+made; eval reads the same preset and file, but has flags only for the
+data keys (--data-dir and the subsets).  A config file that cannot be
+read, or that holds an unknown key or a bad value, exits 2 naming the
+file.  An output path (--out, --metrics-out, --save, --report) that
+cannot be written exits 2 naming the flag before the command works, and
+so does a write that fails.  A Pade system that is singular or
+overflows, a pole or overflow in fit's target, unreadable coefficient
+documents, data files and checkpoints (non-finite weights among them), a
+pole of an eval checkpoint's unit, and images that do not fit the
+network exit 2.  A non-finite training loss or eval output exits 3
+naming the first non-finite unit, weight or layer output.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import re
 import sys
 from dataclasses import fields
@@ -90,8 +95,8 @@ def _pair(parse):
 
 
 _ORDERS = _checked(_pair(int), lambda mn: min(mn) >= 0, "must be two integers m,n >= 0")
-_RANGE = _checked(_pair(float), lambda r: np.all(np.isfinite(r)) and r[0] < r[1],
-                  "must be two finite numbers lo,hi with lo < hi")
+_RANGE = _checked(_pair(float), lambda r: r[0] < r[1] and math.isfinite(r[1] - r[0]),
+                  "must be two finite numbers lo,hi with lo < hi and hi - lo finite")
 _POSITIVE = _checked(float, lambda v: np.isfinite(v) and v > 0, "must be finite and > 0")
 _NON_NEGATIVE = _checked(float, lambda v: np.isfinite(v) and v >= 0,
                          "must be finite and >= 0")
@@ -99,6 +104,42 @@ _NON_NEGATIVE = _checked(float, lambda v: np.isfinite(v) and v >= 0,
 
 def _int_from(low):
     return _checked(int, lambda v: v >= low, f"must be an integer >= {low}")
+
+
+def _flag(dest):
+    return "--" + dest.replace("_", "-")
+
+
+def _check_outputs(args):
+    """Before any work: exit 2 naming the flag and the path of an output
+    that cannot be written.  Creates and truncates nothing."""
+    for dest in ("out", "metrics_out", "save", "report"):
+        path = getattr(args, dest, None)
+        if path is None:
+            continue
+        folder = os.path.dirname(os.path.abspath(path))
+        if not path:
+            problem = "the path is empty"
+        elif os.path.isdir(path):
+            problem = "it is a directory"
+        elif not os.path.isdir(folder):
+            problem = f"there is no directory {folder}"
+        elif not os.access(path if os.path.exists(path) else folder, os.W_OK):
+            problem = "permission denied"
+        else:
+            continue
+        raise _Fail(EXIT_INPUT, f"{_flag(dest)} {path}: cannot write: {problem}")
+
+
+def _write(args, dest, write):
+    """``write(path)`` when the output flag ``dest`` is given; an OSError
+    exits 2 naming the flag and the path."""
+    path = getattr(args, dest)
+    if path is not None:
+        try:
+            write(path)
+        except OSError as exc:
+            raise _Fail(EXIT_INPUT, f"{_flag(dest)} {path}: {exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -120,9 +161,8 @@ def cmd_pade(args) -> int:
     except (ValueError, OverflowError) as exc:
         raise _Fail(EXIT_INPUT, f"target {args.target}: {exc}")
     _print_coefficients(coeffs)
-    if args.out:
-        write_coefficient_document(args.out, coeffs, safe=True,
-                                   provenance=f"pade:{target.name}")
+    _write(args, "out", lambda path: write_coefficient_document(
+        path, coeffs, safe=True, provenance=f"pade:{target.name}"))
     return EXIT_OK
 
 
@@ -156,9 +196,8 @@ def cmd_fit(args) -> int:
     print(f"max_abs_residual = {mx!r}")
     print(f"rms_residual = {rms!r}")
     _print_coefficients(coeffs)
-    if args.out:
-        write_coefficient_document(args.out, coeffs, safe=safe,
-                                   provenance=f"lsq:{label}")
+    _write(args, "out", lambda path: write_coefficient_document(
+        path, coeffs, safe=safe, provenance=f"lsq:{label}"))
     return EXIT_OK
 
 
@@ -195,8 +234,11 @@ def cmd_export_curve(args) -> int:
                                 f"{header.split(',')[c]} is {float(table[r, c])!r} "
                                 f"at x={float(xs[r])!r}")
     rows = [",".join(repr(float(v)) for v in row) for row in table]
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join([header, *rows]) + "\n")
+
+    def write(path):
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("\n".join([header, *rows]) + "\n")
+    _write(args, "out", write)
     print(f"wrote {len(rows)} rows to {args.out}")
     return EXIT_OK
 
@@ -218,8 +260,7 @@ def cmd_gradcheck(args) -> int:
     except MemoryError as exc:
         raise _Fail(EXIT_USAGE, f"--trials {args.trials}: {exc}")
     nums, dens, xs = draws[:, :6], draws[:, 6:10], draws[:, 10]
-    trial_worst, labels, _ = gradcheck.compare_trials(
-        xs, nums, dens, safe=True, flip_denominator=args.inject_fault)
+    trial_worst, labels, _ = gradcheck.compare_trials(xs, nums, dens, safe=True)
     i = int(np.argmax(trial_worst))
     worst = max(float(trial_worst[i]), gradcheck.toy_network_check(seed=args.seed))
     print(f"worst_relative_error = {worst!r} over {args.trials} unit trials "
@@ -263,9 +304,9 @@ _ARCHS = {
 _SYNTH_DATA_SEED = 555  # dataset content independent of the training seed
 
 # The run settings, each with its parser: the keys of a config file and,
-# with dashes, the flags of train, eval and prune.  TrainConfig's fields
-# build it; init and noise_alpha go to build_network, data_dir and the
-# subsets to the data cut (_load_preset_data).  Unset ones take defaults.
+# with dashes, the flags of train and prune (eval's: the data keys).
+# TrainConfig's fields build it; init and noise_alpha go to build_network,
+# data_dir and the subsets to the data cut.  Unset ones take defaults.
 _CONFIG_KEYS = {
     "optimizer": str, "lr": float, "momentum": float, "batch_size": int,
     "epochs": int, "data_dir": str, "train_subset": int, "test_subset": int,
@@ -320,7 +361,7 @@ def _run_settings(args):
         except (OSError, ValueError) as exc:
             raise _Fail(EXIT_INPUT, f"config file {args.config}: {exc}")
     settings.update({key: getattr(args, key) for key in _CONFIG_KEYS
-                     if getattr(args, key) is not None})
+                     if getattr(args, key, None) is not None})   # eval: data keys only
     try:
         return settings, _train_config(settings)
     except ValueError as exc:
@@ -329,8 +370,12 @@ def _run_settings(args):
 
 def _load_preset_data(settings):
     if settings["source"] == "synth":
-        n_train = settings["train_subset"]
-        full = synth_digits(n_train + settings["test_subset"], seed=_SYNTH_DATA_SEED)
+        n_train, n_test = settings["train_subset"], settings["test_subset"]
+        try:
+            full = synth_digits(n_train + n_test, seed=_SYNTH_DATA_SEED)
+        except (ValueError, MemoryError) as exc:   # more images than numpy can hold
+            raise _Fail(EXIT_USAGE, f"--train-subset {n_train} and --test-subset "
+                                    f"{n_test}: {exc}")
         train = DatasetHandle(full.images[:n_train], full.labels[:n_train], "train")
         test = DatasetHandle(full.images[n_train:], full.labels[n_train:], "test")
     else:
@@ -397,10 +442,8 @@ def cmd_train(args) -> int:
               f"test_acc={m.test_acc:.4f} ({m.seconds:.1f}s)")
     if history:
         print(f"final test_acc = {history[-1].test_acc!r}")
-    if args.metrics_out:
-        write_metrics_csv(args.metrics_out, history)
-    if args.save:
-        save_checkpoint(args.save, net)
+    _write(args, "metrics_out", lambda path: write_metrics_csv(path, history))
+    _write(args, "save", lambda path: save_checkpoint(path, net))
     return EXIT_OK
 
 
@@ -428,8 +471,7 @@ def cmd_prune(args) -> int:
     for row in report.rows:
         print(f"p={row.p:g}: params={row.params_remaining} "
               f"test_acc={row.test_acc:.4f}")
-    if args.report:
-        report.write_csv(args.report)
+    _write(args, "report", report.write_csv)
     return EXIT_OK
 
 
@@ -460,7 +502,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("gradcheck", help="finite-difference gradient audit")
     p.add_argument("--seed", type=_int_from(0), default=0)
     p.add_argument("--trials", type=_int_from(0), default=1000)
-    p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_gradcheck)
 
     for name, func in (("train", cmd_train), ("prune", cmd_prune),
@@ -468,10 +509,12 @@ def build_parser() -> _Parser:
         p = sub.add_parser(name)
         p.add_argument("--preset", choices=sorted(PRESETS), default="synth-desk")
         p.add_argument("--config", help="key/value settings file; flags override it")
-        p.add_argument("--frozen", action="store_true",
-                       help="freeze unit coefficients at their initialization")
+        if name != "eval":
+            p.add_argument("--frozen", action="store_true",
+                           help="freeze unit coefficients at their initialization")
         for key, parse in _CONFIG_KEYS.items():
-            p.add_argument("--" + key.replace("_", "-"), type=parse)
+            if name != "eval" or key in ("data_dir", "train_subset", "test_subset"):
+                p.add_argument("--" + key.replace("_", "-"), type=parse)
         if name == "train":
             p.add_argument("--metrics-out")
             p.add_argument("--save")
@@ -503,6 +546,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _check_outputs(args)
         return args.func(args)
     except _Fail as exc:
         print(f"error: {exc}", file=sys.stderr)

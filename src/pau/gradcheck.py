@@ -37,7 +37,7 @@ def _rel(analytic, fd, scale):
     return np.abs(analytic - fd) / denom
 
 
-def compare_trials(xs, nums, dens, safe=True, flip_denominator=False):
+def compare_trials(xs, nums, dens, safe=True):
     """Worst relative error of each trial, its component label, and the
     number of comparisons made.
 
@@ -46,8 +46,6 @@ def compare_trials(xs, nums, dens, safe=True, flip_denominator=False):
     d_input, d_numerator[0..m], d_denominator[1..n]; the label is the
     first one reaching the trial's worst, or "none" when that is 0.
     Central differences take the step FD_STEP.
-    ``flip_denominator`` negates the analytic denominator gradients, a
-    deliberate fault used to prove the harness can fail.
     """
     xs = np.asarray(xs, dtype=np.float64)
     nums = np.asarray(nums, dtype=np.float64)
@@ -61,8 +59,6 @@ def compare_trials(xs, nums, dens, safe=True, flip_denominator=False):
 
     d_input, w, v = _grad_parts(xs, nums, dens, safe)
     analytic = np.column_stack([d_input, _expand_gradients(xs, w, v, m, n)])
-    if flip_denominator:
-        analytic[:, m + 2:] *= -1.0
 
     fd = np.empty_like(analytic)
     fd[:, 0] = (f(x=xs + h) - f(x=xs - h)) / (2 * h)
@@ -91,10 +87,10 @@ def compare_trials(xs, nums, dens, safe=True, flip_denominator=False):
     return worst, labels, int(np.count_nonzero(ok))
 
 
-def compare_single(x, coeffs: RationalCoefficients, safe=True, flip_denominator=False):
+def compare_single(x, coeffs: RationalCoefficients, safe=True):
     """(worst relative error, component label) at one point."""
     worst, labels, _ = compare_trials([x], coeffs.numerator[None],
-                                      coeffs.denominator[None], safe, flip_denominator)
+                                      coeffs.denominator[None], safe)
     return float(worst[0]), labels[0]
 
 

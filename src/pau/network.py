@@ -298,7 +298,9 @@ class Activation(_Layer):
         """Noisy coefficients, one set per element, are cached so that
         backward differentiates at the sampled values.  A pole raises
         PoleError naming the layer, the unit and the element's C-order
-        index in the layer's input."""
+        index in the layer's input.  Coefficients whose noise range is not
+        finite (they blew up in training) give a NaN output, so that the
+        loss check stops the run and names the unit."""
         unit = net.pau_units[self.unit]
         stacks = None
         try:
@@ -312,6 +314,8 @@ class Activation(_Layer):
         except PoleError as exc:
             raise PoleError(exc.x, exc.q, exc.index,
                             where=f"layer {i} (Activation) unit {self.unit}") from None
+        except OverflowError:   # sample_noisy_coeffs: the noise range is not finite
+            y = np.full(x.shape, np.nan)
         return y, {"x": x, "stacks": stacks}
 
     def backward(self, net, i, g, cache, need_dx):

@@ -38,10 +38,12 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if not self.lr > 0:
-            raise ValueError("lr must be > 0")
-        if self.pau_lr is not None and not self.pau_lr > 0:
-            raise ValueError("pau_lr must be > 0")
+        if not 0 < self.lr < math.inf:
+            raise ValueError("lr must be > 0 and finite")
+        if self.pau_lr is not None and not 0 < self.pau_lr < math.inf:
+            raise ValueError("pau_lr must be > 0 and finite")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError("momentum must lie in [0, 1)")
         if not 0.0 < self.lr_decay <= 1.0:
             raise ValueError("lr_decay must lie in (0, 1]")
         if self.optimizer not in ("adam", "sgd"):

@@ -41,6 +41,27 @@ class TestTaylor:
         assert s == (F(0), F(1, 2), F(1, 4), F(0), F(-1, 48))
 
 
+class TestTargets:
+    @pytest.mark.parametrize("name", ["relu", "relu6", "lrelu(0.2)", "sigmoid", "tanh",
+                                      "swish(1.5)", "elu(0.5)"])
+    def test_derivative(self, name):
+        target, h = parse_target(name), 1e-6
+        # central differences, away from the kinks at 0 and 6
+        x = np.linspace(-8.0, 8.0, 1601)
+        x = x[(np.abs(x) > 1e-3) & (np.abs(x - 6.0) > 1e-3)]
+        fd = (target(x + h) - target(x - h)) / (2 * h)
+        np.testing.assert_allclose(target.derivative(x), fd, rtol=0, atol=1e-7)
+        # at 0, the x <= 0 branch: the slope from the left
+        left = (target(0.0) - target(-h)) / h
+        assert abs(float(target.derivative(0.0)) - left) < 1e-5
+
+    @pytest.mark.parametrize("beta", [1.0, 1.5, -0.5])
+    def test_swish_is_x_times_sigmoid(self, beta):
+        x = np.linspace(-30.0, 30.0, 241)
+        np.testing.assert_allclose(TargetActivation("swish", beta)(x),
+                                   x / (1.0 + np.exp(-beta * x)), rtol=1e-14, atol=1e-300)
+
+
 class TestPade:
     def test_tanh_column_exact(self):
         a, b = pade_exact(parse_target("tanh").taylor(9), 5, 4)

@@ -1,6 +1,7 @@
 import dataclasses
 import gzip
 import json
+import re
 import struct
 import subprocess
 import sys
@@ -92,10 +93,18 @@ class TestGradcheck:
         assert code == 0
         assert "worst_relative_error" in stdout
 
-    def test_fault_injection_detected(self):
-        code, _, stderr = run_cli("gradcheck", "--seed", "0", "--trials", "200",
-                                  "--inject-fault")
-        assert code == 4
+    def test_fault_injection_detected(self, monkeypatch, capsys):
+        # a kernel whose denominator gradients have the wrong sign must fail
+        expand = pau.gradcheck._expand_gradients
+
+        def broken(x, w, v, m, n):
+            out = expand(x, w, v, m, n)
+            out[..., m + 1:] *= -1.0
+            return out
+
+        monkeypatch.setattr(pau.gradcheck, "_expand_gradients", broken)
+        assert main(["gradcheck", "--seed", "0", "--trials", "200"]) == 4
+        stderr = capsys.readouterr().err
         assert "FAILED" in stderr
         assert "component=d_denominator[" in stderr
 
@@ -120,6 +129,8 @@ _BAD_TOOL_INPUTS = [
     (_CURVE + ["--noise", "nan"], 1, "--noise"),
     (_CURVE + ["--noise", "inf"], 1, "--noise"),
     (_CURVE + ["--range", "0,inf"], 1, "--range"),
+    (_CURVE + ["--range=-1e308,1e308"], 1, "--range"),   # hi - lo overflows
+    (["fit", "--target", "relu", "--range=-1e308,1e308", "--step", "1e300"], 1, "--range"),
     (_CURVE + ["--noise", "0.1", "--seed", "-1"], 1, "--seed"),
     (["fit", "--target", "relu", "--max-iter", "0"], 1, "--max-iter"),
     (["fit", "--target", "relu", "--step", "nan"], 1, "--step"),
@@ -583,15 +594,29 @@ _BAD_FLAGS = [
     (["--noise-alpha", "-1"], "noise_alpha must be >= 0"),
     (["--noise-alpha", "inf"], "noise_alpha inf: the unit's noise range exceeds valid bounds"),
     (["--pau-lr", "-1"], "pau_lr must be > 0"),
+    (["--lr", "inf"], "lr must be > 0 and finite"),
+    (["--pau-lr", "inf"], "pau_lr must be > 0 and finite"),
+    (["--momentum", "nan"], "momentum must lie in [0, 1)"),
+    (["--momentum", "-3"], "momentum must lie in [0, 1)"),
+    (["--momentum", "inf"], "momentum must lie in [0, 1)"),
     (["--seed", "-1"], "seed must be >= 0"),
     (["--train-subset", "0"], "train_subset must be >= 1"),
     (["--test-subset", "0"], "test_subset must be >= 1"),
+    # more synthetic images than numpy can allocate, or index
+    (["--train-subset", "100000000000"],
+     "--train-subset 100000000000 and --test-subset 100: Unable to allocate"),
+    (["--test-subset", str(10 ** 22)],
+     f"--train-subset 300 and --test-subset {10 ** 22}: Maximum allowed dimension exceeded"),
 ]
 _BAD_CONFIG_LINES = [
     ("optimizer bogus", "unknown optimizer 'bogus'"),
     ("lr -1", "lr must be > 0"),
     ("init bogus", "init: unknown builtin 'bogus'"),
     ("noise_alpha 1e308", "noise_alpha 1e+308: the unit's noise range exceeds valid bounds"),
+    ("lr inf", "lr must be > 0 and finite"),
+    ("pau_lr inf", "pau_lr must be > 0 and finite"),
+    ("momentum nan", "momentum must lie in [0, 1)"),
+    ("momentum -3", "momentum must lie in [0, 1)"),
     (None, "Is a directory"),   # --config names a directory
 ]
 # short runs, so that a check that lets a bad value through ends quickly
@@ -626,6 +651,75 @@ class TestBadSettings:
         out, err = capsys.readouterr()
         assert err.startswith(f"error: config file {path}: ") and message in err
         assert out == ""
+
+
+class TestEvalFlags:
+    def test_help_lists_only_the_flags_eval_reads(self, capsys):
+        assert main(["eval", "-h"]) == 0
+        assert set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) == {
+            "--help", "--preset", "--config", "--data-dir", "--train-subset",
+            "--test-subset", "--checkpoint", "--split"}
+
+    def test_training_flag_is_unrecognized(self, capsys):
+        assert main(["eval", "--checkpoint", "net.ckpt", "--lr", "0.1"]) == 1
+        assert "unrecognized arguments: --lr 0.1" in capsys.readouterr().err
+
+    def test_config_file_is_still_checked_whole(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("lr -1\n")
+        assert main(["eval", "--config", str(cfg), "--checkpoint", "net.ckpt"]) == 2
+        assert f"error: config file {cfg}: lr must be > 0" in capsys.readouterr().err
+
+
+# each output flag, given a path in a directory that does not exist
+_BAD_OUTPUTS = [
+    ["pade", "--target", "tanh", "--out"],
+    ["fit", "--target", "tanh", "--step", "0.01", "--out"],
+    ["export-curve", "--coeffs", "{unit}", "--out"],
+    ["train", *_SHORT_RUN, "--save", "{old}", "--metrics-out"],
+    ["train", *_SHORT_RUN, "--save"],
+    ["prune", *_SHORT_RUN, "--schedule", "0.1", "--report"],
+]
+
+
+class TestOutputPaths:
+    @pytest.mark.parametrize("argv", _BAD_OUTPUTS, ids=[f"{a[0]} {a[-1]}" for a in _BAD_OUTPUTS])
+    def test_missing_directory_exits_2_before_the_work(self, tmp_path, monkeypatch, capsys,
+                                                       argv):
+        old = tmp_path / "old.ckpt"
+        old.write_bytes(b"an earlier checkpoint")
+        paths = {"unit": _write_doc(tmp_path / "unit.coeffs", [0.0, 1.0], [0.5]),
+                 "old": str(old)}
+        steps = []
+        monkeypatch.setattr(pau.train, "_step", lambda *a: steps.append(a) or 0.0)
+        bad = tmp_path / "missing" / "out"
+        assert main([*(a.format(**paths) for a in argv), str(bad)]) == 2
+        out, err = capsys.readouterr()
+        assert err == (f"error: {argv[-1]} {bad}: cannot write: "
+                       f"there is no directory {tmp_path / 'missing'}\n")
+        assert out == "" and steps == []
+        # the check neither creates nor truncates a file
+        assert old.read_bytes() == b"an earlier checkpoint"
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["old.ckpt", "unit.coeffs"])
+
+    def test_directory_exits_2(self, tmp_path, capsys):
+        assert main(["pade", "--target", "tanh", "--out", str(tmp_path)]) == 2
+        assert f"--out {tmp_path}: cannot write: it is a directory" in capsys.readouterr().err
+
+    def test_empty_path_exits_2(self, tmp_path, capsys):
+        doc = _write_doc(tmp_path / "unit.coeffs", [0.0, 1.0], [0.5])
+        assert main(["export-curve", "--coeffs", doc, "--out", ""]) == 2
+        assert "error: --out : cannot write: the path is empty" in capsys.readouterr().err
+
+    def test_failed_write_exits_2(self, tmp_path, monkeypatch, capsys):
+        def full(path, net):
+            raise OSError(28, "No space left on device")
+        monkeypatch.setattr(cli, "save_checkpoint", full)
+        ckpt = tmp_path / "net.ckpt"
+        assert main(["train", *_SHORT_RUN, "--save", str(ckpt)]) == 2
+        assert (f"error: --save {ckpt}: [Errno 28] No space left on device"
+                in capsys.readouterr().err)
 
 
 VALID_CONFIG = (b"# desk run\noptimizer adam\nlr 0.002\nmomentum 0.5\nbatch_size 256\n"

@@ -243,6 +243,27 @@ class TestNonFiniteLoss:
             train_model(net, data, data, cfg)
         assert str(err.value).endswith(f"first non-finite value: {where}")
 
+    @pytest.mark.parametrize("poison,where", [
+        ("unit", "unit 0's coefficients"),
+        ("weights", "layer 2 (Dense) weights b"),
+        ("batch", "the input batch"),
+    ])
+    def test_noisy_train_names_first_non_finite(self, poison, where):
+        # a NaN coefficient has no finite noise range: the unit's output is
+        # NaN, and the run ends as it does without noise
+        data = tiny_data(n=32, seed=3)
+        net = build_network(mlp_spec((6, 4, 3)), seed=3, noise_alpha=0.05)
+        if poison == "unit":
+            net.pau_units[0].coefficients.denominator[0] = np.nan
+        elif poison == "weights":
+            net.weights[2]["b"][1] = np.inf
+        else:
+            data.images[20, 2] = np.nan
+        cfg = TrainConfig(epochs=1, batch_size=16, seed=3)
+        with pytest.raises(NonFiniteLossError, match=r"^step \d+: loss is nan") as err:
+            train_model(net, data, data, cfg)
+        assert str(err.value).endswith(f"first non-finite value: {where}")
+
     @staticmethod
     def _overflowing_conv_net():
         # the conv outputs stay finite; the unit overflows on them, and the
