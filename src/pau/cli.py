@@ -368,12 +368,17 @@ def _run_settings(args):
         raise _Fail(EXIT_USAGE, str(exc))
 
 
-def _load_preset_data(settings):
+def _load_preset_data(args, settings):
     if settings["source"] == "synth":
         n_train, n_test = settings["train_subset"], settings["test_subset"]
         try:
             full = synth_digits(n_train + n_test, seed=_SYNTH_DATA_SEED)
         except (ValueError, MemoryError) as exc:   # more images than numpy can hold
+            # blamed on the source of the larger subset (the presets' own are small)
+            larger = "train_subset" if n_train >= n_test else "test_subset"
+            if args.config and getattr(args, larger) is None:
+                raise _Fail(EXIT_INPUT, f"config file {args.config}: train_subset "
+                                        f"{n_train} and test_subset {n_test}: {exc}")
             raise _Fail(EXIT_USAGE, f"--train-subset {n_train} and --test-subset "
                                     f"{n_test}: {exc}")
         train = DatasetHandle(full.images[:n_train], full.labels[:n_train], "train")
@@ -413,7 +418,7 @@ def _prologue(args):
             raise _Fail(EXIT_INPUT, f"cannot load checkpoint: {exc}")
         runs, takes = f"checkpoint {args.checkpoint}", net.input_shape
     try:
-        train, test = _load_preset_data(settings)
+        train, test = _load_preset_data(args, settings)
     except (OSError, ValueError) as exc:
         raise _Fail(EXIT_INPUT, str(exc))
     source = settings["data_dir"] if settings["source"] == "idx" else "the preset"

@@ -11,7 +11,8 @@ the ``_Layer`` protocol:
 * ``check(net, i)``: ValueError when the network's arrays for layer i
   contradict the spec;
 * ``forward(net, i, x, noise_rng) -> (y, cache)``: backward reads
-  ``cache`` back from ``trace.caches[i]``;
+  ``cache`` back from ``trace.caches[i]``.  A noisy Activation in
+  ``Network.pooled`` runs ``forward_pooled`` for itself and its MaxPool;
 * ``backward(net, i, g, cache, need_dx) -> (g, grads)``: the input
   gradient and a dict of the layer's gradients under their
   ``Network.params()`` keys, or None.  A MaxPool above an Activation in
@@ -31,7 +32,9 @@ over the winners of the MaxPool above only (its other inputs get no
 gradient), in fixed ``BLOCK_ELEMENTS`` blocks, block sums combined in
 block order, independent of thread count.  A unit with
 ``noise_alpha > 0`` draws, in training only, its own perturbed
-coefficients for every element of the layer.
+coefficients for every element of the layer.  Under a pool in
+``Network.pooled`` it draws them per block of whole images, in the same
+realization, and the trace keeps only the rows of the pool's winners.
 ``backward`` returns a dict of gradients under the keys of
 ``Network.params()``, which the optimizers also keep their state under.
 It returns parameter gradients only, so it stops at the first layer with
@@ -45,6 +48,7 @@ thread count changes.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import struct
@@ -54,8 +58,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .approx import builtin_coefficients
-from .rational import (BLOCK_ELEMENTS, PoleError, RationalCoefficients, backward_pau,
-                       eval_pau_batch, eval_pau_stacked, noise_range, sample_noisy_coeffs)
+from .rational import (BLOCK_ELEMENTS, PoleError, RationalCoefficients, _uniform_stack,
+                       backward_pau, eval_pau_batch, eval_pau_stacked, noise_range,
+                       sample_noisy_coeffs)
 from .targets import parse_target
 
 CONV_BLOCK_ELEMENTS = 2 ** 18  # window elements per Conv2d image block, to stay in L2
@@ -257,7 +262,9 @@ class MaxPool(_Layer):
             raise ValueError(f"MaxPool window {self.window} too large for {shape}")
         return (c, oh, ow)
 
-    def forward(self, net, i, x, noise_rng):
+    def winners(self, x):
+        """The flat index into ``x`` of each window's first maximum, in the
+        shape of the output."""
         w, s = self.window, self.stride or self.window
         b_, c_, h, w_ = x.shape
         win = _conv_windows(x, w, s)
@@ -268,6 +275,10 @@ class MaxPool(_Layer):
         np.take((np.arange(w)[:, None] * w_ + np.arange(w)).ravel(), at, out=at, mode="clip")
         at += np.arange(b_ * c_).reshape(b_, c_, 1, 1) * (h * w_)
         at += np.arange(oh)[:, None] * (s * w_) + np.arange(ow) * s
+        return at
+
+    def forward(self, net, i, x, noise_rng):
+        at = self.winners(x)
         return x.reshape(-1)[at], {"in_shape": x.shape, "at": at}
 
     def backward(self, net, i, g, cache, need_dx):
@@ -296,11 +307,12 @@ class Activation(_Layer):
 
     def forward(self, net, i, x, noise_rng):
         """Noisy coefficients, one set per element, are cached so that
-        backward differentiates at the sampled values.  A pole raises
-        PoleError naming the layer, the unit and the element's C-order
-        index in the layer's input.  Coefficients whose noise range is not
-        finite (they blew up in training) give a NaN output, so that the
-        loss check stops the run and names the unit."""
+        backward differentiates at the sampled values (a noisy unit under a
+        pool in ``net.pooled`` runs :meth:`forward_pooled` instead).  A pole
+        raises PoleError naming the layer, the unit and the element's
+        C-order index in the layer's input.  Coefficients whose noise range
+        is not finite (they blew up in training) give a NaN output, so that
+        the loss check stops the run and names the unit."""
         unit = net.pau_units[self.unit]
         stacks = None
         try:
@@ -312,33 +324,91 @@ class Activation(_Layer):
             else:
                 y = eval_pau_batch(x, unit.coefficients, safe=unit.safe)
         except PoleError as exc:
-            raise PoleError(exc.x, exc.q, exc.index,
-                            where=f"layer {i} (Activation) unit {self.unit}") from None
+            raise self._named(i, exc) from None
         except OverflowError:   # sample_noisy_coeffs: the noise range is not finite
             y = np.full(x.shape, np.nan)
         return y, {"x": x, "stacks": stacks}
+
+    def _named(self, i, exc, offset=0):
+        """``exc`` naming this layer and unit, its index moved by ``offset``."""
+        return PoleError(exc.x, exc.q, offset + exc.index,
+                         where=f"layer {i} (Activation) unit {self.unit}")
+
+    def forward_pooled(self, net, i, x, noise_rng):
+        """This noisy layer and the MaxPool above it (``i`` in ``net.pooled``)
+        as one stage, per block of whole images whose activation fits
+        BLOCK_ELEMENTS (one image at least); returns both layers'
+        ``(output, cache)``.  Each block's noise rows are drawn into reused
+        column-major buffers and F is evaluated there; the pool's winners
+        are found once, and only their x and noise rows are kept, in the
+        order of ``at``.  The noise is that of :meth:`forward`: numerator
+        rows from ``noise_rng``, denominator rows from a copy of it advanced
+        past them all, whose end state ``noise_rng`` then takes.  Poles
+        raise as in :meth:`forward`; a noise range that is not finite runs
+        both layers' own forwards, which give NaN."""
+        unit, pool = net.pau_units[self.unit], net.specs[i + 1]
+        vectors = (unit.coefficients.numerator, unit.coefficients.denominator)
+        try:
+            ranges = [noise_range(c, unit.noise_alpha) for c in vectors]
+        except OverflowError:
+            y, cache = self.forward(net, i, x, noise_rng)
+            return [(y, cache), pool.forward(net, i + 1, y, noise_rng)]
+        den_rng = copy.deepcopy(noise_rng)
+        den_rng.bit_generator.advance(x.size * vectors[0].size)
+        per_image = x[0].size
+        images = max(1, BLOCK_ELEMENTS // per_image)
+        buffers = [np.empty((c.size, min(x.size, images * per_image))) for c in vectors]
+        pooled = np.empty((len(x),) + pool.out_shape(x.shape[1:]))
+        at = np.empty(pooled.shape, dtype=np.intp)
+        per_out, m1 = pooled[0].size, vectors[0].size
+        kept = np.empty((1 + m1 + vectors[1].size, pooled.size))   # x, numerator, denominator
+        y, flat = np.empty(x.shape), x.reshape(-1)
+        for b in range(0, len(x), images):
+            rows = slice(b * per_image, (b + images) * per_image)
+            xb, yb = flat[rows], y[b:b + images]
+            stacks = [_uniform_stack(rng, lo, hi, buf[:, :xb.size])
+                      for rng, (lo, hi), buf in zip((noise_rng, den_rng), ranges, buffers)]
+            try:
+                yb[...] = eval_pau_stacked(xb, *stacks, safe=unit.safe).reshape(yb.shape)
+            except PoleError as exc:
+                raise self._named(i, exc, rows.start) from None
+            win = pool.winners(yb)
+            # one gather per kept row, straight into its slice (mode "clip" takes no buffer)
+            out = slice(b * per_out, (b + images) * per_out)
+            for source, target in zip([yb.reshape(-1), xb, *stacks[0].T, *stacks[1].T],
+                                      [pooled.reshape(-1), *kept]):
+                np.take(source, win.reshape(-1), out=target[out], mode="clip")
+            np.add(win, rows.start, out=at[b:b + images])
+        noise_rng.bit_generator.state = den_rng.bit_generator.state
+        stacks = (kept[1:1 + m1].T, kept[1 + m1:].T)
+        return [(y, {"x": kept[0], "stacks": stacks, "in_shape": x.shape}),
+                (pooled, {"in_shape": x.shape, "at": at})]
 
     def backward(self, net, i, g, cache, need_dx):
         """``g`` is dense, or the MaxPool's pair ``(at, g)`` when this layer is
         in ``net.pooled``; the pool's losers get +0.0.
         The kernel runs per BLOCK_ELEMENTS chunk of the elements that have
         a gradient, on their x and noise rows, and the chunk sums are added
-        in chunk order, as backward_pau adds its block sums.  Its unsafe
+        in chunk order, as backward_pau adds its block sums.  After
+        :meth:`forward_pooled` the cache holds the winners' rows alone, in
+        the order of ``at``, so each chunk reads contiguous slices of them;
+        a clean pooled unit's chunk gathers its winners' x.  Its unsafe
         pole check cannot fire: forward computed the same Q from the same
         x and coefficients, and raised first."""
         unit = net.pau_units[self.unit]
         x, stacks = cache["x"].reshape(-1), cache["stacks"]
         at, up = g if i in net.pooled else (None, g.reshape(-1))
+        kept = "in_shape" in cache   # forward_pooled kept the winners' rows only
         d_in = np.empty(up.size)
         sums = None
         for start in range(0, max(up.size, 1), BLOCK_ELEMENTS):
             chunk = slice(start, start + BLOCK_ELEMENTS)
-            rows = chunk if at is None else at[chunk]
+            rows = chunk if at is None or kept else at[chunk]
             d_in[chunk], part = backward_pau(
                 x[rows], up[chunk], unit.coefficients, safe=unit.safe,
-                coefficient_stacks=stacks and tuple(s.T[:, rows].T for s in stacks))
+                coefficient_stacks=stacks and tuple(s[rows] for s in stacks))
             sums = part if sums is None else [a + b for a, b in zip(sums, part)]
-        shape = cache["x"].shape
+        shape = cache["in_shape"] if kept else cache["x"].shape
         d_in = d_in.reshape(shape) if at is None else _scatter(at, d_in, shape)
         keys = (("unit", self.unit, "num"), ("unit", self.unit, "den"))
         return d_in, dict(zip(keys, sums)) if unit.trainable else None
@@ -525,9 +595,15 @@ def _run_layers(net: Network, batch, training, seed):
         raise ValueError(f"batch shape {x.shape[1:]} != input shape {net.input_shape}")
     noisy = training and any(u.noise_alpha > 0 for u in net.pau_units)
     noise_rng = np.random.default_rng(seed) if noisy else None
-    for i, spec in enumerate(net.specs):
-        x, cache = spec.forward(net, i, x, noise_rng)
-        yield x, cache
+    layers = iter(enumerate(net.specs))
+    for i, spec in layers:
+        if noisy and i in net.pooled and net.pau_units[spec.unit].noise_alpha > 0:
+            steps = spec.forward_pooled(net, i, x, noise_rng)
+            next(layers)   # the MaxPool ran in the stage
+        else:
+            steps = [spec.forward(net, i, x, noise_rng)]
+        for x, cache in steps:
+            yield x, cache
 
 
 def forward(net: Network, batch, training=False, seed=0):

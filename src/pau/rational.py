@@ -288,8 +288,8 @@ def backward_pau(xs, upstream, coeffs: RationalCoefficients, safe: bool = True,
     of each stack belongs to xs[i] and upstream[i].  Any layout works; the
     column-major stacks of :func:`sample_noisy_coeffs` (drawn in
     ``gen.uniform``'s row order) are read fastest, one contiguous column
-    per Horner step, and so are rows gathered from them column by column
-    (``stack.T[:, rows].T``), as an Activation gathers a MaxPool's winners.
+    per Horner step, and so are row slices of such stacks, which an
+    Activation under a MaxPool passes from the winners' rows it kept.
     No derivative stack is built.
     """
     xa = np.asarray(xs, dtype=np.float64).reshape(-1)
@@ -319,8 +319,10 @@ def sample_noisy_coeffs(coeffs: RationalCoefficients, alpha: float, rng, size: i
     coefficient of every element, is contiguous.  The values are drawn in
     the order of ``gen.uniform(lo, hi, (size, k))`` (every numerator row,
     then every denominator row), so a seed gives the same stacks whatever
-    their layout.  alpha = 0 repeats the coefficients and draws nothing
-    from the generator.
+    their layout; the network's noisy Activation → MaxPool stage draws the
+    same values a block of rows at a time, through :func:`_uniform_stack`.
+    alpha = 0 repeats the coefficients and draws nothing from the
+    generator.
     """
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
@@ -328,7 +330,8 @@ def sample_noisy_coeffs(coeffs: RationalCoefficients, alpha: float, rng, size: i
     if alpha == 0.0:
         return tuple(np.repeat(c[:, None], size, axis=1).T for c in vectors)
     gen = np.random.default_rng(rng)
-    return tuple(_uniform_stack(gen, *noise_range(c, alpha), size) for c in vectors)
+    return tuple(_uniform_stack(gen, *noise_range(c, alpha), np.empty((c.size, size)))
+                 for c in vectors)
 
 
 def noise_range(c, alpha):
@@ -341,15 +344,16 @@ def noise_range(c, alpha):
     return lo, hi
 
 
-def _uniform_stack(gen, lo, hi, size):
-    """``gen.uniform(lo, hi, (size, lo.size))`` value for value, laid out
-    column-major and drawn NOISE_BLOCK_ROWS rows at a time.
+def _uniform_stack(gen, lo, hi, out):
+    """``gen.uniform(lo, hi, (size, lo.size))`` value for value, written into
+    ``out`` of shape (lo.size, size) and returned as its transpose, a
+    column-major stack; drawn NOISE_BLOCK_ROWS rows at a time.
 
     numpy's uniform computes ``lo + (hi - lo) * next_double``, so the same
-    arithmetic on ``gen.random`` blocks gives the same bits.
+    arithmetic on ``gen.random`` blocks gives the same bits, and rows drawn
+    in consecutive calls follow on as in one call.
     """
-    span = hi - lo
-    out = np.empty((lo.size, size))
+    span, size = hi - lo, out.shape[1]
     for start in range(0, size, NOISE_BLOCK_ROWS):
         u = gen.random((min(NOISE_BLOCK_ROWS, size - start), lo.size))
         block = out[:, start:start + u.shape[0]]

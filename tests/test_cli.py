@@ -653,6 +653,24 @@ class TestBadSettings:
         assert out == ""
 
 
+    @pytest.mark.parametrize("source,code,named", [
+        ("flag", 1, "--train-subset 100000000000 and --test-subset 2000: "),
+        ("config", 2, "config file {cfg}: train_subset 100000000000 and test_subset 2000: "),
+    ], ids=["flag", "config"])
+    def test_oversized_subset_is_blamed_on_its_source(self, tmp_path, capsys, source,
+                                                      code, named):
+        # more synthetic images than numpy can allocate, from a flag or from
+        # the config file; a config file is given either way
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("epochs 1\n" + ("train_subset 100000000000\n" if source == "config"
+                                       else ""))
+        flags = ["--train-subset", "100000000000"] if source == "flag" else []
+        assert main(["train", "--preset", "synth-desk", "--config", str(cfg), *flags]) == code
+        out, err = capsys.readouterr()
+        assert err.startswith("error: " + named.format(cfg=cfg)) and "Unable to allocate" in err
+        assert out == ""
+
+
 class TestEvalFlags:
     def test_help_lists_only_the_flags_eval_reads(self, capsys):
         assert main(["eval", "-h"]) == 0

@@ -12,7 +12,7 @@ from pau.network import (Activation, Baseline, Conv2d, Dense, Flatten, MaxPool,
                          Network, Softmax, StaleTraceError, build_network,
                          lenet_spec, load_checkpoint, mlp_spec, param_count,
                          save_checkpoint, vgg8_spec)
-from pau.rational import backward_pau
+from pau.rational import backward_pau, eval_pau_stacked, sample_noisy_coeffs
 from pau.gradcheck import network_fd_gradients
 from pau.train import nll_loss
 
@@ -449,6 +449,20 @@ class TestBackward:
             assert np.max(np.abs(g1[key] - g2[key])) < 1e-12
 
 
+def unfused_forward(net, batch, seed):
+    """The output and trace of a training forward run through each layer's
+    own ``forward``: every noisy Activation draws its noise with
+    ``sample_noisy_coeffs`` and keeps every element's row, and every MaxPool
+    finds its own winners, with no fused stage.  The generator is seeded as
+    ``forward`` seeds it, so the noise realization must be the same."""
+    rng = np.random.default_rng(seed)
+    x, trace = np.asarray(batch, dtype=np.float64), network.ForwardTrace(net.version)
+    for i, spec in enumerate(net.specs):
+        x, cache = spec.forward(net, i, x, rng)
+        trace.caches.append(cache)
+    return x, trace
+
+
 def backward_each_layer(net, trace, g, dense):
     """The input gradient of every layer and the unit gradients, with every
     layer's backward asked for its input gradient.  ``dense`` runs the
@@ -510,8 +524,12 @@ class TestPoolWinners:
         batch = rng.normal(size=(3, 1, side + 2, side + 2))
         out, trace = pau.forward(net, batch, training=True, seed=42)
         _, dout = nll_loss(out, rng.integers(0, 3, 3))
+        # the dense reference reruns the layers unfused from the seed: a noisy
+        # pooled unit's trace keeps its winners' rows only
+        ref_out, ref_trace = unfused_forward(net, batch, 42)
+        assert np.array_equal(out, ref_out)
         compact, units = backward_each_layer(net, trace, dout, dense=False)
-        dense, dense_units = backward_each_layer(net, trace, dout, dense=True)
+        dense, dense_units = backward_each_layer(net, ref_trace, dout, dense=True)
         for i in range(len(net.specs)):
             a, b = compact[i], dense[i]
             assert np.array_equal(a, b), f"layer {i}"
@@ -545,10 +563,13 @@ class TestPoolWinners:
         net = build_network([Conv2d(1, 2, 3), Activation(), above],
                             input_shape=(1, 6, 6), seed=45, noise_alpha=alpha)
         rng = np.random.default_rng(45)
-        out, trace = pau.forward(net, rng.normal(size=(3, 1, 6, 6)), training=True, seed=46)
+        batch = rng.normal(size=(3, 1, 6, 6))
+        out, trace = pau.forward(net, batch, training=True, seed=46)
         g, _ = net.specs[2].backward(net, 2, rng.normal(size=out.shape), trace.caches[2], True)
         cache = trace.caches[1]
-        x, stacks = cache["x"].reshape(-1), cache["stacks"]
+        # every element's x and noise rows, rebuilt from the seed
+        ref = unfused_forward(net, batch, 46)[1].caches[1]
+        x, stacks = ref["x"].reshape(-1), ref["stacks"]
         at, up = g if isinstance(g, tuple) else (np.arange(x.size), g.reshape(-1))
         assert isinstance(g, tuple) == isinstance(above, MaxPool) and up.size > 7 * 3
         unit = net.pau_units[0]
@@ -588,6 +609,136 @@ class TestPoolWinners:
         with pytest.raises(pau.PoleError, match=r"layer 1 \(Activation\) unit 0") as exc:
             pau.forward(net, batch, training=True)
         assert exc.value.index == 16 * 2 + 2 * 4 + 3 and exc.value.x == 2.0
+
+
+class TestNoisyPoolStage:
+    """``Activation.forward_pooled``, a noisy unit and the MaxPool above it
+    run per block of whole images, checked against a reference built from
+    ``sample_noisy_coeffs``, ``eval_pau_stacked`` and the MaxPool's own
+    forward on a generator in the same state."""
+
+    @staticmethod
+    def pool_net(pool=MaxPool(2), alpha=0.05, safe=True, **kw):
+        _, oh, ow = pool.out_shape((2, 6, 6))
+        net = build_network([Conv2d(1, 2, 1), Activation(), pool, Flatten(),
+                             Dense(2 * oh * ow, 2), Softmax()],
+                            input_shape=(1, 6, 6), seed=60, noise_alpha=alpha, **kw)
+        net.pau_units[0].safe = safe
+        return net
+
+    @staticmethod
+    def reference(net, x, rng):
+        unit = net.pau_units[0]
+        stacks = sample_noisy_coeffs(unit.coefficients, unit.noise_alpha, rng, x.size)
+        y = eval_pau_stacked(x.reshape(-1), *stacks, safe=unit.safe).reshape(x.shape)
+        pooled, cache = net.specs[2].forward(net, 2, y, None)
+        return y, stacks, pooled, cache["at"]
+
+    @staticmethod
+    def generators(seed):
+        # both a few draws in, so that the stage starts from a used state
+        rngs = [np.random.default_rng(seed) for _ in range(2)]
+        for rng in rngs:
+            rng.random(3)
+        return rngs
+
+    # (BLOCK_ELEMENTS, images): an image of 2·6·6 = 72 elements, so
+    # blocks of 2, 1 and 1 image, the last one a part block, and 1 image
+    # larger than a block
+    @pytest.mark.parametrize("block,images", [(150, 5), (72, 3), (50, 3)],
+                             ids=["2-image-blocks", "1-image-blocks", "image-past-a-block"])
+    @pytest.mark.parametrize("pool", [MaxPool(2), MaxPool(3)], ids=["pool2", "pool3"])
+    @pytest.mark.parametrize("safe", [True, False], ids=["safe", "unsafe"])
+    def test_matches_the_unfused_layers(self, monkeypatch, block, images, pool, safe):
+        monkeypatch.setattr(network, "BLOCK_ELEMENTS", block)
+        monkeypatch.setattr(pau.rational, "BLOCK_ELEMENTS", block)
+        net = self.pool_net(pool, safe=safe)
+        assert net.pooled == {1}
+        x = np.random.default_rng(61).uniform(-1, 1, (images, 2, 6, 6))
+        stage_rng, ref_rng = self.generators(62)
+        (y, cache), (pooled, pool_cache) = net.specs[1].forward_pooled(net, 1, x, stage_rng)
+        ref_y, stacks, ref_pooled, at = self.reference(net, x, ref_rng)
+        assert np.array_equal(y, ref_y) and np.array_equal(pooled, ref_pooled)
+        assert np.array_equal(pool_cache["at"], at) and pool_cache["in_shape"] == x.shape
+        at = at.reshape(-1)
+        assert np.array_equal(cache["x"], x.reshape(-1)[at])
+        for kept, full in zip(cache["stacks"], stacks):
+            assert np.array_equal(kept, full[at])
+        assert stage_rng.bit_generator.state == ref_rng.bit_generator.state
+        # the next layer's noise continues from the same state
+        assert np.array_equal(stage_rng.random(4), ref_rng.random(4))
+
+    def test_forward_runs_the_stage_and_keeps_later_noise(self):
+        # two noisy pooled units, then a noisy unit the stage does not take
+        net = build_network([Conv2d(1, 2, 1), Activation(), MaxPool(2), Activation(),
+                             MaxPool(2), Activation(), Flatten(), Dense(2, 2), Softmax()],
+                            input_shape=(1, 4, 4), seed=63, noise_alpha=0.05)
+        assert net.pooled == {1, 3}
+        batch = np.random.default_rng(63).normal(size=(3, 1, 4, 4))
+        out, trace = pau.forward(net, batch, training=True, seed=64)
+        ref_out, ref_trace = unfused_forward(net, batch, 64)
+        assert np.array_equal(out, ref_out)
+        for i in (1, 3):
+            assert "in_shape" in trace.caches[i] and "in_shape" not in ref_trace.caches[i]
+            assert np.array_equal(trace.caches[i + 1]["at"], ref_trace.caches[i + 1]["at"])
+        for a, b in zip(trace.caches[5]["stacks"], ref_trace.caches[5]["stacks"]):
+            assert np.array_equal(a, b)
+
+    def test_pole_in_a_later_block_names_the_element(self, monkeypatch):
+        # Q = 1 + b x with b drawn near -1/2: an input of exactly -1/b puts
+        # an element on its sampled pole.  Two are planted, in blocks 2 and 3
+        monkeypatch.setattr(network, "BLOCK_ELEMENTS", 72)
+        monkeypatch.setattr(pau.rational, "BLOCK_ELEMENTS", 72)
+        net = self.pool_net(safe=False, init=pau.RationalCoefficients([0.0, 1.0], [-0.5]))
+        x = np.random.default_rng(65).uniform(-1, 1, (4, 2, 6, 6))
+        _, den = sample_noisy_coeffs(net.pau_units[0].coefficients, 0.05,
+                                     self.generators(66)[0], x.size)
+        for k in (72 + 40, 2 * 72 + 5):
+            x.reshape(-1)[k] = -1.0 / den[k, 0]
+        errors = []
+        for run in (lambda rng: net.specs[1].forward_pooled(net, 1, x, rng),
+                    lambda rng: net.specs[1].forward(net, 1, x, rng)):
+            with pytest.raises(pau.PoleError) as exc:
+                run(self.generators(66)[0])
+            errors.append(exc.value)
+        assert errors[0].index == errors[1].index == 72 + 40
+        assert str(errors[0]) == str(errors[1])
+        assert str(errors[0]).startswith("layer 1 (Activation) unit 0: ")
+
+    def test_non_finite_noise_range_gives_nan(self):
+        # coefficients that blew up in training: the span of the denominator's
+        # noise range overflows, after the numerator rows are drawn, and the
+        # output is NaN, as unfused
+        net = self.pool_net(alpha=1.0)
+        net.pau_units[0].coefficients = pau.RationalCoefficients([0.0, 1.0], [1e308])
+        batch = np.random.default_rng(67).normal(size=(2, 1, 6, 6))
+        ys = [y for y, _ in network._run_layers(net, batch, True, 68)]
+        assert np.isnan(ys[1]).all() and np.isnan(ys[2]).all()
+        assert network.first_non_finite(net, batch, training=True, seed=68) \
+            == "the output of layer 1 (Activation)"
+        x = np.random.default_rng(69).normal(size=(2, 2, 6, 6))
+        stage_rng, ref_rng = self.generators(70)
+        (y, _), (pooled, _) = net.specs[1].forward_pooled(net, 1, x, stage_rng)
+        ref_y, _ = net.specs[1].forward(net, 1, x, ref_rng)
+        assert np.isnan(y).all() and np.isnan(pooled).all() and np.isnan(ref_y).all()
+        assert stage_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_noisy_lenet_memory_stays_near_the_clean_one(self):
+        # the stage keeps the winners' rows only: the noise of a pooled unit
+        # no longer outweighs its activations several times over
+        batch = np.random.default_rng(71).uniform(0, 1, (64, 1, 32, 32))
+        peaks = []
+        for alpha in (0.0, 0.05):
+            net = build_network(lenet_spec(), input_shape=(1, 32, 32), seed=71,
+                                noise_alpha=alpha)
+            tracemalloc.start()
+            try:
+                out, trace = pau.forward(net, batch, training=True, seed=72)
+                pau.backward(net, trace, nll_loss(out, np.zeros(64, dtype=int))[1])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 2 * peaks[0], peaks
 
 
 class TestPooled:

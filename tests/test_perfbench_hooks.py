@@ -37,20 +37,31 @@ def test_hooks_resolve_and_restore(child, workload):
 
 def test_traced_noisy_step_reaches_kernels(child):
     # the spans exist only if the library still calls the kernels through
-    # the module names the benchmark wraps
-    rec = child.tracing.Recorder()
-    child.instrument_layers(rec)
-    try:
-        net = network.build_network(network.mlp_spec((6, 5, 3)), noise_alpha=0.05)
-        rng = np.random.default_rng(0)
-        batch = data.DatasetHandle(rng.uniform(0, 1, (8, 6)), rng.integers(0, 3, 8))
-        train.train_model(net, batch, batch, train.TrainConfig(epochs=1, batch_size=8))
-    finally:
-        rec.restore()
-    names = {s.name for s in rec.spans}
-    assert {"rational.backward_pau", "rational.eval_pau_stacked",
-            "rational.sample_noisy_coeffs", "network.forward",
-            "network.backward"} <= names
+    # the module names the benchmark wraps; the LeNet's pooled units run
+    # the fused Activation → MaxPool stage, its other two do not
+    rng = np.random.default_rng(0)
+    nets = {"mlp": (network.build_network(network.mlp_spec((6, 5, 3)), noise_alpha=0.05),
+                    rng.uniform(0, 1, (8, 6))),
+            "lenet": (network.build_network(network.lenet_spec(), input_shape=(1, 32, 32),
+                                            noise_alpha=0.05),
+                      rng.uniform(0, 1, (8, 32, 32)))}
+    for arch, (net, images) in nets.items():
+        rec = child.tracing.Recorder()
+        child.instrument_layers(rec)
+        batch = data.DatasetHandle(images, rng.integers(0, 3, 8))
+        try:
+            train.train_model(net, batch, batch, train.TrainConfig(epochs=1, batch_size=8))
+        finally:
+            rec.restore()
+        names = [s.name for s in rec.spans]
+        assert {"rational.backward_pau", "rational.eval_pau_stacked",
+                "rational.sample_noisy_coeffs", "network.forward",
+                "network.backward"} <= set(names), arch
+    # the one LeNet step: one eval_pau_stacked call per image block of each
+    # pooled unit (8 images make 2 blocks for act1 and 1 for act4) plus one
+    # for each unpooled unit, whose noise alone sample_noisy_coeffs draws
+    assert names.count("rational.eval_pau_stacked") == 2 + 1 + 2
+    assert names.count("rational.sample_noisy_coeffs") == 2
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.05])
