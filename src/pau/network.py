@@ -29,8 +29,8 @@ kind is added in its class alone.
 Each Activation layer references a PauUnit whose coefficient gradients
 are summed over the layer's elements, or, when in ``Network.pooled``,
 over the winners of the MaxPool above only (its other inputs get no
-gradient), in fixed ``BLOCK_ELEMENTS`` blocks, block sums combined in
-block order, independent of thread count.  A unit with
+gradient), by one ``backward_pau`` call per layer, whose blocks fix the
+order of the sums whatever the thread count.  A unit with
 ``noise_alpha > 0`` draws, in training only, its own perturbed
 coefficients for every element of the layer.  Under a pool in
 ``Network.pooled`` it draws them per block of whole images, in the same
@@ -39,7 +39,8 @@ realization, and the trace keeps only the rows of the pool's winners.
 ``Network.params()``, which the optimizers also keep their state under.
 It returns parameter gradients only, so it stops at the first layer with
 parameters (a Dense, a Conv2d or an Activation with a trainable unit),
-and that layer skips its own input gradient.  ``first_non_finite``
+and that layer skips its own input gradient; a loss gradient whose shape
+is not the output's raises ValueError.  ``first_non_finite``
 reruns the layers through the loop of ``forward``, with its noise.
 Whole-network results repeat bit for bit at a fixed BLAS thread count:
 the Dense and Conv2d matrix products may round differently when the
@@ -230,7 +231,7 @@ class Conv2d(_Layer):
         dxp = np.zeros((b_, xp.shape[2], xp.shape[3], xp.shape[1]))
         for kh in range(self.kernel):
             for kw in range(self.kernel):
-                t = (g2 @ W[:, :, kh, kw]).reshape(b_, oh, ow, -1)
+                t = (g2 @ W[:, :, kh, kw]).reshape(b_, oh, ow, self.in_channels)
                 dxp[:, kh:kh + s * oh:s, kw:kw + s * ow:s] += t
         dx = np.moveaxis(dxp, 3, 1)
         return (dx[:, :, p:-p, p:-p] if p else dx), grads
@@ -355,12 +356,12 @@ class Activation(_Layer):
             return [(y, cache), pool.forward(net, i + 1, y, noise_rng)]
         den_rng = copy.deepcopy(noise_rng)
         den_rng.bit_generator.advance(x.size * vectors[0].size)
-        per_image = x[0].size
+        per_image = math.prod(x.shape[1:])
         images = max(1, BLOCK_ELEMENTS // per_image)
         buffers = [np.empty((c.size, min(x.size, images * per_image))) for c in vectors]
         pooled = np.empty((len(x),) + pool.out_shape(x.shape[1:]))
         at = np.empty(pooled.shape, dtype=np.intp)
-        per_out, m1 = pooled[0].size, vectors[0].size
+        per_out, m1 = math.prod(pooled.shape[1:]), vectors[0].size
         kept = np.empty((1 + m1 + vectors[1].size, pooled.size))   # x, numerator, denominator
         y, flat = np.empty(x.shape), x.reshape(-1)
         for b in range(0, len(x), images):
@@ -387,27 +388,17 @@ class Activation(_Layer):
     def backward(self, net, i, g, cache, need_dx):
         """``g`` is dense, or the MaxPool's pair ``(at, g)`` when this layer is
         in ``net.pooled``; the pool's losers get +0.0.
-        The kernel runs per BLOCK_ELEMENTS chunk of the elements that have
-        a gradient, on their x and noise rows, and the chunk sums are added
-        in chunk order, as backward_pau adds its block sums.  After
-        :meth:`forward_pooled` the cache holds the winners' rows alone, in
-        the order of ``at``, so each chunk reads contiguous slices of them;
-        a clean pooled unit's chunk gathers its winners' x.  Its unsafe
-        pole check cannot fire: forward computed the same Q from the same
-        x and coefficients, and raised first."""
+        One backward_pau call runs on the elements that have a gradient:
+        every element, the winners' rows that :meth:`forward_pooled` kept
+        (in the order of ``at``), or a clean pooled unit's winners' x,
+        gathered once.  Its unsafe pole check cannot fire: forward computed
+        the same Q from the same x and coefficients, and raised first."""
         unit = net.pau_units[self.unit]
-        x, stacks = cache["x"].reshape(-1), cache["stacks"]
+        x = cache["x"].reshape(-1)
         at, up = g if i in net.pooled else (None, g.reshape(-1))
         kept = "in_shape" in cache   # forward_pooled kept the winners' rows only
-        d_in = np.empty(up.size)
-        sums = None
-        for start in range(0, max(up.size, 1), BLOCK_ELEMENTS):
-            chunk = slice(start, start + BLOCK_ELEMENTS)
-            rows = chunk if at is None or kept else at[chunk]
-            d_in[chunk], part = backward_pau(
-                x[rows], up[chunk], unit.coefficients, safe=unit.safe,
-                coefficient_stacks=stacks and tuple(s[rows] for s in stacks))
-            sums = part if sums is None else [a + b for a, b in zip(sums, part)]
+        d_in, sums = backward_pau(x if at is None or kept else x[at], up, unit.coefficients,
+                                  safe=unit.safe, coefficient_stacks=cache["stacks"])
         shape = cache["in_shape"] if kept else cache["x"].shape
         d_in = d_in.reshape(shape) if at is None else _scatter(at, d_in, shape)
         keys = (("unit", self.unit, "num"), ("unit", self.unit, "den"))
@@ -435,7 +426,7 @@ class Flatten(_Layer):
         return (math.prod(shape),)
 
     def forward(self, net, i, x, noise_rng):
-        return x.reshape(x.shape[0], -1), {"shape": x.shape}
+        return x.reshape(len(x), math.prod(x.shape[1:])), {"shape": x.shape}
 
     def backward(self, net, i, g, cache, need_dx):
         return g.reshape(cache["shape"]), None
@@ -584,6 +575,7 @@ def build_network(specs, init=DEFAULT_INIT, seed=0, input_shape=None,
 class ForwardTrace:
     version: int
     caches: list = field(default_factory=list)
+    out_shape: tuple = ()   # the network output's; backward's loss gradient must match it
 
 
 def _run_layers(net: Network, batch, training, seed):
@@ -613,6 +605,7 @@ def forward(net: Network, batch, training=False, seed=0):
     trace = ForwardTrace(version=net.version)
     for out, cache in _run_layers(net, out, training, seed):
         trace.caches.append(cache)
+    trace.out_shape = out.shape
     return out, trace
 
 
@@ -648,6 +641,9 @@ def backward(net: Network, trace: ForwardTrace, loss_grad) -> dict:
     if trace.version != net.version:
         raise StaleTraceError("trace predates the current parameters")
     g = np.asarray(loss_grad, dtype=np.float64)
+    if g.shape != trace.out_shape:
+        raise ValueError(f"loss gradient of shape {g.shape}, "
+                         f"the network output has shape {trace.out_shape}")
     grads = {}
     first = next((i for i, s in enumerate(net.specs) if s.has_params(net)),
                  len(net.specs))

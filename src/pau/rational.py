@@ -288,9 +288,8 @@ def backward_pau(xs, upstream, coeffs: RationalCoefficients, safe: bool = True,
     of each stack belongs to xs[i] and upstream[i].  Any layout works; the
     column-major stacks of :func:`sample_noisy_coeffs` (drawn in
     ``gen.uniform``'s row order) are read fastest, one contiguous column
-    per Horner step, and so are row slices of such stacks, which an
-    Activation under a MaxPool passes from the winners' rows it kept.
-    No derivative stack is built.
+    per Horner step.  The winners' rows that a noisy Activation under a
+    MaxPool keeps are stored the same way.  No derivative stack is built.
     """
     xa = np.asarray(xs, dtype=np.float64).reshape(-1)
     up = np.asarray(upstream, dtype=np.float64).reshape(-1)

@@ -430,6 +430,36 @@ class TestBackward:
         with pytest.raises(StaleTraceError):
             pau.backward(net, trace, np.zeros_like(out))
 
+    @pytest.mark.parametrize("shape", [(1, 3), (8, 1), (), (8, 3)],
+                             ids=["one-row", "one-column", "scalar", "output-shape"])
+    def test_loss_gradient_must_have_the_output_shape(self, shape):
+        # (1, 3) and (8, 1) would broadcast through Softmax into wrong values
+        net = build_network(mlp_spec((5, 4, 3)), seed=17)
+        out, trace = pau.forward(net, np.random.default_rng(17).normal(size=(8, 5)))
+        assert out.shape == (8, 3)
+        if shape == out.shape:
+            assert set(pau.backward(net, trace, np.ones(shape))) == {k for k, _ in net.params()}
+            return
+        with pytest.raises(ValueError, match=re.escape(
+                f"loss gradient of shape {shape}, the network output has shape (8, 3)")):
+            pau.backward(net, trace, np.ones(shape))
+
+    @pytest.mark.parametrize("training", [False, True], ids=["inference", "training"])
+    @pytest.mark.parametrize("alpha", [0.0, 0.05])
+    @pytest.mark.parametrize("spec,input_shape", [
+        (lenet_spec(), (1, 32, 32)), (mlp_spec(), None), (vgg8_spec(), (1, 32, 32)),
+    ], ids=["lenet", "mlp", "vgg8"])
+    def test_empty_batch(self, spec, input_shape, alpha, training):
+        net = build_network(spec, input_shape=input_shape, seed=18, noise_alpha=alpha)
+        out, trace = pau.forward(net, np.zeros((0,) + net.input_shape),
+                                 training=training, seed=18)
+        assert out.shape == (0, 10)
+        grads = pau.backward(net, trace, np.zeros(out.shape))
+        params = dict(net.params())
+        assert set(grads) == set(params)
+        for key, value in params.items():
+            assert grads[key].shape == value.shape and not grads[key].any(), key
+
     def test_batch_order_invariance_within_tolerance(self):
         net = build_network(mlp_spec((50, 16, 4)), seed=16)
         rng = np.random.default_rng(16)
@@ -578,6 +608,29 @@ class TestPoolWinners:
         _, grads = net.specs[1].backward(net, 1, g, cache, True)
         assert grads[("unit", 0, "num")].tobytes() == sums[0].tobytes()
         assert grads[("unit", 0, "den")].tobytes() == sums[1].tobytes()
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.05])
+    def test_one_kernel_call_per_activation(self, monkeypatch, alpha):
+        # however many kernel blocks a layer spans: a pooled unit, an
+        # unpooled conv unit and a dense unit each make one backward_pau call
+        monkeypatch.setattr(network, "BLOCK_ELEMENTS", 7)
+        monkeypatch.setattr(pau.rational, "BLOCK_ELEMENTS", 7)
+        calls = []
+
+        def counted(xs, upstream, *args, **kwargs):
+            calls.append(np.size(xs))
+            return backward_pau(xs, upstream, *args, **kwargs)
+
+        monkeypatch.setattr(network, "backward_pau", counted)
+        net = build_network([Conv2d(1, 2, 3), Activation(), MaxPool(2), Activation(),
+                             Flatten(), Dense(18, 4), Activation(), Dense(4, 2), Softmax()],
+                            input_shape=(1, 8, 8), seed=48, noise_alpha=alpha)
+        assert net.pooled == {1}
+        rng = np.random.default_rng(48)
+        out, trace = pau.forward(net, rng.normal(size=(3, 1, 8, 8)), training=True, seed=49)
+        pau.backward(net, trace, nll_loss(out, rng.integers(0, 2, 3))[1])
+        # layers 6, 3 and 1, in backward order; layer 1 on the pool's winners
+        assert calls == [3 * 4, 3 * 18, 3 * 18]
 
     @pytest.mark.parametrize("below,dense", [
         ([], True), ([Conv2d(2, 2, 1)], True), ([Baseline("lrelu(0.01)")], True),
