@@ -32,9 +32,9 @@ over the winners of the MaxPool above only (its other inputs get no
 gradient), by one ``backward_pau`` call per layer, whose blocks fix the
 order of the sums whatever the thread count.  A unit with
 ``noise_alpha > 0`` draws, in training only, its own perturbed
-coefficients for every element of the layer.  Under a pool in
-``Network.pooled`` it draws them per block of whole images, in the same
-realization, and the trace keeps only the rows of the pool's winners.
+coefficients for every element of the layer, one row each, in order.
+Under a pool in ``Network.pooled`` it draws the same rows per block of
+whole images, and the trace keeps only the rows of the pool's winners.
 ``backward`` returns a dict of gradients under the keys of
 ``Network.params()``, which the optimizers also keep their state under.
 It returns parameter gradients only, so it stops at the first layer with
@@ -49,7 +49,6 @@ thread count changes.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 import struct
@@ -339,48 +338,43 @@ class Activation(_Layer):
         """This noisy layer and the MaxPool above it (``i`` in ``net.pooled``)
         as one stage, per block of whole images whose activation fits
         BLOCK_ELEMENTS (one image at least); returns both layers'
-        ``(output, cache)``.  Each block's noise rows are drawn into reused
-        column-major buffers and F is evaluated there; the pool's winners
-        are found once, and only their x and noise rows are kept, in the
-        order of ``at``.  The noise is that of :meth:`forward`: numerator
-        rows from ``noise_rng``, denominator rows from a copy of it advanced
-        past them all, whose end state ``noise_rng`` then takes.  Poles
-        raise as in :meth:`forward`; a noise range that is not finite runs
-        both layers' own forwards, which give NaN."""
+        ``(output, cache)``.  Each block's noise rows, those that
+        :meth:`forward` draws for its elements, are drawn into one reused
+        column-major buffer and F is evaluated there; the pool's winners are
+        found once, and only their x and noise rows are kept, in the order
+        of ``at``.  Poles raise as in :meth:`forward`; a noise range that is
+        not finite runs both layers' own forwards, which give NaN."""
         unit, pool = net.pau_units[self.unit], net.specs[i + 1]
-        vectors = (unit.coefficients.numerator, unit.coefficients.denominator)
+        c = unit.coefficients
         try:
-            ranges = [noise_range(c, unit.noise_alpha) for c in vectors]
+            lo, hi = noise_range(np.concatenate([c.numerator, c.denominator]), unit.noise_alpha)
         except OverflowError:
             y, cache = self.forward(net, i, x, noise_rng)
             return [(y, cache), pool.forward(net, i + 1, y, noise_rng)]
-        den_rng = copy.deepcopy(noise_rng)
-        den_rng.bit_generator.advance(x.size * vectors[0].size)
         per_image = math.prod(x.shape[1:])
         images = max(1, BLOCK_ELEMENTS // per_image)
-        buffers = [np.empty((c.size, min(x.size, images * per_image))) for c in vectors]
+        buffer = np.empty((lo.size, min(x.size, images * per_image)))
         pooled = np.empty((len(x),) + pool.out_shape(x.shape[1:]))
         at = np.empty(pooled.shape, dtype=np.intp)
-        per_out, m1 = math.prod(pooled.shape[1:]), vectors[0].size
-        kept = np.empty((1 + m1 + vectors[1].size, pooled.size))   # x, numerator, denominator
+        per_out, m1 = math.prod(pooled.shape[1:]), c.m + 1
+        kept = np.empty((1 + lo.size, pooled.size))   # x, then the noise rows
         y, flat = np.empty(x.shape), x.reshape(-1)
         for b in range(0, len(x), images):
             rows = slice(b * per_image, (b + images) * per_image)
             xb, yb = flat[rows], y[b:b + images]
-            stacks = [_uniform_stack(rng, lo, hi, buf[:, :xb.size])
-                      for rng, (lo, hi), buf in zip((noise_rng, den_rng), ranges, buffers)]
+            stack = _uniform_stack(noise_rng, lo, hi, buffer[:, :xb.size])
             try:
-                yb[...] = eval_pau_stacked(xb, *stacks, safe=unit.safe).reshape(yb.shape)
+                yb[...] = eval_pau_stacked(xb, stack[:, :m1], stack[:, m1:],
+                                           safe=unit.safe).reshape(yb.shape)
             except PoleError as exc:
                 raise self._named(i, exc, rows.start) from None
             win = pool.winners(yb)
             # one gather per kept row, straight into its slice (mode "clip" takes no buffer)
             out = slice(b * per_out, (b + images) * per_out)
-            for source, target in zip([yb.reshape(-1), xb, *stacks[0].T, *stacks[1].T],
+            for source, target in zip([yb.reshape(-1), xb, *stack.T],
                                       [pooled.reshape(-1), *kept]):
                 np.take(source, win.reshape(-1), out=target[out], mode="clip")
             np.add(win, rows.start, out=at[b:b + images])
-        noise_rng.bit_generator.state = den_rng.bit_generator.state
         stacks = (kept[1:1 + m1].T, kept[1 + m1:].T)
         return [(y, {"x": kept[0], "stacks": stacks, "in_shape": x.shape}),
                 (pooled, {"in_shape": x.shape, "at": at})]

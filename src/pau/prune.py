@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .network import Conv2d, Network, param_count
-from .train import TrainConfig, evaluate, train_model
+from .train import TrainConfig, _train_epochs, evaluate
 
 
 @dataclass
@@ -118,18 +118,20 @@ def lottery_run(build_fn, train_data, test_data, schedule: PruneSchedule,
     """Train a copy of the original initialization once; then, for each
     fraction p, mask the lowest-sum units of a copy of it at p, rewind
     survivors to their original values, retrain, and record the remaining
-    parameters and the accuracy on all of ``test_data`` (the retraining's
-    last epoch has scored it).  Every fraction starts from that one trained
-    network (fresh mask per p, no compounding), as fresh runs would:
-    training depends only on the config and the init."""
+    parameters and the accuracy on all of ``test_data``, its one
+    evaluation.  Every fraction starts from that one trained network (fresh
+    mask per p, no compounding), as fresh runs would: training depends only
+    on the config and the init."""
     net0, cfg = build_fn(), schedule.retrain
-    trained, _ = train_model(net0.copy(), train_data, test_data, cfg)
+    trained = net0.copy()
+    for _ in _train_epochs(trained, train_data, test_data, cfg):
+        pass
     rows = []
     for p in schedule.fractions:
         net = trained.copy()
         apply_prune(net, p, method)
         rewind(net, net0)
-        _, history = train_model(net, train_data, test_data, cfg)
-        acc = history[-1].test_acc if history else evaluate(net, test_data)
-        rows.append(PruneRow(p, param_count(net)[0], acc))
+        for _ in _train_epochs(net, train_data, test_data, cfg):
+            pass
+        rows.append(PruneRow(p, param_count(net)[0], evaluate(net, test_data)))
     return PruneReport(rows)

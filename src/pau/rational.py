@@ -286,10 +286,9 @@ def backward_pau(xs, upstream, coeffs: RationalCoefficients, safe: bool = True,
     one coefficient vector per element, evaluates the gradients at those
     (e.g. noise-perturbed) coefficients instead of the shared ones.  Row i
     of each stack belongs to xs[i] and upstream[i].  Any layout works; the
-    column-major stacks of :func:`sample_noisy_coeffs` (drawn in
-    ``gen.uniform``'s row order) are read fastest, one contiguous column
-    per Horner step.  The winners' rows that a noisy Activation under a
-    MaxPool keeps are stored the same way.  No derivative stack is built.
+    column-major stacks of :func:`sample_noisy_coeffs`, and the winners'
+    rows that a noisy Activation under a MaxPool keeps, are read fastest,
+    one contiguous column per Horner step.  No derivative stack is built.
     """
     xa = np.asarray(xs, dtype=np.float64).reshape(-1)
     up = np.asarray(upstream, dtype=np.float64).reshape(-1)
@@ -315,22 +314,21 @@ def sample_noisy_coeffs(coeffs: RationalCoefficients, alpha: float, rng, size: i
     ``rng`` is a seed or a numpy Generator.  Returns the stacks
     ``(num_stack, den_stack)`` of shapes (size, m+1) and (size, n), one
     sample per element.  Each stack is column-major: column j, the j-th
-    coefficient of every element, is contiguous.  The values are drawn in
-    the order of ``gen.uniform(lo, hi, (size, k))`` (every numerator row,
-    then every denominator row), so a seed gives the same stacks whatever
-    their layout; the network's noisy Activation → MaxPool stage draws the
-    same values a block of rows at a time, through :func:`_uniform_stack`.
-    alpha = 0 repeats the coefficients and draws nothing from the
-    generator.
+    coefficient of every element, is contiguous.  Element i's m+1+n values
+    are row i of ``gen.uniform(lo, hi, (size, m+1+n))`` over the numerator
+    and denominator joined end to end, so rows drawn in order are the same
+    however they are blocked, as the network's noisy Activation → MaxPool
+    stage draws them.  alpha = 0 repeats the coefficients and draws nothing.
     """
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
-    vectors = (coeffs.numerator, coeffs.denominator)
+    c = np.concatenate([coeffs.numerator, coeffs.denominator])
     if alpha == 0.0:
-        return tuple(np.repeat(c[:, None], size, axis=1).T for c in vectors)
-    gen = np.random.default_rng(rng)
-    return tuple(_uniform_stack(gen, *noise_range(c, alpha), np.empty((c.size, size)))
-                 for c in vectors)
+        stack = np.repeat(c[:, None], size, axis=1).T
+    else:
+        stack = _uniform_stack(np.random.default_rng(rng), *noise_range(c, alpha),
+                               np.empty((c.size, size)))
+    return stack[:, :coeffs.m + 1], stack[:, coeffs.m + 1:]
 
 
 def noise_range(c, alpha):

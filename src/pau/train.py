@@ -188,22 +188,19 @@ def _step(net: Network, opt, xb, target, loss_fn, seed: int, step: int) -> float
     return loss
 
 
-def train_model(net: Network, train: DatasetHandle, test: DatasetHandle,
-                cfg: TrainConfig):
-    """Epoch loop: seeded shuffle, minibatch forward/backward/step, then a
-    test evaluation per epoch.  Returns (net, history); an empty training
-    or test set raises ValueError before any step, and a step with a
-    non-finite loss raises NonFiniteLossError.  The step loop silences
-    numpy's floating-point warnings: a diverging step overflows before its
-    loss is checked, and the error names the first non-finite value."""
+def _train_epochs(net: Network, train: DatasetHandle, test: DatasetHandle,
+                  cfg: TrainConfig):
+    """The epoch loop of :func:`train_model` without its evaluations: yields
+    each epoch's number, mean training loss and start time once its steps
+    are done.  The checks and errors are train_model's; ``test`` is only
+    checked."""
     for role, data in (("training", train), ("test", test)):
         if not len(data):
             raise ValueError(f"the {role} set is empty")
     opt = make_optimizer(cfg)
     shuffle_rng = np.random.default_rng(cfg.seed)
-    history = []
     step = 0
-    for epoch in range(cfg.epochs):
+    for epoch in range(1, cfg.epochs + 1):
         t0 = time.monotonic()
         perm = shuffle_rng.permutation(len(train))
         total_loss = 0.0
@@ -216,12 +213,21 @@ def train_model(net: Network, train: DatasetHandle, test: DatasetHandle,
                 step += 1
         # per-epoch step decay on the layer rate; the unit rate stays constant
         opt.lr *= cfg.lr_decay
-        history.append(Metrics(
-            epoch=epoch + 1,
-            train_loss=total_loss / len(train),
-            test_acc=evaluate(net, test),
-            seconds=time.monotonic() - t0,
-        ))
+        yield epoch, total_loss / len(train), t0
+
+
+def train_model(net: Network, train: DatasetHandle, test: DatasetHandle,
+                cfg: TrainConfig):
+    """Epoch loop: seeded shuffle, minibatch forward/backward/step, then a
+    test evaluation per epoch.  Returns (net, history); an empty training
+    or test set raises ValueError before any step, and a step with a
+    non-finite loss raises NonFiniteLossError.  The step loop silences
+    numpy's floating-point warnings: a diverging step overflows before its
+    loss is checked, and the error names the first non-finite value."""
+    history = []
+    for epoch, loss, t0 in _train_epochs(net, train, test, cfg):
+        acc = evaluate(net, test)
+        history.append(Metrics(epoch, loss, acc, time.monotonic() - t0))
     return net, history
 
 

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -54,6 +55,15 @@ class TestTargets:
         # at 0, the x <= 0 branch: the slope from the left
         left = (target(0.0) - target(-h)) / h
         assert abs(float(target.derivative(0.0)) - left) < 1e-5
+
+    @pytest.mark.parametrize("make,message", [
+        (lambda: TargetActivation("bad"), "unknown activation kind 'bad'"),
+        (lambda: TargetActivation("relu", 1.0), "relu takes no parameter"),
+        (lambda: parse_target("tanh").taylor(-1), "degree must be >= 0"),
+    ], ids=["unknown-kind", "relu-with-parameter", "negative-degree"])
+    def test_bad_target_refused(self, make, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make()
 
     @pytest.mark.parametrize("beta", [1.0, 1.5, -0.5])
     def test_swish_is_x_times_sigmoid(self, beta):
@@ -197,6 +207,8 @@ class TestFit:
             FitConfig(lo=3, hi=-3)
         with pytest.raises(ValueError):
             FitConfig(grid_step=0.0)
+        with pytest.raises(ValueError, match="max_sk_iterations must be >= 1"):
+            FitConfig(max_sk_iterations=0)
 
     def test_stationary_point_probe(self):
         target = parse_target("lrelu(0.01)")

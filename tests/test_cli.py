@@ -202,6 +202,15 @@ class TestTrain:
                                   "--data-dir", str(tmp_path / "nowhere"))
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["train", "prune", "eval"])
+    def test_idx_preset_without_data_dir_exits_2(self, tmp_path, capsys, command):
+        ckpt = tmp_path / "net.ckpt"   # eval loads its checkpoint first
+        pau.save_checkpoint(ckpt, pau.build_network(pau.mlp_spec((784, 16, 10))))
+        flags = ["--checkpoint", str(ckpt)] if command == "eval" else []
+        assert main([command, *flags, "--preset", "mnist-desk"]) == 2
+        out, err = capsys.readouterr()
+        assert err == "error: this preset needs --data-dir with IDX files\n" and out == ""
+
     def test_synth_desk_reaches_090(self, tmp_path):
         path = tmp_path / "metrics.csv"
         code, _, stderr = run_cli("train", "--preset", "synth-desk",
@@ -434,10 +443,12 @@ class TestTrain:
         err = capsys.readouterr().err
         assert str(p) in err and message in err
 
-    @pytest.mark.parametrize("command", [["train"], ["prune", "--schedule", "0.1"]],
-                             ids=["train", "prune"])
+    @pytest.mark.parametrize("command,evaluations", [
+        (["train", "--epochs", "1"], 1), (["prune", "--epochs", "1", "--schedule", "0.1"], 1),
+        (["prune", "--epochs", "3", "--schedule", "0.1,0.2"], 2)],
+        ids=["train", "prune", "prune-3-epochs-2-fractions"])
     def test_train_and_prune_evaluate_the_test_subset(self, tmp_path, monkeypatch,
-                                                      command):
+                                                      command, evaluations):
         data = pau.synth_digits(50, seed=6)
         pau.data.write_dataset(data.subset(40), tmp_path)
         pau.data.write_dataset(
@@ -447,10 +458,10 @@ class TestTrain:
         monkeypatch.setattr(pau.train, "evaluate", record)
         monkeypatch.setattr(pau.prune, "evaluate", record)
         assert main([*command, "--preset", "mnist-desk", "--data-dir", str(tmp_path),
-                     "--epochs", "1", "--train-subset", "10", "--test-subset", "5"]) == 0
-        # prune: the first training, then the retraining, whose last epoch
-        # gives the report's row
-        assert seen == [5] * (1 if command == ["train"] else 2)
+                     "--train-subset", "10", "--test-subset", "5"]) == 0
+        # train scores every epoch; prune scores each fraction's retrained
+        # network once, and its shared first training not at all
+        assert seen == [5] * evaluations
 
     @pytest.mark.parametrize("split", ["train", "test"])
     @pytest.mark.parametrize("command", [["train"], ["prune", "--schedule", "0.1"]],

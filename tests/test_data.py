@@ -121,6 +121,16 @@ class TestDatasetHandle:
         assert np.array_equal(p.images[:, 2:30, 2:30], h.images)
         assert not p.images[:, :2, :].any()
 
+    @pytest.mark.parametrize("call,message", [
+        (lambda path: pad_images(synth_digits(2, seed=1), 20), "cannot pad 28x28 down to 20x20"),
+        (lambda path: write_idx_images(path, np.zeros((2, 4), dtype=np.uint8)),
+         r"images must be \(N,H,W\) uint8"),
+    ], ids=["pad-to-smaller", "images-not-3d"])
+    def test_bad_shape_refused(self, tmp_path, call, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call(tmp_path / "imgs")
+        assert not (tmp_path / "imgs").exists()
+
 
 class TestSynth:
     def test_deterministic(self):

@@ -75,7 +75,24 @@ class TestBuild:
         (lambda: Conv2d(1, 2, 3, padding=-1), "Conv2d padding must be an integer >= 0, got -1"),
         (lambda: MaxPool(0), "MaxPool window must be an integer >= 1, got 0"),
         (lambda: MaxPool(2, stride=0), "MaxPool stride must be an integer >= 1, got 0"),
-    ], ids=["dense-dim", "conv-kernel", "conv-padding", "pool-window", "pool-stride"])
+        (lambda: Network([Dense(4, 2), Softmax()], (4,),
+                         [{"W": np.zeros((2, 4)), "b": np.zeros(2)}, None], [], 0),
+         "layer 0 (Dense) has weights {'W': (2, 4), 'b': (2,)}, "
+         "its spec needs {'W': (4, 2), 'b': (2,)}"),
+        (lambda: build_network([Conv2d(1, 2, 5)], input_shape=(1, 3, 3)),
+         "Conv2d kernel 5 too large for (1, 3, 3)"),
+        (lambda: build_network([Conv2d(1, 1, 1), MaxPool(4)], input_shape=(1, 3, 3)),
+         "MaxPool window 4 too large for (1, 3, 3)"),
+        (lambda: build_network([Dense(4, 4), MaxPool(2)], input_shape=(4,)),
+         "MaxPool expects (C,H,W), got (4,)"),
+        (lambda: Network([Dense(4, 2), Softmax()], (4,),
+                         [{"W": np.zeros((4, 2)), "b": np.zeros(2)}], [], 0),
+         "1 weight entries for 2 layers"),
+        (lambda: build_network([Conv2d(1, 2, 3)]),
+         "input_shape is required for convolutional specs"),
+    ], ids=["dense-dim", "conv-kernel", "conv-padding", "pool-window", "pool-stride",
+            "weight-shape", "conv-kernel-past-input", "pool-window-past-input",
+            "pool-input-not-chw", "weight-entries", "conv-without-input-shape"])
     def test_layer_sizes_checked(self, make, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             make()
@@ -538,15 +555,16 @@ class TestPoolWinners:
         net.pau_units[0].safe = safe
         return net
 
-    @pytest.mark.parametrize("chunk", [None, 7], ids=["one-chunk", "chunks-of-7"])
+    # chunks-of-7: a 7-element BLOCK_ELEMENTS, so the winners' rows span
+    # several kernel blocks and, for a noisy unit, several stage blocks
+    @pytest.mark.parametrize("block", [None, 7], ids=["one-chunk", "chunks-of-7"])
     @pytest.mark.parametrize("safe", [True, False], ids=["safe", "unsafe"])
     @pytest.mark.parametrize("alpha", [0.0, 0.05])
     @pytest.mark.parametrize("pool,side", POOLS, ids=["pool2", "pool3-stride2", "pool2-stride1"])
-    def test_matches_the_dense_backward(self, monkeypatch, pool, side, alpha, safe, chunk):
-        if chunk:
-            # the dense kernel call then sums the blocks the chunks hold
-            monkeypatch.setattr(network, "BLOCK_ELEMENTS", chunk)
-            monkeypatch.setattr(pau.rational, "BLOCK_ELEMENTS", chunk)
+    def test_matches_the_dense_backward(self, monkeypatch, pool, side, alpha, safe, block):
+        if block:
+            monkeypatch.setattr(network, "BLOCK_ELEMENTS", block)
+            monkeypatch.setattr(pau.rational, "BLOCK_ELEMENTS", block)
         net = self.pool_net(pool, side, alpha, safe)
         paired = pool.stride is None
         assert net.pooled == ({1} if paired else frozenset())
@@ -585,9 +603,10 @@ class TestPoolWinners:
 
     @pytest.mark.parametrize("alpha", [0.0, 0.05])
     @pytest.mark.parametrize("above", [MaxPool(2), Flatten()], ids=["pool", "flatten"])
-    def test_chunk_sums_equal_one_kernel_call(self, monkeypatch, above, alpha):
-        # chunks of 7 elements, each one kernel block: their sums, added in
-        # chunk order, are those of one call over the same elements
+    def test_kernel_call_gets_the_winners_rows(self, monkeypatch, above, alpha):
+        # kernel and stage blocks of 7 elements: the unit's one backward_pau
+        # call gets the winners' x and noise rows (every element's under a
+        # Flatten) in the order of ``at``, across the blocks' edges
         monkeypatch.setattr(network, "BLOCK_ELEMENTS", 7)
         monkeypatch.setattr(pau.rational, "BLOCK_ELEMENTS", 7)
         net = build_network([Conv2d(1, 2, 3), Activation(), above],
@@ -688,9 +707,9 @@ class TestNoisyPoolStage:
         return y, stacks, pooled, cache["at"]
 
     @staticmethod
-    def generators(seed):
+    def generators(seed, bit_generator=np.random.PCG64):
         # both a few draws in, so that the stage starts from a used state
-        rngs = [np.random.default_rng(seed) for _ in range(2)]
+        rngs = [np.random.Generator(bit_generator(seed)) for _ in range(2)]
         for rng in rngs:
             rng.random(3)
         return rngs
@@ -708,7 +727,19 @@ class TestNoisyPoolStage:
         net = self.pool_net(pool, safe=safe)
         assert net.pooled == {1}
         x = np.random.default_rng(61).uniform(-1, 1, (images, 2, 6, 6))
-        stage_rng, ref_rng = self.generators(62)
+        self.check_stage(net, x, *self.generators(62))
+
+    @pytest.mark.parametrize("bit_generator", [np.random.SFC64, np.random.MT19937])
+    def test_runs_on_a_generator_that_cannot_advance(self, monkeypatch, bit_generator):
+        # every noise row comes in order from the one generator, so no
+        # bit generator needs to skip ahead
+        monkeypatch.setattr(network, "BLOCK_ELEMENTS", 72)
+        monkeypatch.setattr(pau.rational, "BLOCK_ELEMENTS", 72)
+        assert not hasattr(bit_generator(0), "advance")
+        x = np.random.default_rng(61).uniform(-1, 1, (3, 2, 6, 6))
+        self.check_stage(self.pool_net(), x, *self.generators(62, bit_generator))
+
+    def check_stage(self, net, x, stage_rng, ref_rng):
         (y, cache), (pooled, pool_cache) = net.specs[1].forward_pooled(net, 1, x, stage_rng)
         ref_y, stacks, ref_pooled, at = self.reference(net, x, ref_rng)
         assert np.array_equal(y, ref_y) and np.array_equal(pooled, ref_pooled)
@@ -717,7 +748,8 @@ class TestNoisyPoolStage:
         assert np.array_equal(cache["x"], x.reshape(-1)[at])
         for kept, full in zip(cache["stacks"], stacks):
             assert np.array_equal(kept, full[at])
-        assert stage_rng.bit_generator.state == ref_rng.bit_generator.state
+        # a nested dict, with an array in MT19937's
+        np.testing.assert_equal(stage_rng.bit_generator.state, ref_rng.bit_generator.state)
         # the next layer's noise continues from the same state
         assert np.array_equal(stage_rng.random(4), ref_rng.random(4))
 
@@ -760,8 +792,8 @@ class TestNoisyPoolStage:
 
     def test_non_finite_noise_range_gives_nan(self):
         # coefficients that blew up in training: the span of the denominator's
-        # noise range overflows, after the numerator rows are drawn, and the
-        # output is NaN, as unfused
+        # noise range overflows before anything is drawn, and the output is
+        # NaN, as unfused
         net = self.pool_net(alpha=1.0)
         net.pau_units[0].coefficients = pau.RationalCoefficients([0.0, 1.0], [1e308])
         batch = np.random.default_rng(67).normal(size=(2, 1, 6, 6))

@@ -186,6 +186,15 @@ class TestApply:
         with pytest.raises(ValueError):
             apply_prune(net, -0.1)
 
+    @pytest.mark.parametrize("call,message", [
+        (lambda: score_units(small_mlp(10), "bad"), "unknown scoring method 'bad'"),
+        (lambda: apply_prune(build_network([Dense(4, 2), Softmax()], input_shape=(4,)), 0.5),
+         "network has no prunable layer"),
+    ], ids=["unknown-method", "no-prunable-layer"])
+    def test_refused(self, call, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
+
 
 class TestMidTrainingPrune:
     def test_masked_units_resist_live_optimizer_moments(self):

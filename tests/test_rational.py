@@ -493,13 +493,14 @@ class TestNoise:
     @pytest.mark.parametrize("size", [0, 1, 8191, 8192, 8193, 20000])
     @pytest.mark.parametrize("n", [4, 0])
     def test_stacks_match_uniform_draw(self, size, n):
-        # same values and the same stream as one gen.uniform call per stack
+        # same values and the same stream as one gen.uniform call over the
+        # numerator and denominator joined, split by columns
         c = random_coeffs(np.random.default_rng(28), n=n)
         alpha = 0.05
         ref_gen = np.random.default_rng(29)
-        want = [ref_gen.uniform(v - alpha * np.abs(v), v + alpha * np.abs(v),
-                                (size, v.size))
-                for v in (c.numerator, c.denominator)]
+        v = np.concatenate([c.numerator, c.denominator])
+        draw = ref_gen.uniform(v - alpha * np.abs(v), v + alpha * np.abs(v), (size, v.size))
+        want = [draw[:, :c.m + 1], draw[:, c.m + 1:]]
         gen = np.random.default_rng(29)
         got = sample_noisy_coeffs(c, alpha, gen, size=size)
         assert gen.random() == ref_gen.random()
@@ -612,7 +613,8 @@ class TestCoefficientDocument:
         (b"version 1\norders 0 0\nsafe true\nnumerator 1.0\nprovenance caf\xe9\n",
          "can't decode byte 0xe9"),
         (b"version 1\norders -1 0\nsafe true\nnumerator\n", "numerator must be a non-empty"),
-    ], ids=["not-utf8", "negative-order"])
+        (b"version 1\norders 5\nsafe true\nnumerator 1.0\n", "bad orders line: '5'"),
+    ], ids=["not-utf8", "negative-order", "bad-orders"])
     def test_error_names_path(self, tmp_path, text, message):
         p = tmp_path / "bad.txt"
         p.write_bytes(text)
