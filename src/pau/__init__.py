@@ -20,8 +20,8 @@ if _cap:
                  "NUMEXPR_NUM_THREADS"):
         _os.environ.setdefault(_var, _cap)
 
-from .approx import (FitConfig, FitNonConvergenceError, builtin_coefficients,
-                     least_squares_fit, pade_from_taylor, taylor_of)
+from .approx import (FitConfig, builtin_coefficients, least_squares_fit,
+                     pade_from_taylor, taylor_of)
 from .data import DatasetHandle, load_idx, synth_digits, synth_regression
 from .network import (Activation, Baseline, Conv2d, Dense, Flatten, MaxPool,
                       Network, PauUnit, Softmax, backward, build_network,

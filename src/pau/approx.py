@@ -5,9 +5,9 @@ Two routes produce starting coefficients:
 * classical [m/n] approximants of the exact Maclaurin series (a tuple
   of fractions) of sigmoid, tanh or swish, solved in rational arithmetic
   and rounded once to float64;
-* iteratively reweighted linear least squares on a grid (the
-  Sanathanan-Koerner linearization, to SK_TOLERANCE) followed by at
-  most GN_MAX_ITERATIONS damped Gauss-Newton steps on the true quotient
+* one linear least-squares solve on a grid (the linearization
+  P - yQ of Sanathanan and Koerner) followed by at most
+  GN_MAX_ITERATIONS damped Gauss-Newton steps on the true quotient
   residual, for kinked targets such as the ReLU family.
 
 The module also embeds the standard initialization table for order
@@ -28,18 +28,11 @@ from .rational import (RationalCoefficients, _expand_gradients, _grad_parts,
 from .targets import TargetActivation, _series_divide, parse_target
 
 DEFAULT_ORDERS = (5, 4)
-SK_TOLERANCE = 1e-10    # largest coefficient change, relative, that ends the SK stage
 GN_MAX_ITERATIONS = 80  # Gauss-Newton steps of the polish stage
 
 
 class DegenerateOrdersError(np.linalg.LinAlgError):
     """The approximant linear system is singular for the requested orders."""
-
-
-class FitNonConvergenceError(RuntimeError):
-    def __init__(self, message, last_residual=None):
-        super().__init__(message)
-        self.last_residual = last_residual
 
 
 def taylor_of(target: TargetActivation, degree: int) -> tuple:
@@ -112,15 +105,12 @@ class FitConfig:
     lo: float = -3.0
     hi: float = 3.0
     grid_step: float = 1e-4
-    max_sk_iterations: int = 25
 
     def __post_init__(self):
         if not self.lo < self.hi:
             raise ValueError("fit range must satisfy lo < hi")
         if self.grid_step <= 0:
             raise ValueError("grid_step must be > 0")
-        if self.max_sk_iterations < 1:
-            raise ValueError("max_sk_iterations must be >= 1")
 
     def grid(self) -> np.ndarray:
         count = int(round((self.hi - self.lo) / self.grid_step)) + 1
@@ -177,14 +167,13 @@ def least_squares_fit(target, m: int = DEFAULT_ORDERS[0],
                       safe: bool = True) -> RationalCoefficients:
     """Fit a rational unit to ``target`` (a callable on arrays) over a grid.
 
-    Minimizes the grid sum of squares of P(x)/Q(x) - f(x).  The
-    Sanathanan-Koerner stage multiplies through by Q, weights each pass
-    by 1/Q_previous, and iterates to a fixed point; the polish stage then
-    descends the true objective (with the |A| kink handled via sign(A)
-    when ``safe``).  Raises FitNonConvergenceError when no SK pass within
-    ``max_sk_iterations`` changes every coefficient by at most
-    SK_TOLERANCE relative to the largest, and OverflowError when the
-    target is not finite on the grid.
+    Minimizes the grid sum of squares of P(x)/Q(x) - f(x).  The start
+    multiplies through by Q and solves the linear least-squares problem
+    P(x) - f(x) Q(x) = 0 once; the polish stage then descends the true
+    objective (with the |A| kink handled via sign(A) when ``safe``).
+    Raises OverflowError when the target, or the target times a power
+    x^k of the denominator, is not finite on the grid, and ValueError
+    when the grid has too few points or a numerator power x^j overflows.
     """
     cfg = config or FitConfig()
     xs = cfg.grid()
@@ -192,39 +181,27 @@ def least_squares_fit(target, m: int = DEFAULT_ORDERS[0],
         raise ValueError(f"grid has {xs.size} points, need >= {m + n + 1}")
     with np.errstate(all="ignore"):   # an overflow is reported just below
         y = np.asarray(target(xs), dtype=np.float64)
+        # Sanathanan-Koerner rows: x^j for the numerator, -y x^k for the denominator
+        D = _expand_gradients(xs, 1.0, -y, m, n)
     if not np.all(np.isfinite(y)):
         i = int(np.argmin(np.isfinite(y)))
         raise OverflowError(f"value {float(y[i])!r} at x={float(xs[i])!r} is not finite")
+    if not np.all(np.isfinite(D)):
+        i, j = divmod(int(np.argmin(np.isfinite(D))), D.shape[1])
+        if j <= m:   # the grid's own power x^j
+            raise ValueError(f"x={float(xs[i])!r} to the power {j} overflows")
+        raise OverflowError(f"value {float(y[i])!r} at x={float(xs[i])!r} "
+                            f"times x^{j - m} is not finite")
 
-    # Sanathanan-Koerner rows: x^j for the numerator, -y x^k for the denominator
-    D = _expand_gradients(xs, 1.0, -y, m, n)
-
-    Q = np.ones_like(xs)
-    theta_prev = None
-    n_params = m + 1 + n
-    for _ in range(cfg.max_sk_iterations):
-        w = 1.0 / np.maximum(np.abs(Q), 1e-6)
-        # column equilibration keeps the solve conditioned; ridge on the
-        # normal equations only as the rank-deficient fallback
-        Dn = D * w[:, None]
-        scale = np.linalg.norm(Dn, axis=0)
-        scale[scale == 0.0] = 1.0
-        Dn /= scale
-        theta_n, _, rank, _ = np.linalg.lstsq(Dn, y * w, rcond=None)
-        if rank < n_params:
-            G = Dn.T @ Dn + 1e-12 * np.eye(n_params)
-            theta_n = np.linalg.solve(G, Dn.T @ (y * w))
-        theta = theta_n / scale
-        _, _, Q = _pau_parts(xs, theta[:m + 1], theta[m + 1:], safe=False)
-        if theta_prev is not None and np.max(np.abs(theta - theta_prev)) \
-                <= SK_TOLERANCE * max(1.0, np.max(np.abs(theta))):
-            break
-        theta_prev = theta
-    else:
-        r, _ = _residual(theta, xs, y, m, safe)
-        raise FitNonConvergenceError(
-            f"no convergence within {cfg.max_sk_iterations} iterations",
-            last_residual=float(np.max(np.abs(r))))
+    # column equilibration keeps the solve conditioned; ridge on the normal
+    # equations only as the rank-deficient fallback
+    scale = np.linalg.norm(D, axis=0)
+    scale[scale == 0.0] = 1.0
+    D /= scale
+    theta, _, rank, _ = np.linalg.lstsq(D, y, rcond=None)
+    if rank < D.shape[1]:
+        theta = np.linalg.solve(D.T @ D + 1e-12 * np.eye(D.shape[1]), D.T @ y)
+    theta /= scale
 
     theta = _gauss_newton_polish(theta, xs, y, m, n, safe)
     return RationalCoefficients(theta[:m + 1], theta[m + 1:])

@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Commands: pade, fit, gradcheck, train, eval, prune, export-curve.
-Exit codes: 0 success, 1 usage, 2 input/target error, 3 numerical
-non-convergence, 4 verification failure.  PAU_THREADS caps the BLAS
+Exit codes: 0 success, 1 usage, 2 input/target error, 3 non-finite
+loss or output, 4 verification failure.  PAU_THREADS caps the BLAS
 worker threads.
 
 Every flag is checked before its command runs: one that does not parse
@@ -34,8 +34,8 @@ from dataclasses import fields
 import numpy as np
 
 from . import gradcheck
-from .approx import (FitConfig, FitNonConvergenceError, builtin_coefficients,
-                     fit_residual, least_squares_fit, pade_from_taylor, taylor_of)
+from .approx import (FitConfig, builtin_coefficients, fit_residual, least_squares_fit,
+                     pade_from_taylor, taylor_of)
 from .data import DatasetHandle, load_idx, pad_images, synth_digits
 from .network import (DEFAULT_INIT, PauUnit, build_network, lenet_spec, load_checkpoint,
                       mlp_spec, save_checkpoint)
@@ -50,7 +50,7 @@ from .train import (NonFiniteLossError, TrainConfig, evaluate, train_model,
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INPUT = 2
-EXIT_NONCONVERGENCE = 3
+EXIT_NON_FINITE = 3
 EXIT_VERIFY = 4
 
 
@@ -182,12 +182,10 @@ def cmd_fit(args) -> int:
         target, label = _resolve_fit_target(args.target)
     except (ValueError, OSError) as exc:
         raise _Fail(EXIT_INPUT, str(exc))
-    cfg = FitConfig(*args.range, grid_step=args.step, max_sk_iterations=args.max_iter)
+    cfg = FitConfig(*args.range, grid_step=args.step)
     safe = not args.unsafe
     try:
         coeffs = least_squares_fit(target, m, n, cfg, safe=safe)
-    except FitNonConvergenceError as exc:
-        raise _Fail(EXIT_NONCONVERGENCE, f"{exc} (last residual {exc.last_residual!r})")
     except ArithmeticError as exc:   # a pole of the target, or an overflow
         raise _Fail(EXIT_INPUT, f"target {label}: {exc}")
     except (ValueError, MemoryError) as exc:   # a grid too coarse or too fine
@@ -459,7 +457,7 @@ def cmd_eval(args) -> int:
     except PoleError as exc:
         raise _Fail(EXIT_INPUT, f"checkpoint {args.checkpoint}: {exc}")
     except NonFiniteLossError as exc:
-        raise _Fail(EXIT_NONCONVERGENCE, f"checkpoint {args.checkpoint}: {exc}")
+        raise _Fail(EXIT_NON_FINITE, f"checkpoint {args.checkpoint}: {exc}")
     print(f"accuracy = {accuracy!r}")
     return EXIT_OK
 
@@ -498,8 +496,6 @@ def build_parser() -> _Parser:
     p.add_argument("--range", type=_RANGE, default="-3,3")
     p.add_argument("--step", type=_POSITIVE, default=1e-4)
     p.add_argument("--orders", type=_ORDERS, default="5,4")
-    p.add_argument("--max-iter", type=_int_from(1), default=25,
-                   help="reweighting iteration budget (elu needs ~50)")
     p.add_argument("--unsafe", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=cmd_fit)
@@ -558,7 +554,7 @@ def main(argv=None) -> int:
         return exc.code
     except NonFiniteLossError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
+        return EXIT_NON_FINITE
     except KeyboardInterrupt:
         return 130
 

@@ -25,6 +25,18 @@ def find_mnist_dir():
     return None
 
 
+def child_env(drop=(), **extra):
+    """Environment for a child interpreter: this one's without the
+    variables in ``drop``, plus ``extra``, with the source directory of
+    the imported pau first on PYTHONPATH so that the child imports the
+    same package (pytest's own pythonpath reaches this process only)."""
+    src = str(Path(pau.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in drop}
+    env.update(extra)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return env
+
+
 @pytest.fixture(scope="session")
 def mnist_sets():
     d = find_mnist_dir()

@@ -555,8 +555,10 @@ class TestPoolWinners:
         net.pau_units[0].safe = safe
         return net
 
-    # chunks-of-7: a 7-element BLOCK_ELEMENTS, so the winners' rows span
-    # several kernel blocks and, for a noisy unit, several stage blocks
+    # a "chunk" in the case ids is a block: one-chunk keeps BLOCK_ELEMENTS,
+    # so each call is one block; chunks-of-7 sets it to 7, so the winners'
+    # rows span several kernel blocks and, for a noisy unit, several stage
+    # blocks
     @pytest.mark.parametrize("block", [None, 7], ids=["one-chunk", "chunks-of-7"])
     @pytest.mark.parametrize("safe", [True, False], ids=["safe", "unsafe"])
     @pytest.mark.parametrize("alpha", [0.0, 0.05])

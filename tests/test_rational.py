@@ -1,11 +1,10 @@
 import math
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import child_env
 from hypothesis import given, settings, strategies as st
 
 import pau
@@ -425,12 +424,8 @@ def run_script(script, **thread_env):
     """stdout of ``script`` in a fresh interpreter whose thread variables
     are exactly ``thread_env``: a thread cap has to be in the environment
     before numpy loads."""
-    src = str(Path(pau.__file__).resolve().parents[1])
-    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARIABLES}
-    env.update(thread_env)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
+    proc = subprocess.run([sys.executable, "-c", script],
+                          env=child_env(THREAD_VARIABLES, **thread_env),
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
