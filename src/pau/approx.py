@@ -195,7 +195,15 @@ def least_squares_fit(target, m: int = DEFAULT_ORDERS[0],
 
     # column equilibration keeps the solve conditioned; ridge on the normal
     # equations only as the rank-deficient fallback
-    scale = np.linalg.norm(D, axis=0)
+    with np.errstate(over="ignore"):   # a column whose sum of squares overflows, named below
+        scale = np.linalg.norm(D, axis=0)
+    if not np.all(np.isfinite(scale)):
+        j = int(np.argmin(np.isfinite(scale)))
+        i = int(np.argmax(np.abs(D[:, j])))
+        if j <= m:
+            raise ValueError(f"x={float(xs[i])!r} to the power {j} overflows when squared")
+        raise OverflowError(f"value {float(y[i])!r} at x={float(xs[i])!r} "
+                            f"times x^{j - m} overflows when squared")
     scale[scale == 0.0] = 1.0
     D /= scale
     theta, _, rank, _ = np.linalg.lstsq(D, y, rcond=None)

@@ -102,6 +102,12 @@ _NON_NEGATIVE = _checked(float, lambda v: np.isfinite(v) and v >= 0,
                          "must be finite and >= 0")
 
 
+# PruneSchedule owns the rule; a schedule it refuses is a usage error
+_SCHEDULE = _checked(lambda text: PruneSchedule(tuple(map(float, text.split(",")))).fractions,
+                     lambda fractions: True,
+                     "must be comma-separated fractions in [0, 1), strictly increasing")
+
+
 def _int_from(low):
     return _checked(int, lambda v: v >= low, f"must be an integer >= {low}")
 
@@ -464,13 +470,9 @@ def cmd_eval(args) -> int:
 
 def cmd_prune(args) -> int:
     settings, cfg, _, train, test = _prologue(args)
-    try:
-        fractions = tuple(float(v) for v in args.schedule.split(","))
-        schedule = PruneSchedule(fractions, retrain=cfg)
-    except ValueError as exc:
-        raise _Fail(EXIT_USAGE, str(exc))
     report = lottery_run(lambda: _build_preset_net(settings, cfg, args.frozen),
-                         train, test, schedule, method=args.score)
+                         train, test, PruneSchedule(args.schedule, retrain=cfg),
+                         method=args.score)
     for row in report.rows:
         print(f"p={row.p:g}: params={row.params_remaining} "
               f"test_acc={row.test_acc:.4f}")
@@ -520,7 +522,7 @@ def build_parser() -> _Parser:
             p.add_argument("--metrics-out")
             p.add_argument("--save")
         elif name == "prune":
-            p.add_argument("--schedule", default="0.1,0.2,0.3,0.4,0.5,0.6")
+            p.add_argument("--schedule", type=_SCHEDULE, default="0.1,0.2,0.3,0.4,0.5,0.6")
             p.add_argument("--score", choices=("sum", "l1"), default="sum")
             p.add_argument("--report")
         else:

@@ -34,7 +34,8 @@ order of the sums whatever the thread count.  A unit with
 ``noise_alpha > 0`` draws, in training only, its own perturbed
 coefficients for every element of the layer, one row each, in order.
 Under a pool in ``Network.pooled`` it draws the same rows per block of
-whole images, and the trace keeps only the rows of the pool's winners.
+whole images, through the layers' own steps, and the trace keeps only
+the rows of the pool's winners.
 ``backward`` returns a dict of gradients under the keys of
 ``Network.params()``, which the optimizers also keep their state under.
 It returns parameter gradients only, so it stops at the first layer with
@@ -58,9 +59,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .approx import builtin_coefficients
-from .rational import (BLOCK_ELEMENTS, PoleError, RationalCoefficients, _uniform_stack,
-                       backward_pau, eval_pau_batch, eval_pau_stacked, noise_range,
-                       sample_noisy_coeffs)
+from .rational import (BLOCK_ELEMENTS, PoleError, RationalCoefficients, backward_pau,
+                       eval_pau_batch, eval_pau_stacked, noise_range, sample_noisy_coeffs)
 from .targets import parse_target
 
 CONV_BLOCK_ELEMENTS = 2 ** 18  # window elements per Conv2d image block, to stay in L2
@@ -78,13 +78,13 @@ class PauUnit:
         for name in ("safe", "trainable"):
             if not isinstance(getattr(self, name), bool):
                 raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r}")
-        a, c = self.noise_alpha, self.coefficients
+        a = self.noise_alpha
         if isinstance(a, bool):
             raise ValueError(f"noise_alpha must be a number, got {a!r}")
         if not a >= 0:
             raise ValueError(f"noise_alpha must be >= 0, got {a!r}")
         try:   # the range that sample_noisy_coeffs draws from
-            noise_range(np.concatenate([c.numerator, c.denominator]), a)
+            noise_range(self.coefficients, a)
         except OverflowError as exc:
             raise ValueError(f"noise_alpha {a!r}: the unit's {exc}") from None
 
@@ -239,7 +239,8 @@ class Conv2d(_Layer):
 @dataclass(frozen=True)
 class MaxPool(_Layer):
     """Max over each window.  The forward caches ``at``, the flat index into
-    its input of each window's first maximum.  The backward scatters the
+    its input of each window's first maximum (``forward_pooled`` pools each
+    block of images with it).  The backward scatters the
     output gradient to those indices, summing the gradients of every window
     that an input wins, in window order.  Above an Activation in ``net.pooled``
     (disjoint windows: each input wins at most one) it returns the pair
@@ -262,9 +263,7 @@ class MaxPool(_Layer):
             raise ValueError(f"MaxPool window {self.window} too large for {shape}")
         return (c, oh, ow)
 
-    def winners(self, x):
-        """The flat index into ``x`` of each window's first maximum, in the
-        shape of the output."""
+    def forward(self, net, i, x, noise_rng):
         w, s = self.window, self.stride or self.window
         b_, c_, h, w_ = x.shape
         win = _conv_windows(x, w, s)
@@ -275,10 +274,6 @@ class MaxPool(_Layer):
         np.take((np.arange(w)[:, None] * w_ + np.arange(w)).ravel(), at, out=at, mode="clip")
         at += np.arange(b_ * c_).reshape(b_, c_, 1, 1) * (h * w_)
         at += np.arange(oh)[:, None] * (s * w_) + np.arange(ow) * s
-        return at
-
-    def forward(self, net, i, x, noise_rng):
-        at = self.winners(x)
         return x.reshape(-1)[at], {"in_shape": x.shape, "at": at}
 
     def backward(self, net, i, g, cache, need_dx):
@@ -338,43 +333,44 @@ class Activation(_Layer):
         """This noisy layer and the MaxPool above it (``i`` in ``net.pooled``)
         as one stage, per block of whole images whose activation fits
         BLOCK_ELEMENTS (one image at least); returns both layers'
-        ``(output, cache)``.  Each block's noise rows, those that
-        :meth:`forward` draws for its elements, are drawn into one reused
-        column-major buffer and F is evaluated there; the pool's winners are
-        found once, and only their x and noise rows are kept, in the order
+        ``(output, cache)``.  Each block runs the layers' own steps:
+        ``sample_noisy_coeffs`` draws the block's noise rows, those that
+        :meth:`forward` draws for its elements, into one reused buffer,
+        ``eval_pau_stacked`` evaluates F there, and ``MaxPool.forward`` pools
+        the block.  Only the winners' x and noise rows are kept, in the order
         of ``at``.  Poles raise as in :meth:`forward`; a noise range that is
-        not finite runs both layers' own forwards, which give NaN."""
+        not finite raises in the first block, before any draw, and runs both
+        layers' own forwards instead, which give NaN."""
         unit, pool = net.pau_units[self.unit], net.specs[i + 1]
         c = unit.coefficients
-        try:
-            lo, hi = noise_range(np.concatenate([c.numerator, c.denominator]), unit.noise_alpha)
-        except OverflowError:
-            y, cache = self.forward(net, i, x, noise_rng)
-            return [(y, cache), pool.forward(net, i + 1, y, noise_rng)]
         per_image = math.prod(x.shape[1:])
         images = max(1, BLOCK_ELEMENTS // per_image)
-        buffer = np.empty((lo.size, min(x.size, images * per_image)))
+        buffer = np.empty((c.m + 1 + c.n, min(x.size, images * per_image)))
         pooled = np.empty((len(x),) + pool.out_shape(x.shape[1:]))
         at = np.empty(pooled.shape, dtype=np.intp)
-        per_out, m1 = math.prod(pooled.shape[1:]), c.m + 1
-        kept = np.empty((1 + lo.size, pooled.size))   # x, then the noise rows
+        per_out = math.prod(pooled.shape[1:])
+        kept = np.empty((1 + len(buffer), pooled.size))   # x, then the noise rows
         y, flat = np.empty(x.shape), x.reshape(-1)
         for b in range(0, len(x), images):
             rows = slice(b * per_image, (b + images) * per_image)
             xb, yb = flat[rows], y[b:b + images]
-            stack = _uniform_stack(noise_rng, lo, hi, buffer[:, :xb.size])
+            draw = buffer[:, :xb.size]
             try:
-                yb[...] = eval_pau_stacked(xb, stack[:, :m1], stack[:, m1:],
-                                           safe=unit.safe).reshape(yb.shape)
+                stacks = sample_noisy_coeffs(c, unit.noise_alpha, noise_rng, xb.size, out=draw)
+            except OverflowError:
+                y, cache = self.forward(net, i, x, noise_rng)
+                return [(y, cache), pool.forward(net, i + 1, y, noise_rng)]
+            try:
+                yb[...] = eval_pau_stacked(xb, *stacks, safe=unit.safe).reshape(yb.shape)
             except PoleError as exc:
                 raise self._named(i, exc, rows.start) from None
-            win = pool.winners(yb)
+            pooled[b:b + images], cache = pool.forward(net, i + 1, yb, None)
             # one gather per kept row, straight into its slice (mode "clip" takes no buffer)
             out = slice(b * per_out, (b + images) * per_out)
-            for source, target in zip([yb.reshape(-1), xb, *stack.T],
-                                      [pooled.reshape(-1), *kept]):
-                np.take(source, win.reshape(-1), out=target[out], mode="clip")
-            np.add(win, rows.start, out=at[b:b + images])
+            for source, target in zip([xb, *draw], kept):
+                np.take(source, cache["at"].reshape(-1), out=target[out], mode="clip")
+            np.add(cache["at"], rows.start, out=at[b:b + images])
+        m1 = c.m + 1
         stacks = (kept[1:1 + m1].T, kept[1 + m1:].T)
         return [(y, {"x": kept[0], "stacks": stacks, "in_shape": x.shape}),
                 (pooled, {"in_shape": x.shape, "at": at})]

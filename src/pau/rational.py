@@ -22,7 +22,8 @@ kink of |A|.
 
 Coefficient noise is drawn per element: :func:`sample_noisy_coeffs`
 gives every element its own perturbed coefficients, as stacks that
-:func:`eval_pau_stacked` and :func:`backward_pau` read.
+:func:`eval_pau_stacked` and :func:`backward_pau` read, drawn into a
+buffer that a caller drawing block by block may pass and reuse.
 """
 
 from __future__ import annotations
@@ -307,56 +308,53 @@ def backward_pau(xs, upstream, coeffs: RationalCoefficients, safe: bool = True,
     return d_inputs, (total[:coeffs.m + 1], total[coeffs.m + 1:])
 
 
-def sample_noisy_coeffs(coeffs: RationalCoefficients, alpha: float, rng, size: int):
+def sample_noisy_coeffs(coeffs: RationalCoefficients, alpha: float, rng, size: int,
+                        out=None):
     """Perturb each coefficient by a uniform draw on [c - a|c|, c + a|c|],
     once for each of ``size`` elements.
 
     ``rng`` is a seed or a numpy Generator.  Returns the stacks
     ``(num_stack, den_stack)`` of shapes (size, m+1) and (size, n), one
-    sample per element.  Each stack is column-major: column j, the j-th
-    coefficient of every element, is contiguous.  Element i's m+1+n values
-    are row i of ``gen.uniform(lo, hi, (size, m+1+n))`` over the numerator
-    and denominator joined end to end, so rows drawn in order are the same
-    however they are blocked, as the network's noisy Activation → MaxPool
-    stage draws them.  alpha = 0 repeats the coefficients and draws nothing.
+    sample per element, as views of ``out`` (shape (m+1+n, size); a fresh
+    array when None), so column j of a stack is the contiguous row j of
+    ``out``.  Element i's m+1+n values are row i of
+    ``gen.uniform(lo, hi, (size, m+1+n))`` over the numerator and
+    denominator joined end to end: numpy's uniform computes
+    ``lo + (hi - lo) * next_double``, and the same arithmetic on
+    NOISE_BLOCK_ROWS-row ``gen.random`` blocks gives the same bits.  So
+    rows drawn by consecutive calls on one generator follow on as in one
+    call, as the network's noisy Activation → MaxPool stage draws them,
+    block by block into one reused ``out``.  alpha = 0 fills ``out`` with
+    the coefficients and draws nothing; a noise range that is not finite
+    raises OverflowError before anything is drawn.
     """
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
-    c = np.concatenate([coeffs.numerator, coeffs.denominator])
+    m1 = coeffs.m + 1
+    out = np.empty((m1 + coeffs.n, size)) if out is None else out
     if alpha == 0.0:
-        stack = np.repeat(c[:, None], size, axis=1).T
+        out[:m1], out[m1:] = coeffs.numerator[:, None], coeffs.denominator[:, None]
     else:
-        stack = _uniform_stack(np.random.default_rng(rng), *noise_range(c, alpha),
-                               np.empty((c.size, size)))
-    return stack[:, :coeffs.m + 1], stack[:, coeffs.m + 1:]
+        lo, hi = noise_range(coeffs, alpha)
+        gen, span = np.random.default_rng(rng), hi - lo
+        for start in range(0, size, NOISE_BLOCK_ROWS):
+            u = gen.random((min(NOISE_BLOCK_ROWS, size - start), lo.size))
+            block = out[:, start:start + u.shape[0]]
+            np.multiply(u.T, span[:, None], out=block)
+            block += lo[:, None]
+    return out.T[:, :m1], out.T[:, m1:]
 
 
-def noise_range(c, alpha):
-    """The bounds (c - alpha|c|, c + alpha|c|) that noise draws each of ``c``
-    from; OverflowError when the span between them is not finite."""
+def noise_range(coeffs: RationalCoefficients, alpha):
+    """The bounds (c - alpha|c|, c + alpha|c|) that noise draws each of the
+    unit's coefficients c from, numerator then denominator joined;
+    OverflowError when the span between them is not finite."""
+    c = np.concatenate([coeffs.numerator, coeffs.denominator])
     with np.errstate(all="ignore"):   # inf * 0 is nan, refused below
         lo, hi = c - alpha * np.abs(c), c + alpha * np.abs(c)
         if not np.isfinite(hi - lo).all():
             raise OverflowError("noise range exceeds valid bounds")
     return lo, hi
-
-
-def _uniform_stack(gen, lo, hi, out):
-    """``gen.uniform(lo, hi, (size, lo.size))`` value for value, written into
-    ``out`` of shape (lo.size, size) and returned as its transpose, a
-    column-major stack; drawn NOISE_BLOCK_ROWS rows at a time.
-
-    numpy's uniform computes ``lo + (hi - lo) * next_double``, so the same
-    arithmetic on ``gen.random`` blocks gives the same bits, and rows drawn
-    in consecutive calls follow on as in one call.
-    """
-    span, size = hi - lo, out.shape[1]
-    for start in range(0, size, NOISE_BLOCK_ROWS):
-        u = gen.random((min(NOISE_BLOCK_ROWS, size - start), lo.size))
-        block = out[:, start:start + u.shape[0]]
-        np.multiply(u.T, span[:, None], out=block)
-        block += lo[:, None]
-    return out.T
 
 
 # ---------------------------------------------------------------------------

@@ -148,6 +148,10 @@ _BAD_TOOL_INPUTS = [
     (["fit", "--target", "doc:{huge}", "--step", "0.5"], 2, "doc:{huge}"),
     # the target is finite, but the target times x^3 overflows
     (["fit", "--target", "doc:{wide}", "--step", "0.01"], 2, "doc:{wide}"),
+    # finite rows whose column sums of squares overflow: the target times x,
+    # and the grid's x^3 (the grid step is to blame)
+    (["fit", "--target", "lrelu(1e300)", "--step", "0.01"], 2, "target lrelu(1e+300)"),
+    (["fit", "--target", "relu", "--range=-1e60,1e60", "--step", "1e59"], 1, "--step"),
     # the curve itself, the noise envelope, and the noise range overflow
     (_HUGE_CURVE + ["--points", "5"], 2, "{huge}: the curve overflows: f is -inf"),
     (_HUGE_CURVE + ["--range", "-1.5,1.5", "--points", "3", "--noise", "0.5"], 2,
@@ -938,6 +942,14 @@ class TestPrune:
         code, _, _ = run_cli("prune", "--preset", "synth-desk",
                              "--schedule", "0.5,0.1")
         assert code == 1
+
+    @pytest.mark.parametrize("preset,schedule", [
+        ("synth-desk", "0.5,0.2"), ("synth-desk", "abc"), ("synth-desk", "1.5"),
+        ("mnist-desk", "abc")])   # checked before the missing --data-dir is found
+    def test_bad_schedule_names_the_flag(self, capsys, preset, schedule):
+        assert main(["prune", "--preset", preset, "--train-subset", "64",
+                     "--test-subset", "32", "--epochs", "1", "--schedule", schedule]) == 1
+        assert "--schedule" in capsys.readouterr().err
 
 
 class TestExportCurve:

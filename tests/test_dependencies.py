@@ -1,11 +1,14 @@
 """numpy is the package's only runtime dependency: every import in
-``src/pau`` names numpy, the package itself or the standard library."""
+``src/pau`` names numpy, the package itself or the standard library.
+``network`` uses the other modules of the package through their public
+names only."""
 
 import ast
 import sys
 from pathlib import Path
 
 ALLOWED = {"numpy", "pau"} | set(sys.stdlib_module_names)
+SOURCE = Path(__file__).parents[1] / "src" / "pau"
 
 
 def _imports(path):
@@ -18,7 +21,7 @@ def _imports(path):
 
 
 def test_only_numpy_and_the_standard_library():
-    modules = sorted((Path(__file__).parents[1] / "src" / "pau").rglob("*.py"))
+    modules = sorted(SOURCE.rglob("*.py"))
     assert len(modules) >= 10
     found = [f"{path.name}:{line} imports {name}"
              for path in modules for line, name in _imports(path) if name not in ALLOWED]
@@ -30,3 +33,15 @@ def test_a_third_party_import_is_found(tmp_path):
     path.write_text("import os\nfrom . import x\nimport scipy.linalg\n"
                     "def f():\n    from numpy import lib\n    import torch\n")
     assert [name for _, name in _imports(path) if name not in ALLOWED] == ["scipy", "torch"]
+
+
+def test_network_imports_no_private_name():
+    # approx and gradcheck share the rational kernel's private parts by
+    # design; network keeps to what the other modules publish
+    path = SOURCE / "network.py"
+    found = [f"network.py:{node.lineno} imports {alias.name} from {node.module}"
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+             if isinstance(node, ast.ImportFrom)
+             and (node.level or (node.module or "").partition(".")[0] == "pau")
+             for alias in node.names if alias.name.startswith("_")]
+    assert not found, found

@@ -57,11 +57,11 @@ def test_traced_noisy_step_reaches_kernels(child):
         assert {"rational.backward_pau", "rational.eval_pau_stacked",
                 "rational.sample_noisy_coeffs", "network.forward",
                 "network.backward"} <= set(names), arch
-    # the one LeNet step: one eval_pau_stacked call per image block of each
-    # pooled unit (8 images make 2 blocks for act1 and 1 for act4) plus one
-    # for each unpooled unit, whose noise alone sample_noisy_coeffs draws
+    # the one LeNet step: one sample_noisy_coeffs and one eval_pau_stacked
+    # call per image block of each pooled unit (8 images make 2 blocks for
+    # act1 and 1 for act4), plus one each for the two unpooled units
     assert names.count("rational.eval_pau_stacked") == 2 + 1 + 2
-    assert names.count("rational.sample_noisy_coeffs") == 2
+    assert names.count("rational.sample_noisy_coeffs") == 2 + 1 + 2
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.05])

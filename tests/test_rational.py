@@ -505,6 +505,32 @@ class TestNoise:
             assert all(g[:, j].flags.c_contiguous for j in range(g.shape[1]))
             assert np.array_equal(g[rows], w[rows])
 
+    def test_stacks_fill_a_given_buffer(self):
+        c = random_coeffs(np.random.default_rng(34))
+        width = c.m + 1 + c.n
+        whole = sample_noisy_coeffs(c, 0.05, np.random.default_rng(35), size=20000)
+        # a draw into out gives views of it, bit-equal to a fresh draw
+        out = np.empty((width, 20000))
+        got = sample_noisy_coeffs(c, 0.05, np.random.default_rng(35), size=20000, out=out)
+        for g, w in zip(got, whole):
+            assert np.shares_memory(g, out) and g.tobytes() == w.tobytes()
+        # row blocks drawn in turn into one reused buffer from one generator
+        # are the rows of the whole draw (9000 spans two NOISE_BLOCK_ROWS)
+        gen, buffer = np.random.default_rng(35), np.empty((width, 9000))
+        for start in range(0, 20000, 9000):
+            size = min(9000, 20000 - start)
+            got = sample_noisy_coeffs(c, 0.05, gen, size=size, out=buffer[:, :size])
+            for g, w in zip(got, whole):
+                assert np.shares_memory(g, buffer)
+                assert g.tobytes() == w[start:start + size].tobytes()
+        # alpha = 0 fills the buffer with the coefficients and draws nothing
+        gen, buffer = np.random.default_rng(36), np.full((width, 5), np.nan)
+        num, den = sample_noisy_coeffs(c, 0.0, gen, size=5, out=buffer)
+        assert gen.random() == np.random.default_rng(36).random()
+        assert (num == c.numerator).all() and (den == c.denominator).all()
+        assert np.array_equal(buffer.T, np.broadcast_to(
+            np.concatenate([c.numerator, c.denominator]), (5, width)))
+
     def test_alpha_zero_stacks(self):
         c = random_coeffs(np.random.default_rng(32))
         gen = np.random.default_rng(33)
