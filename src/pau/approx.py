@@ -8,7 +8,10 @@ Two routes produce starting coefficients:
 * one linear least-squares solve on a grid (the linearization
   P - yQ of Sanathanan and Koerner) followed by at most
   GN_MAX_ITERATIONS damped Gauss-Newton steps on the true quotient
-  residual, for kinked targets such as the ReLU family.
+  residual, for kinked targets such as the ReLU family.  Each step's
+  Jacobian is built from the (P, A, Q) that evaluating the accepted
+  candidate's residual already gave, so a step evaluates the unit only
+  for its trial candidates.
 
 The module also embeds the standard initialization table for order
 [5/4]: exact fractions for the smooth targets and fitted constants for
@@ -23,8 +26,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .rational import (RationalCoefficients, _expand_gradients, _grad_parts,
-                       _pau_parts, eval_pau_batch)
+from .rational import (RationalCoefficients, _expand_gradients, _factors, _pau_parts,
+                       eval_pau_batch)
 from .targets import TargetActivation, _series_divide, parse_target
 
 DEFAULT_ORDERS = (5, 4)
@@ -113,33 +116,41 @@ class FitConfig:
             raise ValueError("grid_step must be > 0")
 
     def grid(self) -> np.ndarray:
-        count = int(round((self.hi - self.lo) / self.grid_step)) + 1
-        return np.linspace(self.lo, self.hi, count)
+        count = (self.hi - self.lo) / self.grid_step
+        if not np.isfinite(count):
+            raise ValueError(f"the grid's point count {count!r} is not finite")
+        return np.linspace(self.lo, self.hi, int(round(count)) + 1)
 
 
 def _residual(theta, xs, y, m, safe):
-    """P/Q - y on the grid and its sum of squares."""
-    P, _, Q = _pau_parts(xs, theta[:m + 1], theta[m + 1:], safe)
+    """P/Q - y on the grid, its sum of squares (inf when that overflows)
+    and the (P, A, Q) it was computed from."""
+    P, A, Q = _pau_parts(xs, theta[:m + 1], theta[m + 1:], safe)
     r = P / Q - y
-    return r, float(r @ r)
+    with np.errstate(over="ignore"):   # an overflowed sum is never accepted
+        return r, float(r @ r), (P, A, Q)
 
 
 def _gauss_newton_polish(theta, xs, y, m, n, safe):
     """Damped Gauss-Newton on the true residual P/Q - y.
 
-    The Jacobian is the coefficient gradient of the unit, from the
-    factors of :func:`_grad_parts` (in safe mode its b-columns carry
-    sign(A)).  Improves the linearized solution to a stationary point of
-    the actual grid sum of squares.
+    The Jacobian is the coefficient gradient of the unit, built from the
+    factors of :func:`_factors` (in safe mode its b-columns carry
+    sign(A)) at the (P, A, Q) that the accepted candidate's residual
+    already evaluated, so each step evaluates the unit once per trial
+    and never its derivative.  Improves the linearized solution to a
+    stationary point of the actual grid sum of squares.  Raises
+    OverflowError when the final residual's sum of squares overflows.
     """
     lam = 1e-10
-    r, sse = _residual(theta, xs, y, m, safe)
+    r, sse, parts = _residual(theta, xs, y, m, safe)
     for _ in range(GN_MAX_ITERATIONS):
-        _, w, v = _grad_parts(xs, theta[:m + 1], theta[m + 1:], safe)
+        w, v = _factors(*parts, safe)[:2]
+        del parts   # else the Jacobian is built while (P, A, Q) are still held
         J = _expand_gradients(xs, w, v, m, n)
         g = J.T @ r
         H = J.T @ J
-        del J   # else the next Jacobian is built while this one is still held
+        del J, w, v   # else the next Jacobian is built while this one is still held
         for _ in range(15):
             try:
                 step = np.linalg.solve(H + lam * np.eye(H.shape[0]), -g)
@@ -147,7 +158,7 @@ def _gauss_newton_polish(theta, xs, y, m, n, safe):
                 lam *= 10
                 continue
             cand = theta + step
-            r2, sse2 = _residual(cand, xs, y, m, safe)
+            r2, sse2, parts = _residual(cand, xs, y, m, safe)
             if np.isfinite(sse2) and sse2 < sse:
                 break
             lam *= 10
@@ -158,6 +169,8 @@ def _gauss_newton_polish(theta, xs, y, m, n, safe):
         lam = max(lam / 3.0, 1e-14)
         if improvement <= 1e-15 * sse:
             break
+    if not np.isfinite(sse):
+        raise OverflowError("the residual's sum of squares overflows")
     return theta
 
 

@@ -202,13 +202,23 @@ class PauGradientBundle:
     d_denominator: np.ndarray
 
 
+def _factors(P, A, Q, safe, upstream=1.0):
+    """(w, v, sPQ2) of one (P, A, Q) evaluation: the factors w = upstream / Q
+    and v = -upstream * s * P / Q^2 of the coefficient gradients
+    upstream * dF/da_j = w x^j and upstream * dF/db_k = v x^k (see
+    :func:`_power_terms`), and sPQ2 = s * P / Q^2, which dF/dx needs too.
+    """
+    sPQ2 = P / Q ** 2
+    if safe:
+        sPQ2 *= np.sign(A)
+    return upstream / Q, -upstream * sPQ2, sPQ2
+
+
 def _grad_parts(x, numerator, denominator, safe, pole_offset=None, upstream=1.0):
     """Vectorized gradient pieces sharing one (P, A, Q) evaluation.
 
-    Returns (d_input, w, v): d_input is dF/dx, and the factors
-    w = upstream / Q and v = -upstream * s * P / Q^2 give the coefficient
-    gradients upstream * dF/da_j = w x^j and upstream * dF/db_k = v x^k
-    (see :func:`_power_terms`).  Coefficient arrays may carry a leading
+    Returns (d_input, w, v): d_input is dF/dx, and w and v are the
+    factors of :func:`_factors`.  Coefficient arrays may carry a leading
     per-element stack exactly as in :func:`eval_polynomial`.  A
     ``pole_offset`` runs the unsafe-mode pole check of :func:`_eval`
     before anything is divided by Q, counting indices from it.
@@ -220,12 +230,9 @@ def _grad_parts(x, numerator, denominator, safe, pole_offset=None, upstream=1.0)
     P, A, Q = _pau_parts(xa, num, den, safe)
     if not safe and pole_offset is not None:
         _check_poles(xa, Q, pole_offset)
-    s = np.sign(A) if safe else np.ones_like(A)
-
-    PQ2 = P / Q ** 2
-    d_input = _eval_derivative(num[..., 1:], xa) / Q \
-        - s * _eval_derivative(den, xa) * PQ2
-    return d_input, upstream / Q, -upstream * s * PQ2
+    w, v, sPQ2 = _factors(P, A, Q, safe, upstream)
+    d_input = _eval_derivative(num[..., 1:], xa) / Q - _eval_derivative(den, xa) * sPQ2
+    return d_input, w, v
 
 
 def _power_terms(factor, x, count, out=None):
@@ -233,35 +240,40 @@ def _power_terms(factor, x, count, out=None):
 
     Each term is one running-product step from the previous one, so no
     table of powers is ever built.  With ``out``, term j is computed into
-    ``out[..., j]``, so no temporary is made either.
+    the row ``out[j]``, so no temporary is made either.
     """
     for j in range(count):
         if j:
-            factor = np.multiply(factor, x, out=None if out is None else out[..., j])
+            factor = np.multiply(factor, x, out=None if out is None else out[j, ...])
         elif out is not None:
-            out[..., 0] = factor
+            out[0, ...] = factor
         yield factor
 
 
 def _expand_gradients(x, w, v, m, n):
     """Per-element coefficient gradients from the factors of
-    :func:`_grad_parts`, as one array of shape x.shape + (m+1+n,): the
+    :func:`_factors`, as one array of shape x.shape + (m+1+n,): the
     columns w x^j for j = 0..m, then v x^k for k = 1..n, the terms that
     :func:`backward_pau` sums.
 
     The same expansion with w = 1 and v = -y gives the rows of the
     linearized least-squares design matrix.
+
+    The terms are the contiguous rows of an (m+1+n,) + x.shape array,
+    returned as its view with that axis last: each running-product step
+    writes one contiguous block rather than a column at a stride of m+1+n
+    doubles, and each column ``out[..., j]`` that a caller reads is contiguous.
     """
-    out = np.empty(np.broadcast_shapes(np.shape(x), np.shape(w), np.shape(v))
-                   + (m + 1 + n,))
-    den = out[..., m + 1:]
-    # v x goes straight into the first denominator column, which then
-    # starts that column's running product (a copy onto itself is skipped)
-    vx = np.multiply(v, x, out=den[..., 0]) if n else None
-    for _ in chain(_power_terms(w, x, m + 1, out[..., :m + 1]),
+    rows = np.empty((m + 1 + n,) + np.broadcast_shapes(np.shape(x), np.shape(w),
+                                                       np.shape(v)))
+    den = rows[m + 1:]
+    # v x goes straight into the first denominator row, which then
+    # starts that row's running product (a copy onto itself is skipped)
+    vx = np.multiply(v, x, out=den[0, ...]) if n else None
+    for _ in chain(_power_terms(w, x, m + 1, rows[:m + 1]),
                    _power_terms(vx, x, n, den)):
-        pass   # each term is written into its column of out
-    return out
+        pass   # each term is written into its row
+    return np.moveaxis(rows, 0, -1)
 
 
 def grad_pau(x, coeffs: RationalCoefficients, safe: bool = True) -> PauGradientBundle:

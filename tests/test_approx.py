@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+import pau.rational
 from pau.approx import (DegenerateOrdersError, FitConfig, builtin_coefficients,
                         fit_residual, least_squares_fit, pade_exact,
                         pade_from_taylor, rational_taylor, taylor_of)
@@ -217,6 +218,22 @@ class TestFit:
             FitConfig(lo=3, hi=-3)
         with pytest.raises(ValueError):
             FitConfig(grid_step=0.0)
+
+    def test_grid_with_a_non_finite_point_count(self):
+        with pytest.raises(ValueError, match="point count inf is not finite"):
+            FitConfig(lo=-1e300, hi=1e300, grid_step=1e-300).grid()
+
+    def test_polish_evaluates_no_input_derivative(self, monkeypatch):
+        # each Jacobian comes from the accepted candidate's own (P, A, Q),
+        # and dF/dx, which needs the derivative polynomials, is never built
+        target, cfg = parse_target("relu"), FitConfig(grid_step=1e-3)
+        clean = least_squares_fit(target, config=cfg)
+
+        def refuse(coeffs, x):
+            raise AssertionError("the fit evaluated a derivative polynomial")
+
+        monkeypatch.setattr(pau.rational, "_eval_derivative", refuse)
+        assert least_squares_fit(target, config=cfg) == clean
 
     def test_stationary_point_probe(self):
         target = parse_target("lrelu(0.01)")

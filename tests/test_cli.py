@@ -20,6 +20,7 @@ def run_cli(*args, cwd=None):
     proc = subprocess.run([sys.executable, "-m", "pau.cli", *args], env=child_env(),
                           capture_output=True, text=True, cwd=cwd, timeout=600)
     assert "Traceback" not in proc.stderr
+    assert "Warning" not in proc.stderr
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -87,6 +88,15 @@ class TestFit:
         residual = float(stdout.splitlines()[0].split("=")[1])
         assert residual < 0.01
 
+    def test_residual_whose_start_overflows_fits_exactly(self, tmp_path):
+        # the start's residual sum of squares overflows; a polish step
+        # reaches the exact fit of 1e200 + 1e200 x
+        doc = _write_doc(tmp_path / "big.coeffs", [1e200, 1e200], [])
+        code, stdout, stderr = run_cli("fit", "--target", f"doc:{doc}",
+                                       "--orders", "2,0", "--step", "0.01")
+        assert code == 0, stderr
+        assert stdout.splitlines()[0] == "max_abs_residual = 0.0"
+
 
 class TestGradcheck:
     def test_default_passes(self):
@@ -152,6 +162,11 @@ _BAD_TOOL_INPUTS = [
     # and the grid's x^3 (the grid step is to blame)
     (["fit", "--target", "lrelu(1e300)", "--step", "0.01"], 2, "target lrelu(1e+300)"),
     (["fit", "--target", "relu", "--range=-1e60,1e60", "--step", "1e59"], 1, "--step"),
+    # a grid whose point count is not finite
+    (["fit", "--target", "relu", "--range=-1e300,1e300", "--step", "1e-300"], 1, "--step"),
+    # a constant's residual, up to 3e160, whose sum of squares overflows
+    (["fit", "--target", "doc:{steep}", "--orders", "0,0", "--step", "0.01"], 2,
+     "doc:{steep}"),
     # the curve itself, the noise envelope, and the noise range overflow
     (_HUGE_CURVE + ["--points", "5"], 2, "{huge}: the curve overflows: f is -inf"),
     (_HUGE_CURVE + ["--range", "-1.5,1.5", "--points", "3", "--noise", "0.5"], 2,
@@ -171,6 +186,7 @@ def test_bad_tool_input_exits_without_traceback(tmp_path, argv, code, named):
              # 1e308 x overflows at the ends of the grid
              "huge": _write_doc(tmp_path / "huge.coeffs", [0.0, 1e308], []),
              "wide": _write_doc(tmp_path / "wide.coeffs", [0.0, 3e306], []),
+             "steep": _write_doc(tmp_path / "steep.coeffs", [0.0, 1e160], []),
              "csv": str(tmp_path / "c.csv")}
     got, _, stderr = run_cli(*(a.format(**paths) for a in argv))
     assert got == code, stderr

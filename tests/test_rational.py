@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import pau
 from pau.rational import (BLOCK_ELEMENTS, DocumentFormatError, PoleError,
                           RationalCoefficients, _expand_gradients, _grad_parts,
-                          _pau_parts, backward_pau, eval_pau,
+                          _pau_parts, _power_terms, backward_pau, eval_pau,
                           eval_pau_batch, eval_pau_stacked, eval_polynomial, grad_pau,
                           read_coefficient_document, sample_noisy_coeffs,
                           write_coefficient_document)
@@ -201,6 +201,21 @@ class TestGradients:
         c = RationalCoefficients([1.0], [-0.5])
         with pytest.raises(PoleError):
             grad_pau(2.0, c, safe=False)
+
+
+class TestExpandGradients:
+    @pytest.mark.parametrize("m,n", [(5, 4), (2, 0)])
+    @pytest.mark.parametrize("shape", [(), (37,), (5, 11)])
+    def test_terms_keep_their_shape_and_values(self, shape, m, n):
+        rng = np.random.default_rng(40)
+        x, w, v = (rng.uniform(-3, 3, shape)[()] for _ in range(3))
+        out = _expand_gradients(x, w, v, m, n)
+        # the running products w x^j, then v x^k, stacked as columns
+        columns = [*_power_terms(w, x, m + 1), *_power_terms(v * x, x, n)]
+        assert out.shape == np.shape(x) + (m + 1 + n,)
+        assert out.tobytes() == np.stack(columns, axis=-1).tobytes()
+        if len(shape) == 1:   # the design-matrix and Jacobian columns that a fit reads
+            assert all(out[..., j].flags.c_contiguous for j in range(m + 1 + n))
 
 
 class TestBackward:
