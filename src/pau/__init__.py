@@ -22,7 +22,7 @@ if _cap:
 
 from .approx import (FitConfig, builtin_coefficients, least_squares_fit,
                      pade_from_taylor, taylor_of)
-from .data import DatasetHandle, load_idx, synth_digits, synth_regression
+from .data import DatasetHandle, load_idx, synth_digits
 from .network import (Activation, Baseline, Conv2d, Dense, Flatten, MaxPool,
                       Network, PauUnit, Softmax, backward, build_network,
                       forward, lenet_spec, load_checkpoint, mlp_spec,
@@ -34,6 +34,6 @@ from .rational import (PoleError, RationalCoefficients, backward_pau, eval_pau,
                        write_coefficient_document)
 from .targets import TargetActivation, TaylorUnsupportedError, parse_target
 from .train import (Adam, SGD, Metrics, NonFiniteLossError, TrainConfig, evaluate,
-                    fit_regression, train_model)
+                    train_model)
 
 __version__ = "0.1.0"

@@ -230,11 +230,13 @@ def least_squares_fit(target, m: int = DEFAULT_ORDERS[0],
 
 def fit_residual(coeffs: RationalCoefficients, target, config: FitConfig | None = None,
                  safe: bool = True):
-    """(max-abs, rms) residual of a coefficient set against a target grid."""
+    """(max-abs, rms) residual of a coefficient set against a target grid;
+    rms is inf when the residual's squares overflow."""
     cfg = config or FitConfig()
     xs = cfg.grid()
     r = eval_pau_batch(xs, coeffs, safe=safe) - np.asarray(target(xs))
-    return float(np.max(np.abs(r))), float(np.sqrt(np.mean(r * r)))
+    with np.errstate(over="ignore"):
+        return float(np.max(np.abs(r))), float(np.sqrt(np.mean(r * r)))
 
 
 # ---------------------------------------------------------------------------

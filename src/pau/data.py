@@ -258,11 +258,3 @@ def synth_digits(n: int, seed: int = 0) -> DatasetHandle:
         np.round(block, out=block)   # the u8 value, exactly
         block /= 255.0
     return DatasetHandle(images, labels, "train")
-
-
-def synth_regression(target, n: int, lo: float = -3.0, hi: float = 3.0,
-                     seed: int = 0):
-    """Sample (x, target(x)) pairs with x uniform on [lo, hi]."""
-    rng = np.random.default_rng(seed)
-    xs = rng.uniform(lo, hi, n)
-    return xs, np.asarray(target(xs), dtype=np.float64)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .network import Conv2d, Network, param_count
-from .train import TrainConfig, _train_epochs, evaluate
+from .train import TrainConfig, evaluate, train_epochs
 
 
 @dataclass
@@ -124,14 +124,14 @@ def lottery_run(build_fn, train_data, test_data, schedule: PruneSchedule,
     on the config and the init."""
     net0, cfg = build_fn(), schedule.retrain
     trained = net0.copy()
-    for _ in _train_epochs(trained, train_data, test_data, cfg):
+    for _ in train_epochs(trained, train_data, test_data, cfg):
         pass
     rows = []
     for p in schedule.fractions:
         net = trained.copy()
         apply_prune(net, p, method)
         rewind(net, net0)
-        for _ in _train_epochs(net, train_data, test_data, cfg):
+        for _ in train_epochs(net, train_data, test_data, cfg):
             pass
         rows.append(PruneRow(p, param_count(net)[0], evaluate(net, test_data)))
     return PruneReport(rows)

@@ -1,4 +1,4 @@
-"""Optimizers, losses, evaluation and the training loop.
+"""Optimizers, the NLL loss, evaluation and the training loop.
 
 The optimizers take their rates from a TrainConfig: coefficient
 parameters of activation units get their own learning rate (``pau_lr``,
@@ -144,12 +144,6 @@ def nll_loss(logp, labels):
     return loss, grad
 
 
-def mse_loss(pred, target):
-    diff = pred - target
-    loss = float(np.mean(diff * diff))
-    return loss, 2.0 * diff / diff.size
-
-
 def _model_inputs(net: Network, images: np.ndarray) -> np.ndarray:
     if len(net.input_shape) == 1:
         return images.reshape(images.shape[0], -1)
@@ -176,11 +170,12 @@ def evaluate(net: Network, data: DatasetHandle) -> float:
     return hits / len(data)
 
 
-def _step(net: Network, opt, xb, target, loss_fn, seed: int, step: int) -> float:
-    """One training step, noise seeded by ``seed`` and ``step``; returns the loss."""
+def _step(net: Network, opt, xb, labels, seed: int, step: int) -> float:
+    """One training step against :func:`nll_loss`, noise seeded by ``seed``
+    and ``step``; returns the loss."""
     noise_seed = seed * 1_000_003 + step
     out, trace = forward(net, xb, training=True, seed=noise_seed)
-    loss, dout = loss_fn(out, target)
+    loss, dout = nll_loss(out, labels)
     if not math.isfinite(loss):
         raise NonFiniteLossError(f"step {step}: loss is {loss!r}; first non-finite value: "
                                  f"{first_non_finite(net, xb, True, noise_seed)}")
@@ -188,12 +183,12 @@ def _step(net: Network, opt, xb, target, loss_fn, seed: int, step: int) -> float
     return loss
 
 
-def _train_epochs(net: Network, train: DatasetHandle, test: DatasetHandle,
-                  cfg: TrainConfig):
-    """The epoch loop of :func:`train_model` without its evaluations: yields
-    each epoch's number, mean training loss and start time once its steps
-    are done.  The checks and errors are train_model's; ``test`` is only
-    checked."""
+def train_epochs(net: Network, train: DatasetHandle, test: DatasetHandle,
+                 cfg: TrainConfig):
+    """The library's one epoch loop, run by :func:`train_model` and by
+    pruning's retraining: yields each epoch's number, mean training loss
+    and start time once its steps are done, without evaluating.  The
+    checks and errors are train_model's; ``test`` is only checked."""
     for role, data in (("training", train), ("test", test)):
         if not len(data):
             raise ValueError(f"the {role} set is empty")
@@ -208,7 +203,7 @@ def _train_epochs(net: Network, train: DatasetHandle, test: DatasetHandle,
             for lo in range(0, len(train), cfg.batch_size):
                 sel = perm[lo:lo + cfg.batch_size]
                 loss = _step(net, opt, _model_inputs(net, train.images[sel]),
-                             train.labels[sel], nll_loss, cfg.seed, step)
+                             train.labels[sel], cfg.seed, step)
                 total_loss += loss * sel.size
                 step += 1
         # per-epoch step decay on the layer rate; the unit rate stays constant
@@ -225,29 +220,10 @@ def train_model(net: Network, train: DatasetHandle, test: DatasetHandle,
     numpy's floating-point warnings: a diverging step overflows before its
     loss is checked, and the error names the first non-finite value."""
     history = []
-    for epoch, loss, t0 in _train_epochs(net, train, test, cfg):
+    for epoch, loss, t0 in train_epochs(net, train, test, cfg):
         acc = evaluate(net, test)
         history.append(Metrics(epoch, loss, acc, time.monotonic() - t0))
     return net, history
-
-
-def fit_regression(net: Network, xs: np.ndarray, ys: np.ndarray, steps: int,
-                   lr: float = 0.002, optimizer: str = "adam", seed: int = 0):
-    """Full-batch regression training against mean squared error.
-
-    Inputs are column vectors; the network's output shape must match.
-    Returns (net, final_mse); a step with a non-finite loss raises
-    NonFiniteLossError, with warnings silenced as in train_model.
-    """
-    cfg = TrainConfig(optimizer=optimizer, lr=lr, seed=seed)
-    opt = make_optimizer(cfg)
-    xb = np.asarray(xs, dtype=np.float64).reshape(-1, 1)
-    yb = np.asarray(ys, dtype=np.float64).reshape(-1, 1)
-    with np.errstate(all="ignore"):
-        for step in range(steps):
-            _step(net, opt, xb, yb, mse_loss, seed, step)
-    out, _ = forward(net, xb, training=False)
-    return net, mse_loss(out, yb)[0]
 
 
 def write_metrics_csv(path, history) -> None:

@@ -292,6 +292,12 @@ class TestFit:
         mx, _ = fit_residual(least_squares_fit(target), target)
         assert mx < 0.01
 
+    def test_residual_whose_squares_overflow(self):
+        # the max-abs residual is finite, its square is not: rms is inf,
+        # with no warning
+        residual = fit_residual(RationalCoefficients([0.0], []), lambda xs: 1e160 * xs)
+        assert residual == (3e160, np.inf)
+
     def test_residual_parity_with_embedded_columns(self):
         # our converged fits must not be worse than the embedded columns
         # by more than 10%; in practice they are several times better, so

@@ -8,7 +8,7 @@ import pau
 from pau.data import (BadMagicError, DatasetHandle, DimensionError,
                       IMAGE_MAGIC, LABEL_MAGIC, IdxFormatError, TruncatedFileError,
                       load_idx, pad_images, read_idx_images, read_idx_labels,
-                      synth_digits, synth_regression, write_dataset,
+                      synth_digits, write_dataset,
                       write_idx_images, write_idx_labels)
 from conftest import find_mnist_dir
 
@@ -168,16 +168,3 @@ class TestSynth:
     def test_all_ten_classes_present(self):
         h = synth_digits(500, seed=2)
         assert set(h.labels.tolist()) == set(range(10))
-
-    def test_regression_sampling(self):
-        t = pau.parse_target("tanh")
-        xs, ys = synth_regression(t, 1000, -3, 3, seed=5)
-        assert xs.shape == ys.shape == (1000,)
-        assert xs.min() >= -3 and xs.max() <= 3
-        assert np.array_equal(ys, np.tanh(xs))
-        xs2, _ = synth_regression(t, 1000, -3, 3, seed=5)
-        assert np.array_equal(xs, xs2)
-
-    def test_regression_empty(self):
-        xs, ys = synth_regression(pau.parse_target("tanh"), 0)
-        assert xs.shape == (0,)

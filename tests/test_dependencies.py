@@ -1,7 +1,7 @@
 """numpy is the package's only runtime dependency: every import in
 ``src/pau`` names numpy, the package itself or the standard library.
-``network`` uses the other modules of the package through their public
-names only."""
+Apart from ``approx`` and ``gradcheck``, a module uses the others through
+their public names only."""
 
 import ast
 import sys
@@ -37,9 +37,11 @@ def test_a_third_party_import_is_found(tmp_path):
 
 def test_network_imports_no_private_name():
     # approx and gradcheck share the rational kernel's private parts by
-    # design; network keeps to what the other modules publish
-    path = SOURCE / "network.py"
-    found = [f"network.py:{node.lineno} imports {alias.name} from {node.module}"
+    # design; every other module, network first among them, keeps to what
+    # the others publish
+    found = [f"{path.name}:{node.lineno} imports {alias.name} from {node.module}"
+             for path in sorted(SOURCE.glob("*.py"))
+             if path.stem not in ("approx", "gradcheck")
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
              if isinstance(node, ast.ImportFrom)
              and (node.level or (node.module or "").partition(".")[0] == "pau")
