@@ -194,7 +194,7 @@ def cmd_fit(args) -> int:
         coeffs = least_squares_fit(target, m, n, cfg, safe=safe)
     except ArithmeticError as exc:   # a pole of the target, or an overflow
         raise _Fail(EXIT_INPUT, f"target {label}: {exc}")
-    except (ValueError, MemoryError) as exc:   # a grid too coarse or too fine
+    except ValueError as exc:   # a grid too coarse, too fine to count or too wide
         raise _Fail(EXIT_USAGE, f"--step {args.step!r}: {exc}")
     mx, rms = fit_residual(coeffs, target, cfg, safe=safe)
     print(f"max_abs_residual = {mx!r}")
@@ -210,10 +210,7 @@ def cmd_export_curve(args) -> int:
         doc = read_coefficient_document(args.coeffs)
     except (OSError, DocumentFormatError) as exc:
         raise _Fail(EXIT_INPUT, f"cannot read coefficient document: {exc}")
-    try:
-        xs = np.linspace(*args.range, args.points)
-    except MemoryError as exc:
-        raise _Fail(EXIT_USAGE, f"--points {args.points}: {exc}")
+    xs = np.linspace(*args.range, args.points)
     header, columns = "x,f", [xs]
     try:
         with np.errstate(all="ignore"):   # an overflow is reported below
@@ -259,10 +256,7 @@ def cmd_gradcheck(args) -> int:
     # [-1, 1], then x on [-3, 3], from one stream
     rng = np.random.default_rng(args.seed)
     lo = np.array([-1.0] * 10 + [-3.0])
-    try:
-        draws = rng.uniform(lo, -lo, (args.trials, lo.size))
-    except MemoryError as exc:
-        raise _Fail(EXIT_USAGE, f"--trials {args.trials}: {exc}")
+    draws = rng.uniform(lo, -lo, (args.trials, lo.size))
     nums, dens, xs = draws[:, :6], draws[:, 6:10], draws[:, 10]
     trial_worst, labels, _ = gradcheck.compare_trials(xs, nums, dens, safe=True)
     i = int(np.argmax(trial_worst))
@@ -283,20 +277,16 @@ def cmd_gradcheck(args) -> int:
 # train / eval / prune
 # ---------------------------------------------------------------------------
 
-PRESETS = {
-    "mnist-desk": dict(arch="mlp", source="idx", epochs=5, batch_size=256,
-                       optimizer="adam", lr=0.002, train_subset=10000,
+PRESETS = {name: dict(batch_size=256, optimizer="adam", lr=0.002, **own) for name, own in {
+    "mnist-desk": dict(arch="mlp", source="idx", epochs=5, train_subset=10000,
                        test_subset=2000),
-    "fmnist-desk": dict(arch="mlp", source="idx", epochs=5, batch_size=256,
-                        optimizer="adam", lr=0.002, train_subset=10000,
+    "fmnist-desk": dict(arch="mlp", source="idx", epochs=5, train_subset=10000,
                         test_subset=2000),
-    "synth-desk": dict(arch="mlp", source="synth", epochs=5, batch_size=256,
-                       optimizer="adam", lr=0.002, train_subset=10000,
+    "synth-desk": dict(arch="mlp", source="synth", epochs=5, train_subset=10000,
                        test_subset=2000),
-    "mnist-paper": dict(arch="lenet", source="idx", epochs=100, batch_size=256,
-                        optimizer="adam", lr=0.002, train_subset=None,
+    "mnist-paper": dict(arch="lenet", source="idx", epochs=100, train_subset=None,
                         test_subset=None),
-}
+}.items()}
 
 # each architecture: its layers, the input shape they take, and the side
 # its images are zero-padded to (None: used as loaded)
@@ -500,12 +490,12 @@ def build_parser() -> _Parser:
     p.add_argument("--orders", type=_ORDERS, default="5,4")
     p.add_argument("--unsafe", action="store_true")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_fit)
+    p.set_defaults(func=cmd_fit, sized_by="step")
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient audit")
     p.add_argument("--seed", type=_int_from(0), default=0)
     p.add_argument("--trials", type=_int_from(0), default=1000)
-    p.set_defaults(func=cmd_gradcheck)
+    p.set_defaults(func=cmd_gradcheck, sized_by="trials")
 
     for name, func in (("train", cmd_train), ("prune", cmd_prune),
                        ("eval", cmd_eval)):
@@ -537,7 +527,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--noise", type=_NON_NEGATIVE)
     p.add_argument("--seed", type=_int_from(0), default=0)
-    p.set_defaults(func=cmd_export_curve)
+    p.set_defaults(func=cmd_export_curve, sized_by="points")
 
     return parser
 
@@ -557,6 +547,12 @@ def main(argv=None) -> int:
     except NonFiniteLossError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NON_FINITE
+    except MemoryError as exc:   # an array sized by the command's sizing flag
+        if not hasattr(args, "sized_by"):
+            raise
+        value = getattr(args, args.sized_by)
+        print(f"error: {_flag(args.sized_by)} {value!r}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except KeyboardInterrupt:
         return 130
 

@@ -69,9 +69,6 @@ class DatasetHandle:
             raise ValueError(f"subset of {n} from {len(self)} samples")
         return DatasetHandle(self.images[:n], self.labels[:n], self.split)
 
-    def flat_images(self) -> np.ndarray:
-        return self.images.reshape(len(self), -1)
-
 
 def _open_maybe_gzip(path):
     with open(path, "rb") as fh:

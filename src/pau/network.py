@@ -106,11 +106,6 @@ class _Layer:
 
     weight_shape = None  # kinds with weights: the shape of W
 
-    @property
-    def fan_in(self) -> int:
-        """Weights feeding one output unit."""
-        return int(np.prod(self.weight_shape)) // self.weight_shape[self.out_axis]
-
     def out_shape(self, shape):
         return shape
 
@@ -548,7 +543,8 @@ def build_network(specs, init=DEFAULT_INIT, seed=0, input_shape=None,
         if shapes is None:
             weights.append(None)
             continue
-        s = np.sqrt(1.0 / spec.fan_in)
+        fan_in = math.prod(shapes["W"]) // shapes["b"][0]   # weights feeding one output
+        s = np.sqrt(1.0 / fan_in)
         weights.append({"W": rng.uniform(-s, s, shapes["W"]), "b": np.zeros(shapes["b"])})
 
     base = init if isinstance(init, RationalCoefficients) else builtin_coefficients(init)

@@ -29,7 +29,6 @@ buffer that a caller drawing block by block may pass and reuse.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -206,7 +205,7 @@ def _factors(P, A, Q, safe, upstream=1.0):
     """(w, v, sPQ2) of one (P, A, Q) evaluation: the factors w = upstream / Q
     and v = -upstream * s * P / Q^2 of the coefficient gradients
     upstream * dF/da_j = w x^j and upstream * dF/db_k = v x^k (see
-    :func:`_power_terms`), and sPQ2 = s * P / Q^2, which dF/dx needs too.
+    :func:`_expand_gradients`), and sPQ2 = s * P / Q^2, which dF/dx needs too.
     """
     sPQ2 = P / Q ** 2
     if safe:
@@ -235,21 +234,6 @@ def _grad_parts(x, numerator, denominator, safe, pole_offset=None, upstream=1.0)
     return d_input, w, v
 
 
-def _power_terms(factor, x, count, out=None):
-    """Yield factor * x**j for j = 0, ..., count - 1.
-
-    Each term is one running-product step from the previous one, so no
-    table of powers is ever built.  With ``out``, term j is computed into
-    the row ``out[j]``, so no temporary is made either.
-    """
-    for j in range(count):
-        if j:
-            factor = np.multiply(factor, x, out=None if out is None else out[j, ...])
-        elif out is not None:
-            out[0, ...] = factor
-        yield factor
-
-
 def _expand_gradients(x, w, v, m, n):
     """Per-element coefficient gradients from the factors of
     :func:`_factors`, as one array of shape x.shape + (m+1+n,): the
@@ -259,20 +243,17 @@ def _expand_gradients(x, w, v, m, n):
     The same expansion with w = 1 and v = -y gives the rows of the
     linearized least-squares design matrix.
 
-    The terms are the contiguous rows of an (m+1+n,) + x.shape array,
-    returned as its view with that axis last: each running-product step
-    writes one contiguous block rather than a column at a stride of m+1+n
-    doubles, and each column ``out[..., j]`` that a caller reads is contiguous.
+    Each term is one running-product step from the one before, computed
+    into a contiguous row of an (m+1+n,) + x.shape array, so no table of
+    powers and no temporary is made.  The array is returned as its view
+    with that axis last, so each column ``out[..., j]`` that a caller
+    reads is contiguous.
     """
     rows = np.empty((m + 1 + n,) + np.broadcast_shapes(np.shape(x), np.shape(w),
                                                        np.shape(v)))
-    den = rows[m + 1:]
-    # v x goes straight into the first denominator row, which then
-    # starts that row's running product (a copy onto itself is skipped)
-    vx = np.multiply(v, x, out=den[0, ...]) if n else None
-    for _ in chain(_power_terms(w, x, m + 1, rows[:m + 1]),
-                   _power_terms(vx, x, n, den)):
-        pass   # each term is written into its row
+    rows[0, ...] = w
+    for j in range(1, m + 1 + n):
+        np.multiply(v if j == m + 1 else rows[j - 1], x, out=rows[j, ...])
     return np.moveaxis(rows, 0, -1)
 
 
@@ -314,8 +295,11 @@ def backward_pau(xs, upstream, coeffs: RationalCoefficients, safe: bool = True,
         x, u = xa[start:stop], up[start:stop]
         d_input, w, v = _grad_parts(x, num, den, safe, pole_offset=start, upstream=u)
         np.multiply(u, d_input, out=d_inputs[start:stop])
-        block_sums.append([np.sum(t) for t in _power_terms(w, x, coeffs.m + 1)]
-                          + [np.sum(t) for t in _power_terms(v * x, x, coeffs.n)])
+        sums, t = [], w   # the running product w x^j, then v x^k
+        for j in range(coeffs.m + 1 + coeffs.n):
+            t = v * x if j == coeffs.m + 1 else (t * x if j else t)
+            sums.append(np.sum(t))
+        block_sums.append(sums)
     total = np.sum(block_sums, axis=0)
     return d_inputs, (total[:coeffs.m + 1], total[coeffs.m + 1:])
 

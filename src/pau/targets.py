@@ -65,7 +65,7 @@ class TargetActivation:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ValueError(f"unknown activation kind {self.kind!r}")
+            raise ValueError(f"unknown activation kind {self.kind!r}; choose from {KINDS}")
         if self.kind in _DEFAULT_PARAM and self.param is None:
             object.__setattr__(self, "param", _DEFAULT_PARAM[self.kind])
         if self.kind not in _DEFAULT_PARAM and self.param is not None:
@@ -143,6 +143,4 @@ def parse_target(name: str) -> TargetActivation:
     if not m:
         raise ValueError(f"cannot parse activation name {name!r}")
     kind, param = m.group(1), m.group(2)
-    if kind not in KINDS:
-        raise ValueError(f"unknown activation {kind!r}; choose from {KINDS}")
     return TargetActivation(kind, float(param) if param is not None else None)

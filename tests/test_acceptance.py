@@ -159,7 +159,7 @@ def test_criterion_07_rpau_consistency(synth_sets):
 
     net = pau.build_network(pau.mlp_spec((784, 128, 10)), seed=3,
                             noise_alpha=0.0)
-    x = train.flat_images()[:64]
+    x = train.images[:64].reshape(64, -1)
     fwd_train, _ = pau.forward(net, x, training=True, seed=11)
     fwd_infer, _ = pau.forward(net, x, training=False)
     assert np.array_equal(fwd_train, fwd_infer)

@@ -56,7 +56,9 @@ class TestTargets:
         assert abs(float(target.derivative(0.0)) - left) < 1e-5
 
     @pytest.mark.parametrize("make,message", [
-        (lambda: TargetActivation("bad"), "unknown activation kind 'bad'"),
+        (lambda: TargetActivation("bad"), "unknown activation kind 'bad'; choose from "
+                                          "('relu', 'relu6', 'lrelu', 'sigmoid', 'tanh', "
+                                          "'swish', 'elu')"),
         (lambda: TargetActivation("relu", 1.0), "relu takes no parameter"),
         (lambda: parse_target("tanh").taylor(-1), "degree must be >= 0"),
     ], ids=["unknown-kind", "relu-with-parameter", "negative-degree"])

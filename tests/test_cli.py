@@ -195,6 +195,50 @@ def test_bad_tool_input_exits_without_traceback(tmp_path, argv, code, named):
     assert not (tmp_path / "c.csv").exists()
 
 
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError("Unable to allocate 8.00 PiB")
+
+
+# every later array that a tool command's sizing flag sizes, past the
+# first allocation that the petabyte inputs above reach
+_SIZED_ALLOCATIONS = [
+    (pau.gradcheck, "compare_trials", ["gradcheck", "--trials", "5"], "--trials 5"),
+    (cli, "fit_residual", ["fit", "--target", "relu", "--step", "0.01"], "--step 0.01"),
+    (cli, "eval_pau_batch", _CURVE + ["--points", "7"], "--points 7"),
+    (cli, "sample_noisy_coeffs", _CURVE + ["--points", "7", "--noise", "0.1"], "--points 7"),
+]
+
+
+@pytest.mark.parametrize("module,name,argv,named", _SIZED_ALLOCATIONS,
+                         ids=[f"{a[0]} {n}" for _, n, a, _ in _SIZED_ALLOCATIONS])
+def test_out_of_memory_names_the_sizing_flag(tmp_path, monkeypatch, capsys,
+                                             module, name, argv, named):
+    monkeypatch.setattr(module, name, _out_of_memory)
+    paths = {"unit": _write_doc(tmp_path / "unit.coeffs", [0.0, 1.0], [0.5]),
+             "csv": str(tmp_path / "c.csv")}
+    assert main([a.format(**paths) for a in argv]) == 1
+    assert capsys.readouterr().err == f"error: {named}: Unable to allocate 8.00 PiB\n"
+    assert not (tmp_path / "c.csv").exists()
+
+
+def test_presets():
+    # the values of the README's preset table
+    assert cli.PRESETS == {
+        "mnist-desk": dict(arch="mlp", source="idx", epochs=5, batch_size=256,
+                           optimizer="adam", lr=0.002, train_subset=10000,
+                           test_subset=2000),
+        "fmnist-desk": dict(arch="mlp", source="idx", epochs=5, batch_size=256,
+                            optimizer="adam", lr=0.002, train_subset=10000,
+                            test_subset=2000),
+        "synth-desk": dict(arch="mlp", source="synth", epochs=5, batch_size=256,
+                           optimizer="adam", lr=0.002, train_subset=10000,
+                           test_subset=2000),
+        "mnist-paper": dict(arch="lenet", source="idx", epochs=100, batch_size=256,
+                            optimizer="adam", lr=0.002, train_subset=None,
+                            test_subset=None),
+    }
+
+
 class TestTrain:
     def test_synth_desk_deterministic_metrics(self, tmp_path):
         csvs = []

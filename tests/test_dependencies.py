@@ -1,7 +1,8 @@
 """numpy is the package's only runtime dependency: every import in
 ``src/pau`` names numpy, the package itself or the standard library.
 Apart from ``approx`` and ``gradcheck``, a module uses the others through
-their public names only."""
+their public names only, and every private top-level name has a caller in
+``src/pau``."""
 
 import ast
 import sys
@@ -47,3 +48,48 @@ def test_network_imports_no_private_name():
              and (node.level or (node.module or "").partition(".")[0] == "pau")
              for alias in node.names if alias.name.startswith("_")]
     assert not found, found
+
+
+def _unused_private_names(paths):
+    """``file: name`` of each private top-level name of ``paths`` that no
+    other top-level statement of theirs reads, calls or imports."""
+    statements = [(path.name, node) for path in paths
+                  for node in ast.parse(path.read_text(encoding="utf-8"), str(path)).body]
+
+    def defines(node):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            return [node.name]
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        return [t.id for t in targets if isinstance(t, ast.Name)]
+
+    def uses(node):
+        names = set()
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                names.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                names.add(n.attr)
+            elif isinstance(n, ast.alias):
+                names.add(n.name)
+        return names
+
+    used = [uses(node) for _, node in statements]
+    return [f"{file}: {name}" for i, (file, node) in enumerate(statements)
+            for name in defines(node) if name.startswith("_") and not name.startswith("__")
+            and not any(name in u for j, u in enumerate(used) if j != i)]
+
+
+def test_every_private_name_has_a_source_caller():
+    # a helper kept in the source only for its tests is dead code
+    found = _unused_private_names(sorted(SOURCE.glob("*.py")))
+    assert not found, found
+
+
+def test_a_private_name_without_a_caller_is_found(tmp_path):
+    (tmp_path / "a.py").write_text("_LIMIT = 3\n_SIZE: int = 2\n\n"
+                                   "def _helper(n):\n    return _helper(n - 1)\n\n"
+                                   "class _Base:\n    pass\n\n"
+                                   "def public():\n    return _LIMIT\n")
+    (tmp_path / "b.py").write_text("from a import _Base\n__all__ = []\n")
+    assert _unused_private_names(sorted(tmp_path.glob("*.py"))) == ["a.py: _SIZE",
+                                                                  "a.py: _helper"]

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import pau
 from pau.rational import (BLOCK_ELEMENTS, DocumentFormatError, PoleError,
                           RationalCoefficients, _expand_gradients, _grad_parts,
-                          _pau_parts, _power_terms, backward_pau, eval_pau,
+                          _pau_parts, backward_pau, eval_pau,
                           eval_pau_batch, eval_pau_stacked, eval_polynomial, grad_pau,
                           read_coefficient_document, sample_noisy_coeffs,
                           write_coefficient_document)
@@ -211,11 +211,33 @@ class TestExpandGradients:
         x, w, v = (rng.uniform(-3, 3, shape)[()] for _ in range(3))
         out = _expand_gradients(x, w, v, m, n)
         # the running products w x^j, then v x^k, stacked as columns
-        columns = [*_power_terms(w, x, m + 1), *_power_terms(v * x, x, n)]
+        num, den = [w], [v * x][:n]
+        for _ in range(m):
+            num.append(num[-1] * x)
+        for _ in range(n - 1):
+            den.append(den[-1] * x)
+        columns = num + den
         assert out.shape == np.shape(x) + (m + 1 + n,)
         assert out.tobytes() == np.stack(columns, axis=-1).tobytes()
         if len(shape) == 1:   # the design-matrix and Jacobian columns that a fit reads
             assert all(out[..., j].flags.c_contiguous for j in range(m + 1 + n))
+
+
+    @pytest.mark.parametrize("m,n", [(5, 4), (2, 0), (0, 3)])
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_backward_sums_its_columns(self, m, n, stacked):
+        # one block: backward_pau's coefficient sums are the sums of the
+        # columns that the fits and gradcheck read, bit for bit
+        rng = np.random.default_rng(41)
+        c = random_coeffs(rng, m, n)
+        x, u = rng.uniform(-3, 3, (2, 1000))
+        stacks = sample_noisy_coeffs(c, 0.1, rng, x.size) if stacked else None
+        num, den = stacks or (c.numerator, c.denominator)
+        _, w, v = _grad_parts(x, num, den, True, upstream=u)
+        columns = _expand_gradients(x, w, v, m, n)
+        _, (d_num, d_den) = backward_pau(x, u, c, coefficient_stacks=stacks)
+        sums = np.array([np.sum(columns[:, j]) for j in range(m + 1 + n)])
+        assert np.concatenate([d_num, d_den]).tobytes() == sums.tobytes()
 
 
 class TestBackward:
