@@ -32,7 +32,12 @@ over the winners of the MaxPool above only (its other inputs get no
 gradient), by one ``backward_pau`` call per layer, whose blocks fix the
 order of the sums whatever the thread count.  A unit with
 ``noise_alpha > 0`` draws, in training only, its own perturbed
-coefficients for every element of the layer, one row each, in order.
+coefficients for every element of the layer, one row each, in order,
+from PCG64(seed) advanced to the layer's place in the batch's draw.
+``forward`` may run rows ``start:`` of a batch of ``total`` samples (a
+shard, as training and evaluation run them on PAU_WORKERS threads); it
+then draws those rows of the whole batch's noise, and a pole names its
+element's index in the whole batch.
 Under a pool in ``Network.pooled`` it draws the same rows per block of
 whole images, through the layers' own steps, and the trace keeps only
 the rows of the pool's winners.
@@ -43,9 +48,10 @@ parameters (a Dense, a Conv2d or an Activation with a trainable unit),
 and that layer skips its own input gradient; a loss gradient whose shape
 is not the output's raises ValueError.  ``first_non_finite``
 reruns the layers through the loop of ``forward``, with its noise.
-Whole-network results repeat bit for bit at a fixed BLAS thread count:
-the Dense and Conv2d matrix products may round differently when the
-thread count changes.
+Whole-network results repeat bit for bit at a fixed BLAS thread count,
+whatever the worker count (PAU_WORKERS; see ``train``): the Dense and
+Conv2d matrix products may round differently when the BLAS thread count
+changes.
 """
 
 from __future__ import annotations
@@ -564,32 +570,48 @@ class ForwardTrace:
     out_shape: tuple = ()   # the network output's; backward's loss gradient must match it
 
 
-def _run_layers(net: Network, batch, training, seed):
-    """Yield (output, cache) of each layer in turn.  When training, units
-    with noise_alpha > 0 draw their noise in layer order from one
-    generator seeded with ``seed``; inference uses clean coefficients."""
+def _run_layers(net: Network, batch, training, seed, start=0, total=None):
+    """Yield (output, cache) of each layer in turn.  ``batch`` is rows
+    ``start:`` of a batch of ``total`` samples (all of it by default).  When
+    training, each unit with noise_alpha > 0 draws its rows of that whole
+    batch's noise: its generator is PCG64(``seed``) advanced past the doubles
+    that the earlier noisy layers draw for the whole batch, then past its own
+    rows before ``start``, so that any split of a batch draws what one
+    forward of it draws.  A pole names its element's index in the whole
+    batch.  Inference uses clean coefficients."""
     x = np.asarray(batch, dtype=np.float64)
     if x.shape[1:] != net.input_shape:
         raise ValueError(f"batch shape {x.shape[1:]} != input shape {net.input_shape}")
+    total = len(x) if total is None else total
     noisy = training and any(u.noise_alpha > 0 for u in net.pau_units)
-    noise_rng = np.random.default_rng(seed) if noisy else None
+    drawn = 0   # doubles that the noisy layers so far draw for the whole batch
     layers = iter(enumerate(net.specs))
     for i, spec in layers:
-        if noisy and i in net.pooled and net.pau_units[spec.unit].noise_alpha > 0:
-            steps = spec.forward_pooled(net, i, x, noise_rng)
-            next(layers)   # the MaxPool ran in the stage
-        else:
-            steps = [spec.forward(net, i, x, noise_rng)]
+        per_sample, noise_rng = math.prod(x.shape[1:]), None
+        unit = net.pau_units[spec.unit] if isinstance(spec, Activation) else None
+        if noisy and unit is not None and unit.noise_alpha > 0:
+            k = per_sample * (unit.coefficients.m + 1 + unit.coefficients.n)
+            noise_rng = np.random.Generator(np.random.PCG64(seed).advance(drawn + start * k))
+            drawn += total * k
+        try:
+            if noise_rng is not None and i in net.pooled:
+                steps = spec.forward_pooled(net, i, x, noise_rng)
+                next(layers)   # the MaxPool ran in the stage
+            else:
+                steps = [spec.forward(net, i, x, noise_rng)]
+        except PoleError as exc:
+            raise spec._named(i, exc, start * per_sample) from None
         for x, cache in steps:
             yield x, cache
 
 
-def forward(net: Network, batch, training=False, seed=0):
-    """Run the network; returns (outputs, trace).  Noise is drawn as in
-    :func:`_run_layers`."""
+def forward(net: Network, batch, training=False, seed=0, start=0, total=None):
+    """Run the network; returns (outputs, trace).  Noise is drawn, and poles
+    are named, as in :func:`_run_layers`: ``batch`` may be rows ``start:``
+    of a batch of ``total`` samples."""
     out = np.asarray(batch, dtype=np.float64)
     trace = ForwardTrace(version=net.version)
-    for out, cache in _run_layers(net, out, training, seed):
+    for out, cache in _run_layers(net, out, training, seed, start, total):
         trace.caches.append(cache)
     trace.out_shape = out.shape
     return out, trace

@@ -5,11 +5,22 @@ parameters of activation units get their own learning rate (``pau_lr``,
 following ``lr`` when unset), which ``lr_decay`` leaves constant.
 ``train_model`` trains and evaluates on all of the data it is given;
 cutting a data set to a subset is the caller's job.
+
+A training step and an evaluated batch run as shards of
+``shard_samples(net)`` samples, on the calling thread and a pool of up to
+worker_count() - 1 threads (numpy releases the GIL in nearly all of a
+shard's work).  A step's loss and gradients are its shards' added in
+shard order, so results depend on the shard size, never on the worker
+count.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
+import queue
+import threading
 import time
 from dataclasses import dataclass
 
@@ -20,6 +31,8 @@ from .network import Network, backward, first_non_finite, forward
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # moment decay rates, epsilon
 EVAL_BATCH = 1024  # samples per forward pass in evaluate
+SHARD_SAMPLES = 128        # most samples in a shard of a step or an evaluated batch
+SHARD_ELEMENTS = 2 ** 20   # most layer-output values a shard holds, summed over layers
 
 
 @dataclass
@@ -114,15 +127,25 @@ class Adam(_Optimizer):
         self.t = 0
 
     def _update(self, key, param, g, lr):
-        m = self.m.get(key, 0.0)
-        v = self.v.get(key, 0.0)
-        m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * g
-        v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * g * g
-        self.m[key] = m
-        self.v[key] = v
-        m_hat = m / (1 - ADAM_BETA1 ** self.t)
-        v_hat = v / (1 - ADAM_BETA2 ** self.t)
-        param -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        # the moments in place, with the operations and their order of
+        # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
+        # param -= lr m_hat / (sqrt(v_hat) + eps)
+        if key not in self.m:
+            self.m[key], self.v[key] = np.zeros_like(param), np.zeros_like(param)
+        m, v = self.m[key], self.v[key]
+        m *= ADAM_BETA1
+        m += (1 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        term = (1 - ADAM_BETA2) * g
+        term *= g
+        v += term
+        np.divide(v, 1 - ADAM_BETA2 ** self.t, out=term)
+        np.sqrt(term, out=term)
+        term += ADAM_EPS
+        update = m / (1 - ADAM_BETA1 ** self.t)
+        update *= lr
+        update /= term
+        param -= update
 
     def step(self, net: Network, grads: dict):
         self.t += 1
@@ -150,18 +173,123 @@ def _model_inputs(net: Network, images: np.ndarray) -> np.ndarray:
     return images.reshape((images.shape[0],) + net.input_shape)
 
 
+def shard_samples(net: Network) -> int:
+    """Samples per shard of a step or an evaluated batch of ``net``: the
+    largest power of two up to SHARD_SAMPLES whose layer outputs, summed
+    over the layers, hold at most SHARD_ELEMENTS values (1 at least).  It
+    depends on the network alone: results depend on it, and it bounds what
+    the shards running at once hold."""
+    per_sample = sum(math.prod(shape) for shape in net.shapes)
+    rows = max(1, min(SHARD_SAMPLES, SHARD_ELEMENTS // max(per_sample, 1)))
+    return 1 << (rows.bit_length() - 1)
+
+
+def worker_count() -> int:
+    """The threads that run a batch's shards, the caller's among them:
+    PAU_WORKERS when set, else the cores this process may run on.  A value
+    that is not an integer >= 1 raises ValueError naming the variable."""
+    raw = os.environ.get("PAU_WORKERS")
+    if raw is None:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"PAU_WORKERS must be an integer >= 1, got {raw!r}")
+    return workers
+
+
+def _pool_threads(shards: int, workers: int) -> int:
+    """Pool threads that help with ``shards`` shards: the caller is a worker."""
+    return min(shards, workers) - 1
+
+
+class _Pool:
+    """Daemon threads that run queued calls, started as the calls need them.
+    A forked child inherits none of its parent's threads, so it builds its
+    own pool (see :func:`_map_shards`)."""
+
+    def __init__(self):
+        self.pid, self.threads, self.calls = os.getpid(), 0, queue.SimpleQueue()
+
+    def run(self, call, times):
+        """Queue ``call`` ``times`` times, starting threads up to that many."""
+        for _ in range(self.threads, times):
+            threading.Thread(target=self._serve, daemon=True).start()
+            self.threads += 1
+        for _ in range(times):
+            self.calls.put(call)
+
+    def _serve(self):
+        while True:
+            self.calls.get()()
+
+
+_pool = None
+
+
+def _map_shards(run, starts):
+    """``[run(start) for start in starts]``, one shard per start, with the
+    calling thread and up to worker_count() - 1 pool threads each taking the
+    next shard not yet taken.  Each shard runs under
+    ``np.errstate(all="ignore")``: numpy's error state is per thread, so pool
+    threads do not share the caller's.  Once every shard has run, the
+    exception of the lowest failing shard is raised."""
+    global _pool
+    results, errors = [None] * len(starts), [None] * len(starts)
+    taken, finished = itertools.count(), queue.SimpleQueue()
+
+    def work(k):
+        while k < len(starts):
+            try:
+                with np.errstate(all="ignore"):
+                    results[k] = run(starts[k])
+            except BaseException as exc:   # raised below, in shard order
+                errors[k] = exc
+            k = next(taken)
+
+    def helper():
+        try:
+            work(next(taken))
+        finally:
+            finished.put(None)
+
+    first = next(taken)   # the caller runs shard 0
+    helpers = _pool_threads(len(starts), worker_count())
+    if helpers:
+        if _pool is None or _pool.pid != os.getpid():
+            _pool = _Pool()
+        _pool.run(helper, helpers)
+    work(first)
+    for _ in range(helpers):
+        finished.get()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
+
+
 def evaluate(net: Network, data: DatasetHandle) -> float:
-    """Accuracy of argmax predictions, over EVAL_BATCH samples at a time;
-    ties resolve to the lowest class.  A non-finite output raises
-    NonFiniteLossError; warnings are silenced.  An empty set raises
-    ValueError: it has no accuracy."""
+    """Accuracy of argmax predictions, over EVAL_BATCH samples at a time,
+    each run as :func:`shard_samples` shards (:func:`_map_shards`); ties resolve
+    to the lowest class.  A non-finite output raises NonFiniteLossError;
+    warnings are silenced.  An empty set raises ValueError: it has no
+    accuracy."""
     if not len(data):
         raise ValueError(f"cannot evaluate on an empty {data.split!r} set")
-    hits = 0
+    hits, size = 0, shard_samples(net)
     with np.errstate(all="ignore"):
         for lo in range(0, len(data), EVAL_BATCH):
             xb = _model_inputs(net, data.images[lo:lo + EVAL_BATCH])
-            out, _ = forward(net, xb, training=False)
+
+            def shard(start):
+                rows = xb[start:start + size]
+                return forward(net, rows, training=False, start=start, total=len(xb))[0]
+
+            out = np.concatenate(_map_shards(shard, range(0, len(xb), size)))
             if not np.isfinite(out).all():
                 raise NonFiniteLossError(
                     f"samples {lo}-{lo + len(xb) - 1}: output is not finite; first "
@@ -172,14 +300,31 @@ def evaluate(net: Network, data: DatasetHandle) -> float:
 
 def _step(net: Network, opt, xb, labels, seed: int, step: int) -> float:
     """One training step against :func:`nll_loss`, noise seeded by ``seed``
-    and ``step``; returns the loss."""
+    and ``step``; returns the loss.  The batch runs as :func:`shard_samples`
+    shards (:func:`_map_shards`), each through forward, nll_loss and
+    backward, its loss and loss gradient scaled by its share of the batch;
+    the step's loss and each gradient are the shards' added in shard order,
+    so they do not depend on the worker count."""
     noise_seed = seed * 1_000_003 + step
-    out, trace = forward(net, xb, training=True, seed=noise_seed)
-    loss, dout = nll_loss(out, labels)
+    size = shard_samples(net)
+
+    def shard(start):
+        rows = slice(start, start + size)
+        out, trace = forward(net, xb[rows], training=True, seed=noise_seed,
+                             start=start, total=len(xb))
+        loss, dout = nll_loss(out, labels[rows])
+        share = len(out) / len(xb)
+        return loss * share, backward(net, trace, dout * share)
+
+    (loss, grads), *rest = _map_shards(shard, range(0, len(xb), size))
+    for shard_loss, shard_grads in rest:
+        loss += shard_loss
+        for key, g in shard_grads.items():
+            grads[key] += g
     if not math.isfinite(loss):
         raise NonFiniteLossError(f"step {step}: loss is {loss!r}; first non-finite value: "
                                  f"{first_non_finite(net, xb, True, noise_seed)}")
-    opt.step(net, backward(net, trace, dout))
+    opt.step(net, grads)
     return loss
 
 

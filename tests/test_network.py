@@ -14,7 +14,7 @@ from pau.network import (Activation, Baseline, Conv2d, Dense, Flatten, MaxPool,
                          save_checkpoint, vgg8_spec)
 from pau.rational import backward_pau, eval_pau_stacked, sample_noisy_coeffs
 from pau.gradcheck import network_fd_gradients
-from pau.train import nll_loss
+from pau.train import SHARD_SAMPLES, nll_loss
 
 
 def toy_net(seed=0):
@@ -826,6 +826,34 @@ class TestNoisyPoolStage:
             finally:
                 tracemalloc.stop()
         assert peaks[1] < 2 * peaks[0], peaks
+
+
+class TestShardNoise:
+    """A training forward on rows ``start:`` of a batch draws those rows of
+    the whole batch's noise, so that the shards of a step see the noise that
+    one forward of the step would."""
+
+    @pytest.mark.parametrize("rows", [SHARD_SAMPLES, 100])
+    def test_shards_keep_the_whole_batch_noise(self, monkeypatch, rows):
+        # a pooled noisy unit (in blocks of 2 images), then two unpooled
+        # ones; 300 samples are not a multiple of either shard size
+        monkeypatch.setattr(network, "BLOCK_ELEMENTS", 150)
+        monkeypatch.setattr(pau.rational, "BLOCK_ELEMENTS", 150)
+        net = build_network([Conv2d(1, 2, 1), Activation(), MaxPool(2), Activation(),
+                             Activation(), Flatten(), Dense(18, 3), Softmax()],
+                            input_shape=(1, 6, 6), seed=73, noise_alpha=0.05)
+        assert net.pooled == {1}
+        batch = np.random.default_rng(73).normal(size=(300, 1, 6, 6))
+        _, whole = pau.forward(net, batch, training=True, seed=74)
+        shards = [pau.forward(net, batch[s:s + rows], training=True, seed=74, start=s,
+                              total=len(batch))[1] for s in range(0, len(batch), rows)]
+        for i in (1, 3, 4):
+            caches = [trace.caches[i] for trace in shards]
+            assert ("in_shape" in whole.caches[i]) == (i == 1)
+            assert np.array_equal(np.concatenate([c["x"] for c in caches]),
+                                  whole.caches[i]["x"])
+            for j, stack in enumerate(whole.caches[i]["stacks"]):
+                assert np.array_equal(np.concatenate([c["stacks"][j] for c in caches]), stack)
 
 
 class TestPooled:

@@ -1,12 +1,17 @@
+import subprocess
+import sys
+import time
+
 import numpy as np
 import pytest
 
 import pau
+from pau import train
 from pau.network import (Activation, Baseline, Conv2d, Dense, Flatten, MaxPool, Softmax,
                          build_network, mlp_spec)
 from pau.train import (Adam, SGD, NonFiniteLossError, TrainConfig, evaluate,
                        make_optimizer, nll_loss, train_model, write_metrics_csv)
-from conftest import desk_protocol
+from conftest import child_env, desk_protocol
 
 
 def tiny_net(seed=0):
@@ -65,6 +70,26 @@ class TestOptimizers:
         moved = np.max(np.abs(net.pau_units[0].coefficients.numerator
                               - frozen_lr.numerator))
         assert moved < 1e-250  # effectively zero: the split rate was honored
+
+    def test_adam_matches_its_formula_bit_for_bit(self):
+        # the in-place moments against Adam written out, 20 steps
+        rng = np.random.default_rng(12)
+        net = tiny_net(12)
+        opt = Adam(TrainConfig(lr=0.01))
+        params = {k: v.copy() for k, v in net.params()}
+        m = {k: 0.0 for k in params}
+        v = {k: 0.0 for k in params}
+        b1, b2, eps = pau.train.ADAM_BETA1, pau.train.ADAM_BETA2, pau.train.ADAM_EPS
+        for t in range(1, 21):
+            grads = {k: rng.normal(size=p.shape) for k, p in params.items()}
+            opt.step(net, grads)
+            for k, g in grads.items():
+                m[k] = b1 * m[k] + (1 - b1) * g
+                v[k] = b2 * v[k] + (1 - b2) * g * g
+                params[k] -= 0.01 * (m[k] / (1 - b1 ** t)) / (np.sqrt(v[k] / (1 - b2 ** t))
+                                                              + eps)
+        for k, p in net.params():
+            assert np.array_equal(p, params[k]), k
 
     def test_make_optimizer(self):
         assert isinstance(make_optimizer(TrainConfig(optimizer="sgd", lr=0.01)), SGD)
@@ -296,6 +321,142 @@ class TestNonFiniteLoss:
         with pytest.raises(NonFiniteLossError, match=r"^samples 0-4: output is not finite; "
                            r"first non-finite value: the output of layer 1 \(Activation\)$"):
             evaluate(self._overflowing_conv_net(), data)
+
+
+# A seeded LeNet and MLP run; prints the SHA-256 of every parameter array
+# and the history.  A step of 300 samples runs as 4 LeNet shards of 64 and
+# one of 44, or as MLP shards of 128, 128 and 44; an evaluation of 400
+# samples as 7 LeNet shards or 4 MLP shards, the last one a part shard.
+WORKER_DIGEST_SCRIPT = """
+import hashlib
+import numpy as np
+import pau
+rng = np.random.default_rng(40)
+for arch, spec, shape in (("lenet", pau.lenet_spec(), (1, 32, 32)),
+                          ("mlp", pau.mlp_spec((784, 128, 10)), (784,))):
+    data = pau.DatasetHandle(rng.uniform(0, 1, (400,) + shape), rng.integers(0, 10, 400))
+    for alpha in (0.0, 0.05):
+        net = pau.build_network(spec, input_shape=shape, seed=41, noise_alpha=alpha)
+        _, hist = pau.train_model(net, data, data,
+                                  pau.TrainConfig(epochs=2, batch_size=300, seed=42))
+        print(arch, alpha, [(repr(h.train_loss), repr(h.test_acc)) for h in hist])
+        for key, value in net.params():
+            print(key, hashlib.sha256(value.tobytes()).hexdigest())
+"""
+
+
+class TestShards:
+    """A step and an evaluated batch run as SHARD_SAMPLES-row shards on up to
+    worker_count() threads; results depend on the shards, not the threads."""
+
+    def test_parameters_do_not_depend_on_the_worker_count(self):
+        runs = []
+        for workers in ("1", "2"):
+            proc = subprocess.run([sys.executable, "-c", WORKER_DIGEST_SCRIPT],
+                                  env=child_env(("PAU_THREADS",), PAU_WORKERS=workers,
+                                                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1"),
+                                  capture_output=True, text=True, timeout=600)
+            assert proc.returncode == 0 and not proc.stderr, proc.stderr
+            runs.append(proc.stdout)
+        assert runs[0].count("\n") == 2 * (1 + 18) + 2 * (1 + 6)   # histories, arrays
+        assert runs[0] == runs[1]
+
+    def test_worker_count(self, monkeypatch):
+        monkeypatch.setenv("PAU_WORKERS", "3")
+        assert train.worker_count() == 3
+        monkeypatch.setenv("PAU_WORKERS", "0")
+        with pytest.raises(ValueError, match=r"^PAU_WORKERS must be an integer >= 1, "
+                                             r"got '0'$"):
+            train.worker_count()
+        monkeypatch.delenv("PAU_WORKERS")
+        assert train.worker_count() >= 1
+
+    def test_shard_samples_follow_the_network(self):
+        assert train.shard_samples(pau.build_network(mlp_spec((784, 128, 10)))) == 128
+        assert train.shard_samples(pau.build_network(pau.lenet_spec(),
+                                                     input_shape=(1, 32, 32))) == 64
+        assert train.shard_samples(pau.build_network(pau.vgg8_spec(),
+                                                     input_shape=(1, 32, 32))) == 2
+
+    def test_pool_threads_stay_below_the_shards(self):
+        # computed only: no thread is started for the large worker counts
+        assert train._pool_threads(2, 10 ** 9) == 1
+        assert train._pool_threads(8, 2) == 1
+        assert train._pool_threads(1, 10 ** 9) == 0
+        assert train._pool_threads(3, 1) == 0
+
+    def test_lowest_failing_shard_raises(self, monkeypatch):
+        # shard 1 fails last in time, shards 2 and 3 first; shard 1's error is raised
+        monkeypatch.setenv("PAU_WORKERS", "2")
+
+        def run(start):
+            if start == 1:
+                time.sleep(0.05)
+            if start:
+                raise LookupError(start)
+            return start
+
+        with pytest.raises(LookupError) as err:
+            train._map_shards(run, [0, 1, 2, 3])
+        assert err.value.args == (1,)
+        assert train._map_shards(lambda start: -start, range(5)) == [0, -1, -2, -3, -4]
+
+    def test_every_shard_runs_once(self, monkeypatch):
+        # more workers than cores, and thread switches as often as possible
+        monkeypatch.setenv("PAU_WORKERS", "4")
+        ran = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                ran.clear()
+                assert train._map_shards(lambda s: ran.append(s) or -s, range(50)) \
+                    == [-s for s in range(50)]
+                assert sorted(ran) == list(range(50))
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("run", ["train", "evaluate"])
+    def test_pole_in_shard_1_names_its_whole_batch_index(self, monkeypatch, run):
+        # x = 2 is the pole of 1 - x/2; the run's sample 200 sits in shard 1,
+        # its sample 290 in shard 2, and the error names sample 200's element
+        net = build_network([Activation(), Dense(3, 2), Softmax()], input_shape=(3,),
+                            init=pau.RationalCoefficients([0.0, 1.0], [-0.5]), seed=43)
+        net.pau_units[0].safe = False
+        x = np.random.default_rng(43).uniform(-1, 1, (300, 3))
+        # the samples in the order the run takes them: train_epochs shuffles
+        order = np.random.default_rng(0).permutation(300) if run == "train" else np.arange(300)
+        x[order[200], 1] = x[order[290], 0] = 2.0
+        data = pau.DatasetHandle(x, np.arange(300) % 2)
+        messages = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("PAU_WORKERS", workers)
+            with pytest.raises(pau.PoleError) as err:
+                if run == "train":
+                    train_model(net.copy(), data, data, TrainConfig(epochs=1, batch_size=300))
+                else:
+                    evaluate(net, data)
+            assert err.value.index == 200 * 3 + 1
+            messages.append(str(err.value))
+        with pytest.raises(pau.PoleError) as whole:
+            pau.forward(net, x[order])
+        assert messages == [str(whole.value)] * 2
+        assert messages[0].startswith("layer 0 (Activation) unit 0: ")
+
+    def test_diverging_run_raises_the_same_error_at_any_worker_count(self, monkeypatch):
+        # the unit overflows in every shard; no shard warns, since each
+        # silences numpy itself, and the error is the whole batch's
+        data = pau.DatasetHandle(np.random.default_rng(44).uniform(0, 1, (300, 1, 8, 8)),
+                                 np.arange(300) % 3)
+        messages = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("PAU_WORKERS", workers)
+            with pytest.raises(NonFiniteLossError) as err:
+                train_model(TestNonFiniteLoss._overflowing_conv_net(), data, data,
+                            TrainConfig(epochs=1, batch_size=300))
+            messages.append(str(err.value))
+        assert messages[0] == messages[1] == ("step 0: loss is nan; first non-finite value: "
+                                              "the output of layer 1 (Activation)")
 
 
 class TestLrDecay:
