@@ -10,8 +10,8 @@ PAU_THREADS=<n> in the environment caps the BLAS and OpenMP worker
 threads.  It is applied when this package is imported, before numpy
 loads, and fills only the thread variables that are not already set.
 It has no effect when numpy was imported before this package.
-PAU_WORKERS=<n>, read at each training step and evaluated batch, sets
-the threads that run its shards (see train).
+Training and evaluation run a batch's shards on the cores left over by
+the BLAS thread count (see train.worker_count).
 """
 
 import os as _os

@@ -3,10 +3,10 @@
 Commands: pade, fit, gradcheck, train, eval, prune, export-curve.
 Exit codes: 0 success, 1 usage, 2 input/target error, 3 non-finite
 loss or output, 4 verification failure.  PAU_THREADS caps the BLAS
-worker threads.  PAU_WORKERS sets the threads that train, prune and eval
-run each batch's shards on (default: the cores this process may use); a
-value that is not an integer >= 1 exits 1 before any data is made.
-Results do not depend on it at a fixed BLAS thread count.
+worker threads.  train, prune and eval run each batch's shards on the
+cores this process may use, divided by the BLAS threads (so on one
+thread when BLAS is not capped); results do not depend on that worker
+count at a fixed BLAS thread count.
 
 Every flag is checked before its command runs: one that does not parse
 or is out of range exits 1 naming the flag or key.  train and prune take
@@ -47,7 +47,7 @@ from .rational import (DocumentFormatError, PoleError, eval_pau_batch, eval_pau_
                        read_coefficient_document, sample_noisy_coeffs,
                        write_coefficient_document)
 from .targets import parse_target
-from .train import (NonFiniteLossError, TrainConfig, evaluate, train_model, worker_count,
+from .train import (NonFiniteLossError, TrainConfig, evaluate, train_model,
                     write_metrics_csv)
 
 EXIT_OK = 0
@@ -406,10 +406,6 @@ def _prologue(args):
     checked against the input shape of the network that will run.
     Returns (settings, TrainConfig, the checkpoint's network or None,
     train, test)."""
-    try:
-        worker_count()
-    except ValueError as exc:
-        raise _Fail(EXIT_USAGE, str(exc))
     settings, cfg = _run_settings(args)
     net, runs, takes = None, f"the {args.preset} network", _ARCHS[settings["arch"]][1]
     if getattr(args, "checkpoint", None):

@@ -35,7 +35,7 @@ order of the sums whatever the thread count.  A unit with
 coefficients for every element of the layer, one row each, in order,
 from PCG64(seed) advanced to the layer's place in the batch's draw.
 ``forward`` may run rows ``start:`` of a batch of ``total`` samples (a
-shard, as training and evaluation run them on PAU_WORKERS threads); it
+shard, as training and evaluation run them on worker threads); it
 then draws those rows of the whole batch's noise, and a pole names its
 element's index in the whole batch.
 Under a pool in ``Network.pooled`` it draws the same rows per block of
@@ -49,7 +49,7 @@ and that layer skips its own input gradient; a loss gradient whose shape
 is not the output's raises ValueError.  ``first_non_finite``
 reruns the layers through the loop of ``forward``, with its noise.
 Whole-network results repeat bit for bit at a fixed BLAS thread count,
-whatever the worker count (PAU_WORKERS; see ``train``): the Dense and
+whatever the worker count (see ``train.worker_count``): the Dense and
 Conv2d matrix products may round differently when the BLAS thread count
 changes.
 """
@@ -328,7 +328,7 @@ class Activation(_Layer):
     def _named(self, i, exc, offset=0):
         """``exc`` naming this layer and unit, its index moved by ``offset``."""
         return PoleError(exc.x, exc.q, offset + exc.index,
-                         where=f"layer {i} (Activation) unit {self.unit}")
+                         where=f"layer {i} (Activation) unit {self.unit}", layer=i)
 
     def forward_pooled(self, net, i, x, noise_rng):
         """This noisy layer and the MaxPool above it (``i`` in ``net.pooled``)

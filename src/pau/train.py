@@ -10,18 +10,18 @@ A training step and an evaluated batch run as shards of
 ``shard_samples(net)`` samples, on the calling thread and a pool of up to
 worker_count() - 1 threads (numpy releases the GIL in nearly all of a
 shard's work).  A step's loss and gradients are its shards' added in
-shard order, so results depend on the shard size, never on the worker
-count.
+shard order as the shards finish, so results depend on the shard size,
+never on the worker count, and at most worker_count() + 1 gradient
+dicts are held at once.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
-import queue
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,21 +185,22 @@ def shard_samples(net: Network) -> int:
 
 
 def worker_count() -> int:
-    """The threads that run a batch's shards, the caller's among them:
-    PAU_WORKERS when set, else the cores this process may run on.  A value
-    that is not an integer >= 1 raises ValueError naming the variable."""
-    raw = os.environ.get("PAU_WORKERS")
-    if raw is None:
-        if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0))
-        return os.cpu_count() or 1
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError(f"PAU_WORKERS must be an integer >= 1, got {raw!r}")
-    return workers
+    """The threads that run a batch's shards, the caller's among them: the
+    cores this process may run on, divided by the threads each worker's
+    BLAS calls start (OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, else
+    every core, as OpenBLAS counts them), and 1 at least.  With BLAS left
+    at every core, the shards run in turn on the calling thread."""
+    cores = len(os.sched_getaffinity(0))
+    blas = cores
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            threads = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if threads >= 1:
+            blas = threads
+            break
+    return max(1, cores // blas)
 
 
 def _pool_threads(shards: int, workers: int) -> int:
@@ -207,75 +208,95 @@ def _pool_threads(shards: int, workers: int) -> int:
     return min(shards, workers) - 1
 
 
-class _Pool:
-    """Daemon threads that run queued calls, started as the calls need them.
-    A forked child inherits none of its parent's threads, so it builds its
-    own pool (see :func:`_map_shards`)."""
-
-    def __init__(self):
-        self.pid, self.threads, self.calls = os.getpid(), 0, queue.SimpleQueue()
-
-    def run(self, call, times):
-        """Queue ``call`` ``times`` times, starting threads up to that many."""
-        for _ in range(self.threads, times):
-            threading.Thread(target=self._serve, daemon=True).start()
-            self.threads += 1
-        for _ in range(times):
-            self.calls.put(call)
-
-    def _serve(self):
-        while True:
-            self.calls.get()()
+_executor = None   # (pid, workers, ThreadPoolExecutor of workers - 1 threads)
 
 
-_pool = None
+def _pool(workers: int) -> ThreadPoolExecutor:
+    """The pool of workers - 1 threads, built on first use and rebuilt for
+    another worker count, or in a forked child, which inherits none of its
+    parent's threads."""
+    global _executor
+    if _executor is None or _executor[:2] != (os.getpid(), workers):
+        if _executor is not None and _executor[0] == os.getpid():
+            _executor[2].shutdown(wait=False)
+        _executor = (os.getpid(), workers, ThreadPoolExecutor(workers - 1))
+    return _executor[2]
 
 
-def _map_shards(run, starts):
-    """``[run(start) for start in starts]``, one shard per start, with the
-    calling thread and up to worker_count() - 1 pool threads each taking the
-    next shard not yet taken.  Each shard runs under
-    ``np.errstate(all="ignore")``: numpy's error state is per thread, so pool
-    threads do not share the caller's.  Once every shard has run, the
-    exception of the lowest failing shard is raised."""
-    global _pool
-    results, errors = [None] * len(starts), [None] * len(starts)
-    taken, finished = itertools.count(), queue.SimpleQueue()
+def _reduce_shards(run, starts, add):
+    """``functools.reduce(add, map(run, starts))``, one shard per start: the
+    calling thread and up to worker_count() - 1 pool threads each take the
+    next shard not yet taken, and a result is added as soon as the shards
+    below it are.  A shard is taken only while fewer than worker_count()
+    shards are taken and not yet added, so that few results are held at
+    once, however many shards there are.  Each thread runs under
+    ``np.errstate(all="ignore")``: numpy's error state is per thread, so
+    pool threads do not share the caller's.  Once every shard has run, the
+    error of the lowest failing shard is raised, except that a PoleError
+    named with an earlier layer goes before one of a later layer, as one
+    forward of the whole batch raises it (errors without a layer go
+    first)."""
+    workers = worker_count()
+    cond = threading.Condition()
+    held, errors = {}, {}   # results run and not yet added; errors by shard
+    taken = added = 0
+    total = None
 
-    def work(k):
-        while k < len(starts):
-            try:
-                with np.errstate(all="ignore"):
-                    results[k] = run(starts[k])
-            except BaseException as exc:   # raised below, in shard order
-                errors[k] = exc
-            k = next(taken)
+    def finish(k, result, error):
+        nonlocal added, total
+        with cond:
+            held[k] = result
+            if error is not None:
+                errors[k] = error
+            while added in held:
+                result = held.pop(added)
+                if not errors:   # an error is raised: the sum is not needed
+                    try:
+                        total = result if added == 0 else add(total, result)
+                    except BaseException as exc:
+                        errors[added] = exc
+                added += 1
+            cond.notify_all()
 
-    def helper():
+    def outcome(k):
         try:
-            work(next(taken))
-        finally:
-            finished.put(None)
+            return run(starts[k]), None
+        except BaseException as exc:   # raised below, in shard order
+            return None, exc
 
-    first = next(taken)   # the caller runs shard 0
-    helpers = _pool_threads(len(starts), worker_count())
-    if helpers:
-        if _pool is None or _pool.pid != os.getpid():
-            _pool = _Pool()
-        _pool.run(helper, helpers)
-    work(first)
-    for _ in range(helpers):
-        finished.get()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    return results
+    def work():
+        nonlocal taken
+        with np.errstate(all="ignore"):
+            while True:
+                with cond:
+                    cond.wait_for(lambda: taken == len(starts) or taken - added < workers)
+                    if taken == len(starts):
+                        return
+                    k, taken = taken, taken + 1
+                finish(k, *outcome(k))
+
+    for _ in range(_pool_threads(len(starts), workers)):
+        _pool(workers).submit(work)
+    try:
+        work()
+        with cond:   # a helper may still be running the last shards
+            cond.wait_for(lambda: added == len(starts))
+    finally:
+        with cond:   # an interrupted caller: the helpers take no further shard
+            taken = len(starts)
+            cond.notify_all()
+    if errors:
+        def order(k):   # a named PoleError carries its layer's position
+            layer = getattr(errors[k], "layer", None)
+            return (-1 if layer is None else layer), k
+        raise errors[min(errors, key=order)]
+    return total
 
 
 def evaluate(net: Network, data: DatasetHandle) -> float:
     """Accuracy of argmax predictions, over EVAL_BATCH samples at a time,
-    each run as :func:`shard_samples` shards (:func:`_map_shards`); ties resolve
-    to the lowest class.  A non-finite output raises NonFiniteLossError;
+    each run as :func:`shard_samples` shards (:func:`_reduce_shards`); ties
+    resolve to the lowest class.  A non-finite output raises NonFiniteLossError;
     warnings are silenced.  An empty set raises ValueError: it has no
     accuracy."""
     if not len(data):
@@ -289,7 +310,8 @@ def evaluate(net: Network, data: DatasetHandle) -> float:
                 rows = xb[start:start + size]
                 return forward(net, rows, training=False, start=start, total=len(xb))[0]
 
-            out = np.concatenate(_map_shards(shard, range(0, len(xb), size)))
+            out = _reduce_shards(shard, range(0, len(xb), size),
+                                 lambda out, rows: np.concatenate((out, rows)))
             if not np.isfinite(out).all():
                 raise NonFiniteLossError(
                     f"samples {lo}-{lo + len(xb) - 1}: output is not finite; first "
@@ -301,7 +323,7 @@ def evaluate(net: Network, data: DatasetHandle) -> float:
 def _step(net: Network, opt, xb, labels, seed: int, step: int) -> float:
     """One training step against :func:`nll_loss`, noise seeded by ``seed``
     and ``step``; returns the loss.  The batch runs as :func:`shard_samples`
-    shards (:func:`_map_shards`), each through forward, nll_loss and
+    shards (:func:`_reduce_shards`), each through forward, nll_loss and
     backward, its loss and loss gradient scaled by its share of the batch;
     the step's loss and each gradient are the shards' added in shard order,
     so they do not depend on the worker count."""
@@ -316,11 +338,13 @@ def _step(net: Network, opt, xb, labels, seed: int, step: int) -> float:
         share = len(out) / len(xb)
         return loss * share, backward(net, trace, dout * share)
 
-    (loss, grads), *rest = _map_shards(shard, range(0, len(xb), size))
-    for shard_loss, shard_grads in rest:
-        loss += shard_loss
+    def add(sums, shard_sums):
+        (loss, grads), (shard_loss, shard_grads) = sums, shard_sums
         for key, g in shard_grads.items():
             grads[key] += g
+        return loss + shard_loss, grads
+
+    loss, grads = _reduce_shards(shard, range(0, len(xb), size), add)
     if not math.isfinite(loss):
         raise NonFiniteLossError(f"step {step}: loss is {loss!r}; first non-finite value: "
                                  f"{first_non_finite(net, xb, True, noise_seed)}")

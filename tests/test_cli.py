@@ -719,16 +719,6 @@ class TestBadSettings:
         assert err.startswith("error: ") and message in err
         assert out == ""
 
-    @pytest.mark.parametrize("command", ["train", "prune", "eval"])
-    def test_bad_worker_count_exits_1_before_any_data(self, monkeypatch, capsys, tmp_path,
-                                                      command):
-        # without it, the missing --data-dir, or eval's missing checkpoint, exits 2
-        monkeypatch.setenv("PAU_WORKERS", "0")
-        flags = ["--checkpoint", str(tmp_path / "missing.ckpt")] if command == "eval" else []
-        assert main([command, *flags, "--preset", "mnist-desk"]) == 1
-        out, err = capsys.readouterr()
-        assert err == "error: PAU_WORKERS must be an integer >= 1, got '0'\n" and out == ""
-
     @pytest.mark.parametrize("line,message", _BAD_CONFIG_LINES,
                              ids=[line or "directory" for line, _ in _BAD_CONFIG_LINES])
     def test_bad_config_file_exits_2(self, tmp_path, capsys, line, message):

@@ -1,6 +1,9 @@
+import operator
 import subprocess
 import sys
+import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -323,14 +326,17 @@ class TestNonFiniteLoss:
             evaluate(self._overflowing_conv_net(), data)
 
 
-# A seeded LeNet and MLP run; prints the SHA-256 of every parameter array
-# and the history.  A step of 300 samples runs as 4 LeNet shards of 64 and
-# one of 44, or as MLP shards of 128, 128 and 44; an evaluation of 400
-# samples as 7 LeNet shards or 4 MLP shards, the last one a part shard.
+# A seeded LeNet and MLP run at the worker count in argv; prints the SHA-256
+# of every parameter array and the history.  A step of 300 samples runs as
+# 4 LeNet shards of 64 and one of 44, or as MLP shards of 128, 128 and 44;
+# an evaluation of 400 samples as 7 LeNet shards or 4 MLP shards, the last
+# one a part shard.
 WORKER_DIGEST_SCRIPT = """
 import hashlib
+import sys
 import numpy as np
 import pau
+pau.train.worker_count = lambda: int(sys.argv[1])
 rng = np.random.default_rng(40)
 for arch, spec, shape in (("lenet", pau.lenet_spec(), (1, 32, 32)),
                           ("mlp", pau.mlp_spec((784, 128, 10)), (784,))):
@@ -345,31 +351,39 @@ for arch, spec, shape in (("lenet", pau.lenet_spec(), (1, 32, 32)),
 """
 
 
+def _workers(monkeypatch, workers):
+    monkeypatch.setattr(train, "worker_count", lambda: workers)
+
+
 class TestShards:
-    """A step and an evaluated batch run as SHARD_SAMPLES-row shards on up to
+    """A step and an evaluated batch run as shard_samples() shards on up to
     worker_count() threads; results depend on the shards, not the threads."""
 
     def test_parameters_do_not_depend_on_the_worker_count(self):
         runs = []
         for workers in ("1", "2"):
-            proc = subprocess.run([sys.executable, "-c", WORKER_DIGEST_SCRIPT],
-                                  env=child_env(("PAU_THREADS",), PAU_WORKERS=workers,
-                                                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1"),
+            proc = subprocess.run([sys.executable, "-c", WORKER_DIGEST_SCRIPT, workers],
+                                  env=child_env(("PAU_THREADS",), OPENBLAS_NUM_THREADS="1",
+                                                OMP_NUM_THREADS="1"),
                                   capture_output=True, text=True, timeout=600)
             assert proc.returncode == 0 and not proc.stderr, proc.stderr
             runs.append(proc.stdout)
         assert runs[0].count("\n") == 2 * (1 + 18) + 2 * (1 + 6)   # histories, arrays
         assert runs[0] == runs[1]
 
-    def test_worker_count(self, monkeypatch):
-        monkeypatch.setenv("PAU_WORKERS", "3")
-        assert train.worker_count() == 3
-        monkeypatch.setenv("PAU_WORKERS", "0")
-        with pytest.raises(ValueError, match=r"^PAU_WORKERS must be an integer >= 1, "
-                                             r"got '0'$"):
-            train.worker_count()
-        monkeypatch.delenv("PAU_WORKERS")
-        assert train.worker_count() >= 1
+    @pytest.mark.parametrize("openblas,omp,workers", [
+        (None, None, 1), ("1", None, 4), ("2", "1", 2), ("3", None, 1), ("8", None, 1),
+        (None, "2", 2), ("x", "1", 4), ("0", None, 1),
+    ])
+    def test_worker_count_leaves_the_blas_threads_their_cores(self, monkeypatch, openblas,
+                                                              omp, workers):
+        monkeypatch.setattr(train.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        for var, value in (("OPENBLAS_NUM_THREADS", openblas), ("OMP_NUM_THREADS", omp)):
+            if value is None:
+                monkeypatch.delenv(var, raising=False)
+            else:
+                monkeypatch.setenv(var, value)
+        assert train.worker_count() == workers
 
     def test_shard_samples_follow_the_network(self):
         assert train.shard_samples(pau.build_network(mlp_spec((784, 128, 10)))) == 128
@@ -386,62 +400,107 @@ class TestShards:
         assert train._pool_threads(3, 1) == 0
 
     def test_lowest_failing_shard_raises(self, monkeypatch):
-        # shard 1 fails last in time, shards 2 and 3 first; shard 1's error is raised
-        monkeypatch.setenv("PAU_WORKERS", "2")
+        # shards 2 and 3 fail before shard 1 does; shard 1's error is raised
+        _workers(monkeypatch, 3)
 
         def run(start):
             if start == 1:
                 time.sleep(0.05)
             if start:
                 raise LookupError(start)
-            return start
+            return [start]
 
         with pytest.raises(LookupError) as err:
-            train._map_shards(run, [0, 1, 2, 3])
+            train._reduce_shards(run, [0, 1, 2, 3], operator.add)
         assert err.value.args == (1,)
-        assert train._map_shards(lambda start: -start, range(5)) == [0, -1, -2, -3, -4]
+        assert train._reduce_shards(lambda start: [-start], range(5), operator.add) \
+            == [0, -1, -2, -3, -4]
 
     def test_every_shard_runs_once(self, monkeypatch):
         # more workers than cores, and thread switches as often as possible
-        monkeypatch.setenv("PAU_WORKERS", "4")
+        _workers(monkeypatch, 4)
         ran = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(20):
                 ran.clear()
-                assert train._map_shards(lambda s: ran.append(s) or -s, range(50)) \
-                    == [-s for s in range(50)]
+                assert train._reduce_shards(lambda s: ran.append(s) or [-s], range(50),
+                                            operator.add) == [-s for s in range(50)]
                 assert sorted(ran) == list(range(50))
         finally:
             sys.setswitchinterval(interval)
 
+    def test_a_step_holds_few_gradient_dicts(self, monkeypatch):
+        # 16 shards a step; shard 0 is slow, so the helpers would run all
+        # the others and hold their gradients if nothing held them back
+        workers, lock, live, peak = 3, threading.Lock(), [0], [0]
+        _workers(monkeypatch, workers)
+
+        def count(change):
+            with lock:
+                live[0] += change
+                peak[0] = max(peak[0], live[0])
+
+        monkeypatch.setattr(train, "SHARD_SAMPLES", 4)
+
+        class Grads(dict):   # a dict that weakref.finalize can watch
+            pass
+
+        def slow_forward(*args, start=0, **kwargs):
+            if start == 0:
+                time.sleep(0.02)
+            return pau.forward(*args, start=start, **kwargs)
+
+        def counted_backward(*args):
+            grads = Grads(pau.backward(*args))
+            count(1)
+            weakref.finalize(grads, count, -1)
+            return grads
+
+        monkeypatch.setattr(train, "forward", slow_forward)
+        monkeypatch.setattr(train, "backward", counted_backward)
+        data = tiny_data(n=64, seed=45)
+        train_model(tiny_net(45), data, data, TrainConfig(epochs=1, batch_size=64, seed=45))
+        # the running sum, and at most one gradient per worker waiting or in work
+        assert live[0] == 0 and 2 <= peak[0] <= workers + 1
+
     @pytest.mark.parametrize("run", ["train", "evaluate"])
-    def test_pole_in_shard_1_names_its_whole_batch_index(self, monkeypatch, run):
-        # x = 2 is the pole of 1 - x/2; the run's sample 200 sits in shard 1,
-        # its sample 290 in shard 2, and the error names sample 200's element
-        net = build_network([Activation(), Dense(3, 2), Softmax()], input_shape=(3,),
-                            init=pau.RationalCoefficients([0.0, 1.0], [-0.5]), seed=43)
-        net.pau_units[0].safe = False
-        x = np.random.default_rng(43).uniform(-1, 1, (300, 3))
+    def test_pole_of_the_earliest_layer_is_raised(self, monkeypatch, run):
+        # x = 2 is the pole of 1 - x/2 in both units, and 1 -> 1 / (1 - 1/2) = 2
+        # through unit 0 and the identity Dense.  The run's sample 10 (shard 0)
+        # meets a pole in layer 2, its samples 200 (shard 1) and 290 (shard 2)
+        # in layer 0; the error names sample 200's element, as the whole
+        # batch's forward does
+        net = build_network([Activation(), Dense(3, 3), Activation(), Dense(3, 2), Softmax()],
+                            input_shape=(3,), init=pau.RationalCoefficients([0.0, 1.0], [-0.5]),
+                            seed=43)
+        for unit in net.pau_units:
+            unit.safe = False
+        net.weights[1]["W"][...] = np.eye(3)
+        x = np.random.default_rng(43).uniform(-0.5, 0.5, (300, 3))
         # the samples in the order the run takes them: train_epochs shuffles
         order = np.random.default_rng(0).permutation(300) if run == "train" else np.arange(300)
+        x[order[10], 2] = 1.0
         x[order[200], 1] = x[order[290], 0] = 2.0
         data = pau.DatasetHandle(x, np.arange(300) % 2)
         messages = []
-        for workers in ("1", "2"):
-            monkeypatch.setenv("PAU_WORKERS", workers)
+        for workers in (1, 2):
+            _workers(monkeypatch, workers)
             with pytest.raises(pau.PoleError) as err:
                 if run == "train":
                     train_model(net.copy(), data, data, TrainConfig(epochs=1, batch_size=300))
                 else:
                     evaluate(net, data)
-            assert err.value.index == 200 * 3 + 1
+            assert (err.value.layer, err.value.index) == (0, 200 * 3 + 1)
             messages.append(str(err.value))
         with pytest.raises(pau.PoleError) as whole:
             pau.forward(net, x[order])
         assert messages == [str(whole.value)] * 2
         assert messages[0].startswith("layer 0 (Activation) unit 0: ")
+        with pytest.raises(pau.PoleError) as later:   # shard 0 alone
+            pau.forward(net, x[order][:128])
+        assert (later.value.layer, later.value.index) == (2, 10 * 3 + 2)
 
     def test_diverging_run_raises_the_same_error_at_any_worker_count(self, monkeypatch):
         # the unit overflows in every shard; no shard warns, since each
@@ -449,8 +508,8 @@ class TestShards:
         data = pau.DatasetHandle(np.random.default_rng(44).uniform(0, 1, (300, 1, 8, 8)),
                                  np.arange(300) % 3)
         messages = []
-        for workers in ("1", "2"):
-            monkeypatch.setenv("PAU_WORKERS", workers)
+        for workers in (1, 2):
+            _workers(monkeypatch, workers)
             with pytest.raises(NonFiniteLossError) as err:
                 train_model(TestNonFiniteLoss._overflowing_conv_net(), data, data,
                             TrainConfig(epochs=1, batch_size=300))
