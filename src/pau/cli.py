@@ -3,10 +3,10 @@
 Commands: pade, fit, gradcheck, train, eval, prune, export-curve.
 Exit codes: 0 success, 1 usage, 2 input/target error, 3 non-finite
 loss or output, 4 verification failure.  PAU_THREADS caps the BLAS
-worker threads.  train, prune and eval run each batch's shards on the
-cores this process may use, divided by the BLAS threads (so on one
-thread when BLAS is not capped); results do not depend on that worker
-count at a fixed BLAS thread count.
+worker threads.  train, prune and eval run each batch's shards on a pool
+of as many threads as the cores this process may use, divided by the
+BLAS threads (so one thread when BLAS is not capped); results do not
+depend on that worker count at a fixed BLAS thread count.
 
 Every flag is checked before its command runs: one that does not parse
 or is out of range exits 1 naming the flag or key.  train and prune take

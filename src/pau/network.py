@@ -328,7 +328,7 @@ class Activation(_Layer):
     def _named(self, i, exc, offset=0):
         """``exc`` naming this layer and unit, its index moved by ``offset``."""
         return PoleError(exc.x, exc.q, offset + exc.index,
-                         where=f"layer {i} (Activation) unit {self.unit}", layer=i)
+                         where=f"layer {i} (Activation) unit {self.unit}")
 
     def forward_pooled(self, net, i, x, noise_rng):
         """This noisy layer and the MaxPool above it (``i`` in ``net.pooled``)

@@ -41,14 +41,12 @@ BLOCK_ELEMENTS = 32768  # elements per kernel slice, so a slice's temporaries st
 
 class PoleError(ArithmeticError):
     """Unsafe-mode denominator magnitude fell below the pole floor.
-    ``where``, when given, names the network layer and unit, and ``layer``
-    is that layer's position in the network."""
+    ``where``, when given, names the network layer and unit."""
 
-    def __init__(self, x, q, index=None, where=None, layer=None):
+    def __init__(self, x, q, index=None, where=None):
         self.x = x
         self.q = q
         self.index = index
-        self.layer = layer
         at = f" at index {index}" if index is not None else ""
         of = f"{where}: " if where else ""
         super().__init__(f"{of}denominator {q!r} below pole floor{at} (x={x!r})")

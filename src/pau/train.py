@@ -7,11 +7,10 @@ following ``lr`` when unset), which ``lr_decay`` leaves constant.
 cutting a data set to a subset is the caller's job.
 
 A training step and an evaluated batch run as shards of
-``shard_samples(net)`` samples, on the calling thread and a pool of up to
-worker_count() - 1 threads (numpy releases the GIL in nearly all of a
-shard's work).  A step's loss and gradients are its shards' added in
-shard order as the shards finish, so results depend on the shard size,
-never on the worker count, and at most worker_count() + 1 gradient
+``shard_samples(net)`` samples on a pool of worker_count() threads (numpy
+releases the GIL in nearly all of a shard's work), while the calling
+thread adds their results in shard order.  So results depend on the shard
+size, never on the worker count, and at most worker_count() + 1 gradient
 dicts are held at once.
 """
 
@@ -19,15 +18,15 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import DatasetHandle
 from .network import Network, backward, first_non_finite, forward
+from .rational import PoleError
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # moment decay rates, epsilon
 EVAL_BATCH = 1024  # samples per forward pass in evaluate
@@ -185,11 +184,11 @@ def shard_samples(net: Network) -> int:
 
 
 def worker_count() -> int:
-    """The threads that run a batch's shards, the caller's among them: the
-    cores this process may run on, divided by the threads each worker's
-    BLAS calls start (OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, else
-    every core, as OpenBLAS counts them), and 1 at least.  With BLAS left
-    at every core, the shards run in turn on the calling thread."""
+    """The pool threads that run a batch's shards: the cores this process
+    may run on, divided by the threads each worker's BLAS calls start
+    (OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, else every core, as
+    OpenBLAS counts them), and 1 at least.  With BLAS left at every core,
+    the shards run in turn on one pool thread."""
     cores = len(os.sched_getaffinity(0))
     blas = cores
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
@@ -203,102 +202,58 @@ def worker_count() -> int:
     return max(1, cores // blas)
 
 
-def _pool_threads(shards: int, workers: int) -> int:
-    """Pool threads that help with ``shards`` shards: the caller is a worker."""
-    return min(shards, workers) - 1
-
-
-_executor = None   # (pid, workers, ThreadPoolExecutor of workers - 1 threads)
+_executor = None   # (pid, workers, ThreadPoolExecutor of that many threads)
 
 
 def _pool(workers: int) -> ThreadPoolExecutor:
-    """The pool of workers - 1 threads, built on first use and rebuilt for
+    """The pool of ``workers`` threads, built on first use and rebuilt for
     another worker count, or in a forked child, which inherits none of its
     parent's threads."""
     global _executor
     if _executor is None or _executor[:2] != (os.getpid(), workers):
         if _executor is not None and _executor[0] == os.getpid():
             _executor[2].shutdown(wait=False)
-        _executor = (os.getpid(), workers, ThreadPoolExecutor(workers - 1))
+        _executor = (os.getpid(), workers, ThreadPoolExecutor(workers))
     return _executor[2]
 
 
 def _reduce_shards(run, starts, add):
-    """``functools.reduce(add, map(run, starts))``, one shard per start: the
-    calling thread and up to worker_count() - 1 pool threads each take the
-    next shard not yet taken, and a result is added as soon as the shards
-    below it are.  A shard is taken only while fewer than worker_count()
-    shards are taken and not yet added, so that few results are held at
-    once, however many shards there are.  Each thread runs under
-    ``np.errstate(all="ignore")``: numpy's error state is per thread, so
-    pool threads do not share the caller's.  Once every shard has run, the
-    error of the lowest failing shard is raised, except that a PoleError
-    named with an earlier layer goes before one of a later layer, as one
-    forward of the whole batch raises it (errors without a layer go
-    first)."""
-    workers = worker_count()
-    cond = threading.Condition()
-    held, errors = {}, {}   # results run and not yet added; errors by shard
-    taken = added = 0
-    total = None
-
-    def finish(k, result, error):
-        nonlocal added, total
-        with cond:
-            held[k] = result
-            if error is not None:
-                errors[k] = error
-            while added in held:
-                result = held.pop(added)
-                if not errors:   # an error is raised: the sum is not needed
-                    try:
-                        total = result if added == 0 else add(total, result)
-                    except BaseException as exc:
-                        errors[added] = exc
-                added += 1
-            cond.notify_all()
-
-    def outcome(k):
-        try:
-            return run(starts[k]), None
-        except BaseException as exc:   # raised below, in shard order
-            return None, exc
-
-    def work():
-        nonlocal taken
+    """``functools.reduce(add, map(run, starts))``, one shard per start, run
+    on the pool of worker_count() threads.  At most worker_count() shards are
+    submitted and not yet added: the lowest one's result is added, and only
+    then is the next shard submitted, so that few results are held at once,
+    however many shards there are.  Each shard runs under
+    ``np.errstate(all="ignore")``, since numpy's error state is per thread.
+    The lowest failing shard's error is raised once the shards already
+    started have finished; no later shard starts."""
+    def shard(start):
         with np.errstate(all="ignore"):
-            while True:
-                with cond:
-                    cond.wait_for(lambda: taken == len(starts) or taken - added < workers)
-                    if taken == len(starts):
-                        return
-                    k, taken = taken, taken + 1
-                finish(k, *outcome(k))
+            return run(start)
 
-    for _ in range(_pool_threads(len(starts), workers)):
-        _pool(workers).submit(work)
+    workers = worker_count()
+    pool = _pool(workers)
+    window = [pool.submit(shard, start) for start in starts[:workers]]
+    total = None
     try:
-        work()
-        with cond:   # a helper may still be running the last shards
-            cond.wait_for(lambda: added == len(starts))
+        for k in range(len(starts)):
+            result = window.pop(0).result()
+            total = result if k == 0 else add(total, result)
+            del result
+            if k + workers < len(starts):
+                window.append(pool.submit(shard, starts[k + workers]))
     finally:
-        with cond:   # an interrupted caller: the helpers take no further shard
-            taken = len(starts)
-            cond.notify_all()
-    if errors:
-        def order(k):   # a named PoleError carries its layer's position
-            layer = getattr(errors[k], "layer", None)
-            return (-1 if layer is None else layer), k
-        raise errors[min(errors, key=order)]
+        for future in window:
+            future.cancel()
+        wait(window)
     return total
 
 
 def evaluate(net: Network, data: DatasetHandle) -> float:
     """Accuracy of argmax predictions, over EVAL_BATCH samples at a time,
     each run as :func:`shard_samples` shards (:func:`_reduce_shards`); ties
-    resolve to the lowest class.  A non-finite output raises NonFiniteLossError;
-    warnings are silenced.  An empty set raises ValueError: it has no
-    accuracy."""
+    resolve to the lowest class.  A non-finite output raises NonFiniteLossError,
+    a pole the PoleError of one forward of the whole EVAL_BATCH (run again);
+    warnings are silenced.  An empty set raises ValueError: it has no accuracy."""
     if not len(data):
         raise ValueError(f"cannot evaluate on an empty {data.split!r} set")
     hits, size = 0, shard_samples(net)
@@ -310,8 +265,12 @@ def evaluate(net: Network, data: DatasetHandle) -> float:
                 rows = xb[start:start + size]
                 return forward(net, rows, training=False, start=start, total=len(xb))[0]
 
-            out = _reduce_shards(shard, range(0, len(xb), size),
-                                 lambda out, rows: np.concatenate((out, rows)))
+            try:
+                out = _reduce_shards(shard, range(0, len(xb), size),
+                                     lambda out, rows: np.concatenate((out, rows)))
+            except PoleError:   # the whole batch's forward names the earliest layer's pole
+                forward(net, xb)
+                raise
             if not np.isfinite(out).all():
                 raise NonFiniteLossError(
                     f"samples {lo}-{lo + len(xb) - 1}: output is not finite; first "
@@ -326,7 +285,9 @@ def _step(net: Network, opt, xb, labels, seed: int, step: int) -> float:
     shards (:func:`_reduce_shards`), each through forward, nll_loss and
     backward, its loss and loss gradient scaled by its share of the batch;
     the step's loss and each gradient are the shards' added in shard order,
-    so they do not depend on the worker count."""
+    so they do not depend on the worker count.  A pole raises the PoleError
+    of one forward of the whole batch, run again to name the earliest
+    layer's pole."""
     noise_seed = seed * 1_000_003 + step
     size = shard_samples(net)
 
@@ -344,7 +305,11 @@ def _step(net: Network, opt, xb, labels, seed: int, step: int) -> float:
             grads[key] += g
         return loss + shard_loss, grads
 
-    loss, grads = _reduce_shards(shard, range(0, len(xb), size), add)
+    try:
+        loss, grads = _reduce_shards(shard, range(0, len(xb), size), add)
+    except PoleError:   # the whole batch's forward names the earliest layer's pole
+        forward(net, xb, training=True, seed=noise_seed)
+        raise
     if not math.isfinite(loss):
         raise NonFiniteLossError(f"step {step}: loss is {loss!r}; first non-finite value: "
                                  f"{first_non_finite(net, xb, True, noise_seed)}")

@@ -1,8 +1,8 @@
 """numpy is the package's only runtime dependency: every import in
 ``src/pau`` names numpy, the package itself or the standard library.
 Apart from ``approx`` and ``gradcheck``, a module uses the others through
-their public names only, and every private top-level name has a caller in
-``src/pau``."""
+their public names only, every private top-level name has a caller in
+``src/pau``, and every imported name is used."""
 
 import ast
 import sys
@@ -93,3 +93,43 @@ def test_a_private_name_without_a_caller_is_found(tmp_path):
     (tmp_path / "b.py").write_text("from a import _Base\n__all__ = []\n")
     assert _unused_private_names(sorted(tmp_path.glob("*.py"))) == ["a.py: _SIZE",
                                                                   "a.py: _helper"]
+
+
+# gradcheck re-exports the scalar kernels that perfbench wraps by name
+# (ROADMAP item 3)
+REEXPORTS = {"gradcheck.py: eval_pau", "gradcheck.py: grad_pau"}
+
+
+def _unused_imports(paths):
+    """``file: name`` of each name that an import in ``paths`` binds and its
+    own file never reads, except ``__future__`` features and the names that
+    an ``__init__.py`` imports from its package's modules (its re-exports)."""
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)
+                and isinstance(n.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.module == "__future__" or node.level and path.name == "__init__.py"):
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = ((a.asname or a.name).partition(".")[0] for a in node.names)
+                found += [f"{path.name}: {name}" for name in names if name not in read]
+    return found
+
+
+def test_every_imported_name_is_used():
+    found = [name for name in _unused_imports(sorted(SOURCE.glob("*.py")))
+             if name not in REEXPORTS]
+    assert not found, found
+
+
+def test_an_unused_import_is_found(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "from __future__ import annotations\nimport os.path\nimport threading\n"
+        "from collections import deque, namedtuple as nt\n\n"
+        "def f():\n    import math\n    return os.path.join(nt()), math\n")
+    (tmp_path / "__init__.py").write_text("import sys\nfrom .mod import f\n")
+    assert _unused_imports(sorted(tmp_path.glob("*.py"))) == [
+        "__init__.py: sys", "mod.py: threading", "mod.py: deque"]

@@ -392,12 +392,34 @@ class TestShards:
         assert train.shard_samples(pau.build_network(pau.vgg8_spec(),
                                                      input_shape=(1, 32, 32))) == 2
 
-    def test_pool_threads_stay_below_the_shards(self):
-        # computed only: no thread is started for the large worker counts
-        assert train._pool_threads(2, 10 ** 9) == 1
-        assert train._pool_threads(8, 2) == 1
-        assert train._pool_threads(1, 10 ** 9) == 0
-        assert train._pool_threads(3, 1) == 0
+    def test_two_shards_start_at_most_two_threads(self, monkeypatch):
+        # a pool of 8 starts its threads as shards are submitted
+        _workers(monkeypatch, 8)
+        monkeypatch.setattr(train, "_executor", None)
+        threads = train._reduce_shards(lambda start: {threading.get_ident()}, [0, 1],
+                                       operator.or_)
+        pool = train._executor[2]
+        pool.shutdown()
+        assert len(threads) <= 2 and len(pool._threads) <= 2
+
+    def test_a_failing_shard_ends_the_call(self, monkeypatch):
+        # shard 0 fails while shard 1 runs; no later shard starts, and the
+        # error reaches the caller once shard 1 is done
+        _workers(monkeypatch, 2)
+        started, finished = [], []
+
+        def run(start):
+            started.append(start)
+            time.sleep(0.05 if start else 0.01)
+            finished.append(start)
+            if start == 0:
+                raise LookupError(start)
+            return [start]
+
+        with pytest.raises(LookupError):
+            train._reduce_shards(run, range(50), operator.add)
+        assert len(started) <= train.worker_count()
+        assert sorted(finished) == sorted(started)
 
     def test_lowest_failing_shard_raises(self, monkeypatch):
         # shards 2 and 3 fail before shard 1 does; shard 1's error is raised
@@ -492,15 +514,17 @@ class TestShards:
                     train_model(net.copy(), data, data, TrainConfig(epochs=1, batch_size=300))
                 else:
                     evaluate(net, data)
-            assert (err.value.layer, err.value.index) == (0, 200 * 3 + 1)
+            assert err.value.index == 200 * 3 + 1
             messages.append(str(err.value))
         with pytest.raises(pau.PoleError) as whole:
             pau.forward(net, x[order])
+        assert whole.value.index == 200 * 3 + 1
         assert messages == [str(whole.value)] * 2
         assert messages[0].startswith("layer 0 (Activation) unit 0: ")
         with pytest.raises(pau.PoleError) as later:   # shard 0 alone
             pau.forward(net, x[order][:128])
-        assert (later.value.layer, later.value.index) == (2, 10 * 3 + 2)
+        assert later.value.index == 10 * 3 + 2
+        assert str(later.value).startswith("layer 2 (Activation) unit 1: ")
 
     def test_diverging_run_raises_the_same_error_at_any_worker_count(self, monkeypatch):
         # the unit overflows in every shard; no shard warns, since each
