@@ -9,15 +9,16 @@ CLI (cli).
 PAU_THREADS=<n> in the environment caps the BLAS and OpenMP worker
 threads.  It is applied when this package is imported, before numpy
 loads, and fills only the thread variables that are not already set.
-It has no effect when numpy was imported before this package.
+It has no effect when numpy was imported before this package, or when
+<n> is not an integer >= 1 (the pau command then exits 1).
 Training and evaluation run a batch's shards on the cores left over by
 the BLAS thread count (see train.worker_count).
 """
 
 import os as _os
 
-_cap = _os.environ.get("PAU_THREADS")
-if _cap:
+_cap = _os.environ.get("PAU_THREADS", "")
+if _cap.isascii() and _cap.isdigit() and int(_cap) >= 1:
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                  "NUMEXPR_NUM_THREADS"):
         _os.environ.setdefault(_var, _cap)

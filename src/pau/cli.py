@@ -3,10 +3,11 @@
 Commands: pade, fit, gradcheck, train, eval, prune, export-curve.
 Exit codes: 0 success, 1 usage, 2 input/target error, 3 non-finite
 loss or output, 4 verification failure.  PAU_THREADS caps the BLAS
-worker threads.  train, prune and eval run each batch's shards on a pool
-of as many threads as the cores this process may use, divided by the
-BLAS threads (so one thread when BLAS is not capped); results do not
-depend on that worker count at a fixed BLAS thread count.
+worker threads; a value that is not an integer >= 1 exits 1.  train,
+prune and eval run each batch's shards on a pool of as many threads as
+the cores this process may use, divided by the BLAS threads (so one
+thread when BLAS is not capped); results do not depend on that worker
+count at a fixed BLAS thread count.
 
 Every flag is checked before its command runs: one that does not parse
 or is out of range exits 1 naming the flag or key.  train and prune take
@@ -542,6 +543,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        cap = os.environ.get("PAU_THREADS", "")   # "": unset
+        if cap and not (cap.isascii() and cap.isdigit() and int(cap) >= 1):
+            raise _Fail(EXIT_USAGE, f"PAU_THREADS {cap!r}: must be an integer >= 1")
         _check_outputs(args)
         return args.func(args)
     except _Fail as exc:

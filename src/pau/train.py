@@ -6,17 +6,20 @@ following ``lr`` when unset), which ``lr_decay`` leaves constant.
 ``train_model`` trains and evaluates on all of the data it is given;
 cutting a data set to a subset is the caller's job.
 
-A training step and an evaluated batch run as shards of
+A training step and an evaluated set run as shards of
 ``shard_samples(net)`` samples on a pool of worker_count() threads (numpy
 releases the GIL in nearly all of a shard's work), while the calling
 thread adds their results in shard order.  So results depend on the shard
 size, never on the worker count, and at most worker_count() + 1 gradient
-dicts are held at once.
+dicts are held at once.  A failing call raises its lowest failing shard's
+error, the same at any worker count; a pole is named by its element's
+index in the whole batch or set.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -26,11 +29,9 @@ import numpy as np
 
 from .data import DatasetHandle
 from .network import Network, backward, first_non_finite, forward
-from .rational import PoleError
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # moment decay rates, epsilon
-EVAL_BATCH = 1024  # samples per forward pass in evaluate
-SHARD_SAMPLES = 128        # most samples in a shard of a step or an evaluated batch
+SHARD_SAMPLES = 128        # most samples in a shard of a step or an evaluated set
 SHARD_ELEMENTS = 2 ** 20   # most layer-output values a shard holds, summed over layers
 
 
@@ -73,9 +74,9 @@ class Metrics:
 
 
 class NonFiniteLossError(ArithmeticError):
-    """A training step's loss, or an evaluated batch's output, is NaN or
-    infinite.  The message names the step or the batch, and the first
-    unit or layer holding a non-finite value."""
+    """A training step's loss, or an evaluated shard's output, is NaN or
+    infinite.  The message names the step or the shard's samples, and the
+    first unit or layer holding a non-finite value."""
 
 
 class _Optimizer:
@@ -173,7 +174,7 @@ def _model_inputs(net: Network, images: np.ndarray) -> np.ndarray:
 
 
 def shard_samples(net: Network) -> int:
-    """Samples per shard of a step or an evaluated batch of ``net``: the
+    """Samples per shard of a step or an evaluated set of ``net``: the
     largest power of two up to SHARD_SAMPLES whose layer outputs, summed
     over the layers, hold at most SHARD_ELEMENTS values (1 at least).  It
     depends on the network alone: results depend on it, and it bounds what
@@ -185,11 +186,13 @@ def shard_samples(net: Network) -> int:
 
 def worker_count() -> int:
     """The pool threads that run a batch's shards: the cores this process
-    may run on, divided by the threads each worker's BLAS calls start
-    (OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, else every core, as
-    OpenBLAS counts them), and 1 at least.  With BLAS left at every core,
-    the shards run in turn on one pool thread."""
-    cores = len(os.sched_getaffinity(0))
+    may run on (every core where the platform cannot tell), divided by the
+    threads each worker's BLAS calls start (OPENBLAS_NUM_THREADS, else
+    OMP_NUM_THREADS, else every core, as OpenBLAS counts them), and 1 at
+    least.  With BLAS left at every core, the shards run in turn on one
+    pool thread."""
+    affinity = getattr(os, "sched_getaffinity", None)   # None on macOS and Windows
+    cores = len(affinity(0)) if affinity else os.cpu_count() or 1
     blas = cores
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         try:
@@ -249,34 +252,26 @@ def _reduce_shards(run, starts, add):
 
 
 def evaluate(net: Network, data: DatasetHandle) -> float:
-    """Accuracy of argmax predictions, over EVAL_BATCH samples at a time,
-    each run as :func:`shard_samples` shards (:func:`_reduce_shards`); ties
-    resolve to the lowest class.  A non-finite output raises NonFiniteLossError,
-    a pole the PoleError of one forward of the whole EVAL_BATCH (run again);
-    warnings are silenced.  An empty set raises ValueError: it has no accuracy."""
+    """Accuracy of argmax predictions, ties resolved to the lowest class.
+    The set runs as :func:`shard_samples` shards (:func:`_reduce_shards`)
+    that count their own hits, so the lowest failing shard's error is raised:
+    a PoleError names its element's index in the whole set, and an output
+    that is not finite raises NonFiniteLossError naming the shard's samples;
+    warnings are silenced.  An empty set raises ValueError: no accuracy."""
     if not len(data):
         raise ValueError(f"cannot evaluate on an empty {data.split!r} set")
-    hits, size = 0, shard_samples(net)
-    with np.errstate(all="ignore"):
-        for lo in range(0, len(data), EVAL_BATCH):
-            xb = _model_inputs(net, data.images[lo:lo + EVAL_BATCH])
+    size = shard_samples(net)
 
-            def shard(start):
-                rows = xb[start:start + size]
-                return forward(net, rows, training=False, start=start, total=len(xb))[0]
+    def shard(start):
+        rows = _model_inputs(net, data.images[start:start + size])
+        out = forward(net, rows, training=False, start=start, total=len(data))[0]
+        if not np.isfinite(out).all():
+            raise NonFiniteLossError(
+                f"samples {start}-{start + len(rows) - 1}: output is not finite; first "
+                f"non-finite value: {first_non_finite(net, rows)}")
+        return int(np.sum(np.argmax(out, axis=1) == data.labels[start:start + size]))
 
-            try:
-                out = _reduce_shards(shard, range(0, len(xb), size),
-                                     lambda out, rows: np.concatenate((out, rows)))
-            except PoleError:   # the whole batch's forward names the earliest layer's pole
-                forward(net, xb)
-                raise
-            if not np.isfinite(out).all():
-                raise NonFiniteLossError(
-                    f"samples {lo}-{lo + len(xb) - 1}: output is not finite; first "
-                    f"non-finite value: {first_non_finite(net, xb)}")
-            hits += int(np.sum(np.argmax(out, axis=1) == data.labels[lo:lo + EVAL_BATCH]))
-    return hits / len(data)
+    return _reduce_shards(shard, range(0, len(data), size), operator.add) / len(data)
 
 
 def _step(net: Network, opt, xb, labels, seed: int, step: int) -> float:
@@ -285,9 +280,9 @@ def _step(net: Network, opt, xb, labels, seed: int, step: int) -> float:
     shards (:func:`_reduce_shards`), each through forward, nll_loss and
     backward, its loss and loss gradient scaled by its share of the batch;
     the step's loss and each gradient are the shards' added in shard order,
-    so they do not depend on the worker count.  A pole raises the PoleError
-    of one forward of the whole batch, run again to name the earliest
-    layer's pole."""
+    so they do not depend on the worker count.  The lowest failing shard's
+    error is raised; a PoleError names its element's index in the whole
+    batch."""
     noise_seed = seed * 1_000_003 + step
     size = shard_samples(net)
 
@@ -305,11 +300,7 @@ def _step(net: Network, opt, xb, labels, seed: int, step: int) -> float:
             grads[key] += g
         return loss + shard_loss, grads
 
-    try:
-        loss, grads = _reduce_shards(shard, range(0, len(xb), size), add)
-    except PoleError:   # the whole batch's forward names the earliest layer's pole
-        forward(net, xb, training=True, seed=noise_seed)
-        raise
+    loss, grads = _reduce_shards(shard, range(0, len(xb), size), add)
     if not math.isfinite(loss):
         raise NonFiniteLossError(f"step {step}: loss is {loss!r}; first non-finite value: "
                                  f"{first_non_finite(net, xb, True, noise_seed)}")

@@ -16,8 +16,8 @@ from pau import cli
 from pau.cli import main
 
 
-def run_cli(*args, cwd=None):
-    proc = subprocess.run([sys.executable, "-m", "pau.cli", *args], env=child_env(),
+def run_cli(*args, cwd=None, **env):
+    proc = subprocess.run([sys.executable, "-m", "pau.cli", *args], env=child_env(**env),
                           capture_output=True, text=True, cwd=cwd, timeout=600)
     assert "Traceback" not in proc.stderr
     assert "Warning" not in proc.stderr
@@ -483,7 +483,7 @@ class TestTrain:
         (lambda raw: TestTrain._fill_blob(raw, 2, "b", float("-inf"), 10),
          2, "b of layer 2 holds -inf at index (0,)"),
         (lambda raw: TestTrain._fill_blob(raw, 0, "W", 1e308, 784 * 16),
-         3, "samples 0-1023: output is not finite; first non-finite value: "
+         3, "samples 0-127: output is not finite; first non-finite value: "
             "the output of layer 0 (Dense)"),
         (lambda raw: TestTrain._pole(raw), 2, "layer 1 (Activation) unit 0: denominator "
                                               "0.0 below pole floor at index 0 (x=1.0)"),
@@ -731,6 +731,19 @@ class TestBadSettings:
         assert err.startswith(f"error: config file {path}: ") and message in err
         assert out == ""
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-1", "2.5"])
+    def test_bad_pau_threads_exits_1(self, tmp_path, value):
+        # a thread cap that caps nothing is a usage error, found before any work
+        out = tmp_path / "tanh.coeffs"
+        code, stdout, stderr = run_cli("pade", "--target", "tanh", "--out", str(out),
+                                       PAU_THREADS=value)
+        assert code == 1 and stdout == "" and not out.exists()
+        assert stderr == f"error: PAU_THREADS {value!r}: must be an integer >= 1\n"
+
+    def test_pau_threads_of_an_integer_runs(self, tmp_path):
+        out = tmp_path / "tanh.coeffs"
+        assert run_cli("pade", "--target", "tanh", "--out", str(out), PAU_THREADS="2")[0] == 0
+        assert out.exists()
 
     @pytest.mark.parametrize("source,code,named", [
         ("flag", 1, "--train-subset 100000000000 and --test-subset 2000: "),

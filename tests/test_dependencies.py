@@ -2,7 +2,8 @@
 ``src/pau`` names numpy, the package itself or the standard library.
 Apart from ``approx`` and ``gradcheck``, a module uses the others through
 their public names only, every private top-level name has a caller in
-``src/pau``, and every imported name is used."""
+``src/pau``, every public constant is read in ``src/pau`` or ``perfbench``,
+and every imported name is used."""
 
 import ast
 import sys
@@ -50,32 +51,36 @@ def test_network_imports_no_private_name():
     assert not found, found
 
 
+def _defines(node):
+    """The names a top-level statement defines or assigns."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return [n.id for t in targets if t is not None for n in ast.walk(t)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+
+
+def _reads(node):
+    """The names that ``node`` reads, calls, imports or takes as attributes."""
+    names = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            names.add(n.attr)
+        elif isinstance(n, ast.alias):
+            names.add(n.name)
+    return names
+
+
 def _unused_private_names(paths):
     """``file: name`` of each private top-level name of ``paths`` that no
     other top-level statement of theirs reads, calls or imports."""
     statements = [(path.name, node) for path in paths
                   for node in ast.parse(path.read_text(encoding="utf-8"), str(path)).body]
-
-    def defines(node):
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            return [node.name]
-        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
-        return [t.id for t in targets if isinstance(t, ast.Name)]
-
-    def uses(node):
-        names = set()
-        for n in ast.walk(node):
-            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
-                names.add(n.id)
-            elif isinstance(n, ast.Attribute):
-                names.add(n.attr)
-            elif isinstance(n, ast.alias):
-                names.add(n.name)
-        return names
-
-    used = [uses(node) for _, node in statements]
+    used = [_reads(node) for _, node in statements]
     return [f"{file}: {name}" for i, (file, node) in enumerate(statements)
-            for name in defines(node) if name.startswith("_") and not name.startswith("__")
+            for name in _defines(node) if name.startswith("_") and not name.startswith("__")
             and not any(name in u for j, u in enumerate(used) if j != i)]
 
 
@@ -95,8 +100,37 @@ def test_a_private_name_without_a_caller_is_found(tmp_path):
                                                                   "a.py: _helper"]
 
 
+def _unread_constants(paths, readers):
+    """``file: NAME`` of each public upper-case top-level name that ``paths``
+    assign and no file of ``readers`` reads, calls or imports."""
+    read = set().union(*(_reads(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+                         for path in readers))
+    return [f"{path.name}: {name}" for path in paths
+            for node in ast.parse(path.read_text(encoding="utf-8"), str(path)).body
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for name in _defines(node)
+            if name.isupper() and not name.startswith("_") and name not in read]
+
+
+def test_every_constant_is_read():
+    # a knob whose code is gone leaves its constant behind
+    sources = sorted(SOURCE.glob("*.py"))
+    readers = sources + sorted((SOURCE.parents[1] / "perfbench").glob("*.py"))
+    found = _unread_constants(sources, readers)
+    assert not found, found
+
+
+def test_an_unread_constant_is_found(tmp_path):
+    (tmp_path / "a.py").write_text("LIMIT = 3\nSIZE: int = 2\nLO, HI = 0, 1\nWIDTH = 7\n"
+                                   "_PRIVATE = 4\nMixed = 5\n\n"
+                                   "def f():\n    LOCAL = 6\n    return LIMIT, LOCAL\n")
+    (tmp_path / "b.py").write_text("import a\nfrom a import WIDTH\nprint(a.HI, WIDTH)\n")
+    paths = sorted(tmp_path.glob("*.py"))
+    assert _unread_constants(paths, paths) == ["a.py: SIZE", "a.py: LO"]
+
+
 # gradcheck re-exports the scalar kernels that perfbench wraps by name
-# (ROADMAP item 3)
+# (ROADMAP item 4)
 REEXPORTS = {"gradcheck.py: eval_pau", "gradcheck.py: grad_pau"}
 
 

@@ -488,6 +488,14 @@ class TestThreadCap:
         assert run_script(script, PAU_THREADS="1", OPENBLAS_NUM_THREADS="2") == "2"
         assert run_script(script, PAU_THREADS="1") == "1"
 
+    @pytest.mark.parametrize("value,copied", [("3", "3"), ("abc", None), ("0", None),
+                                              ("-1", None), ("2.5", None), ("", None)])
+    def test_only_an_integer_of_at_least_1_is_copied(self, value, copied):
+        script = ("import os, pau\n"
+                  "print({os.environ.get(v) for v in ('OMP_NUM_THREADS', 'OPENBLAS_NUM_THREADS',"
+                  " 'MKL_NUM_THREADS', 'NUMEXPR_NUM_THREADS')})\n")
+        assert run_script(script, PAU_THREADS=value) == str({copied})
+
 
 class TestNoise:
     def test_zero_coefficient_stays_zero(self):

@@ -385,6 +385,16 @@ class TestShards:
                 monkeypatch.setenv(var, value)
         assert train.worker_count() == workers
 
+    def test_worker_count_without_an_affinity_call(self, monkeypatch):
+        # macOS and Windows have no os.sched_getaffinity: every core counts
+        monkeypatch.delattr(train.os, "sched_getaffinity")
+        monkeypatch.setattr(train.os, "cpu_count", lambda: 6)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        assert train.worker_count() == 3
+        monkeypatch.setattr(train.os, "cpu_count", lambda: None)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert train.worker_count() == 1
+
     def test_shard_samples_follow_the_network(self):
         assert train.shard_samples(pau.build_network(mlp_spec((784, 128, 10)))) == 128
         assert train.shard_samples(pau.build_network(pau.lenet_spec(),
@@ -487,19 +497,24 @@ class TestShards:
         # the running sum, and at most one gradient per worker waiting or in work
         assert live[0] == 0 and 2 <= peak[0] <= workers + 1
 
-    @pytest.mark.parametrize("run", ["train", "evaluate"])
-    def test_pole_of_the_earliest_layer_is_raised(self, monkeypatch, run):
-        # x = 2 is the pole of 1 - x/2 in both units, and 1 -> 1 / (1 - 1/2) = 2
-        # through unit 0 and the identity Dense.  The run's sample 10 (shard 0)
-        # meets a pole in layer 2, its samples 200 (shard 1) and 290 (shard 2)
-        # in layer 0; the error names sample 200's element, as the whole
-        # batch's forward does
+    @staticmethod
+    def _pole_net():
+        # x = 2 is the pole of 1 - x/2 in both unsafe units, and
+        # 1 -> 1 / (1 - 1/2) = 2 through unit 0 and the identity Dense
         net = build_network([Activation(), Dense(3, 3), Activation(), Dense(3, 2), Softmax()],
                             input_shape=(3,), init=pau.RationalCoefficients([0.0, 1.0], [-0.5]),
                             seed=43)
         for unit in net.pau_units:
             unit.safe = False
         net.weights[1]["W"][...] = np.eye(3)
+        return net
+
+    @pytest.mark.parametrize("run", ["train", "evaluate"])
+    def test_pole_of_the_lowest_failing_shard_is_raised(self, monkeypatch, run):
+        # the run's sample 10 (shard 0) meets a pole in layer 2, its samples
+        # 200 (shard 1) and 290 (shard 2) in layer 0; the error is shard 0's,
+        # as its own forward names it, at any worker count
+        net = self._pole_net()
         x = np.random.default_rng(43).uniform(-0.5, 0.5, (300, 3))
         # the samples in the order the run takes them: train_epochs shuffles
         order = np.random.default_rng(0).permutation(300) if run == "train" else np.arange(300)
@@ -514,17 +529,30 @@ class TestShards:
                     train_model(net.copy(), data, data, TrainConfig(epochs=1, batch_size=300))
                 else:
                     evaluate(net, data)
-            assert err.value.index == 200 * 3 + 1
+            assert err.value.index == 10 * 3 + 2
             messages.append(str(err.value))
-        with pytest.raises(pau.PoleError) as whole:
-            pau.forward(net, x[order])
-        assert whole.value.index == 200 * 3 + 1
-        assert messages == [str(whole.value)] * 2
-        assert messages[0].startswith("layer 0 (Activation) unit 0: ")
-        with pytest.raises(pau.PoleError) as later:   # shard 0 alone
+        with pytest.raises(pau.PoleError) as shard:   # shard 0 alone
             pau.forward(net, x[order][:128])
-        assert later.value.index == 10 * 3 + 2
-        assert str(later.value).startswith("layer 2 (Activation) unit 1: ")
+        assert shard.value.index == 10 * 3 + 2
+        assert messages == [str(shard.value)] * 2
+        assert messages[0].startswith("layer 2 (Activation) unit 1: ")
+
+    def test_pole_is_named_by_its_index_in_the_evaluated_set(self, monkeypatch):
+        # one pole, at sample 1500 of 2000: the error names the element as
+        # one forward of the whole set does
+        net = self._pole_net()
+        x = np.random.default_rng(46).uniform(-0.5, 0.5, (2000, 3))
+        x[1500, 1] = 2.0
+        data = pau.DatasetHandle(x, np.arange(2000) % 2)
+        with pytest.raises(pau.PoleError) as whole:
+            pau.forward(net, x)
+        assert whole.value.index == 1500 * 3 + 1
+        for workers in (1, 2):
+            _workers(monkeypatch, workers)
+            with pytest.raises(pau.PoleError) as err:
+                evaluate(net, data)
+            assert err.value.index == 1500 * 3 + 1
+            assert str(err.value) == str(whole.value)
 
     def test_diverging_run_raises_the_same_error_at_any_worker_count(self, monkeypatch):
         # the unit overflows in every shard; no shard warns, since each
